@@ -41,6 +41,7 @@ from .interferometer import (
     PhotonDistribution,
     beam_splitter_unitary,
     hom_photon_distribution,
+    multimode_photon_distribution,
     multimode_two_copy_output,
     photon_distribution,
     photon_distribution_phase_invariant,

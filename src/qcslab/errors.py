@@ -14,11 +14,11 @@ class CutoffError(QcslabError):
 
 
 class HeadroomError(CutoffError):
-    """Two-copy interference would spill past the cutoff (support > dim/2 - 1)."""
+    """Two-copy interference would spill past the cutoff (supports s_a + s_b > dim - 1)."""
 
 
 class MemoryGuardError(CutoffError):
-    """Multimode two-copy space exceeds the configured memory guard."""
+    """The largest two-copy beam-splitter block exceeds the configured memory guard."""
 
 
 class DegenerateDenominatorError(QcslabError):

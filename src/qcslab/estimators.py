@@ -20,10 +20,7 @@ import numpy as np
 
 from .errors import DegenerateDenominatorError, ValidationError
 from .fock import DensityOperator, purity_direct, quadratures
-from .interferometer import (
-    PhotonDistribution,
-    multimode_two_copy_output,
-)
+from .interferometer import PhotonDistribution, multimode_photon_distribution
 from .states import ClassicalMixture, CovarianceMatrix
 
 METHODS = ("direct", "two_copy", "pure_shortcut", "wigner_gradient",
@@ -153,10 +150,9 @@ def qcs_classical_mixture(mix: ClassicalMixture) -> QcsEstimate:
 def qcs_multimode(rho: DensityOperator, **kwargs) -> QcsEstimate:
     """Stacked-beam-splitter QCS for an N-mode state:
     C² = (1/N) Σ_k Tr(ρ_d (1+2n̂_{d_k}) (-1)^{Σ_j n̂_{d_j}}) / Tr(ρ_d (-1)^{Σ_j n̂_{d_j}})."""
-    rho_d = multimode_two_copy_output(rho, **kwargs)
-    n_modes = rho_d.n_modes
-    diag = np.real(np.diag(rho_d.matrix))
-    grids = np.meshgrid(*[np.arange(d) for d in rho_d.dims], indexing="ij")
+    n_modes = rho.n_modes
+    diag = multimode_photon_distribution(rho, **kwargs).reshape(-1)
+    grids = np.meshgrid(*[np.arange(d) for d in rho.dims], indexing="ij")
     total_n = sum(grids).reshape(-1)
     parity = (-1.0) ** total_n
     den = math.fsum(parity * diag)

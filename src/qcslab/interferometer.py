@@ -1,21 +1,30 @@
 """The two-copy measurement circuit: 50:50 beam splitter(s), reduction to the
 difference mode, and the output photon-number distribution p_n.
 
-Two routes are provided: the dense matrix pipeline (any state) and the
-combinatorial fast path for phase-invariant (Fock-diagonal) states, which is
-exact at any input support because the interference amplitudes are evaluated
-in closed form.
+The beam splitter conserves the total photon number T = k + l of the two modes
+it mixes, so it is block-diagonal: on the span of |k, T−k⟩ it acts by a
+(T+1)-square block U_T, smaller where the cutoff truncates the block. Each
+block is the exponential of the real tridiagonal J_y generator, taken from the
+eigendecomposition of a symmetric tridiagonal matrix. Every two-copy path runs
+on these blocks. With X_T[k, k′] = ρ_a[k, k′] ρ_b[T−k, T−k′], the output
+diagonal is diag(U_T X_T U_Tᵀ) summed over the traced mode, so p_n costs
+O(dim⁴) and the full difference-mode state O(dim⁵); no dim²×dim² matrix is
+built. For several modes the sectors are tuples of per-mode totals and the
+block is the Kronecker product of the per-mode blocks.
+
+Fock-diagonal inputs use the untruncated blocks, p = Σ_T |U_T|² (λ_k λ_{T−k}),
+which needs no cutoff headroom; identical thermal inputs have a closed form.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     HeadroomError,
@@ -23,11 +32,11 @@ from .errors import (
     RoundoffBudgetError,
     ValidationError,
 )
-from .fock import DensityOperator, partial_trace, tensor
+from .fock import DensityOperator
 
 ROUNDOFF_BUDGET = 1e-8
 DEFAULT_HEADROOM_TOL = 1e-8
-MEMORY_GUARD_DIM = 4096  # largest total two-copy dimension the dense path will allocate
+MEMORY_GUARD_DIM = 4096  # largest beam-splitter block side (product over modes) allocated
 
 
 @dataclass(frozen=True)
@@ -44,6 +53,8 @@ class PhotonDistribution:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "PhotonDistribution":
+        """Clip round-off negatives and check the invariants Σp_n ≤ 1 and
+        0 ≤ Σ(−1)ⁿp_n = Tr(ρ_a ρ_b) ≤ 1, each to within the round-off budget."""
         values = np.asarray(values, dtype=float)
         roundoff = float(-values[values < 0].sum())
         if roundoff > ROUNDOFF_BUDGET:
@@ -51,8 +62,15 @@ class PhotonDistribution:
                 f"clipped negative probability mass {roundoff:.3e} exceeds budget "
                 f"{ROUNDOFF_BUDGET:.1e}")
         probs = np.clip(values, 0.0, None)
-        deficit = 1.0 - math.fsum(probs)
-        return cls(probs=probs, deficit=deficit, roundoff=roundoff)
+        total = math.fsum(probs)
+        alternating = math.fsum(probs[::2]) - math.fsum(probs[1::2])
+        if total > 1.0 + ROUNDOFF_BUDGET or not (
+                -ROUNDOFF_BUDGET < alternating <= 1.0 + ROUNDOFF_BUDGET):
+            raise RoundoffBudgetError(
+                f"p_n breaks its invariants beyond round-off {ROUNDOFF_BUDGET:.1e}: "
+                f"Σp_n = {total!r} (must be <= 1), Σ(-1)ⁿp_n = {alternating!r} "
+                "(must lie in [0, 1])")
+        return cls(probs=probs, deficit=1.0 - total, roundoff=roundoff)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -66,35 +84,110 @@ class PhotonDistribution:
                 fh.write(f"{n},{float(p)!r},{float(c)!r}\n")
 
 
-@lru_cache(maxsize=4)
-def beam_splitter_unitary(dim: int) -> np.ndarray:
-    """50:50 beam splitter exp((π/4)(a†b - ab†)), built block-by-block over the
-    conserved total-photon-number subspaces (exact per complete block)."""
-    d2 = dim * dim
-    u = np.zeros((d2, d2), dtype=complex)
-    for total in range(2 * dim - 1):
-        ks = list(range(max(0, total - dim + 1), min(total, dim - 1) + 1))
-        idx = [k * dim + (total - k) for k in ks]
-        gen = np.zeros((len(ks), len(ks)))
-        for i, k in enumerate(ks[:-1]):
-            # a†b: |k, total-k> -> sqrt((k+1)(total-k)) |k+1, total-k-1>
-            amp = np.sqrt((k + 1) * (total - k))
-            gen[i + 1, i] = amp
-            gen[i, i + 1] = -amp
-        u[np.ix_(idx, idx)] = expm((np.pi / 4.0) * gen)
+# --- the block kernel ---
+
+@lru_cache(maxsize=256)
+def _bs_block(total: int, lo: int = 0) -> np.ndarray:
+    """Block of exp((π/4)(a†b − ab†)) on |k, total−k⟩ for k = lo … total−lo
+    (lo > 0 where a cutoff truncates the block). The block is real orthogonal.
+
+    Its generator G has G[i+1, i] = −G[i, i+1] = √((k+1)(total−k)). With
+    D = diag(iʲ), G = −i D S D† for the real symmetric tridiagonal S with the
+    same off-diagonal, so exp((π/4)G) = D V exp(−iπΛ/4) Vᵀ D† from S = V Λ Vᵀ.
+    """
+    k = np.arange(lo, total - lo)
+    w, v = eigh_tridiagonal(np.zeros(total - 2 * lo + 1), np.sqrt((k + 1.0) * (total - k)))
+    v = v * (1j ** np.arange(len(w)))[:, None]
+    u = ((v * np.exp(-0.25j * np.pi * w)) @ v.conj().T).real.copy()
     u.setflags(write=False)
     return u
 
 
-def _check_headroom(rho: DensityOperator, tol: float, mode: int = 0) -> None:
-    dim = rho.dims[mode]
-    limit = dim // 2 - 1
-    probs = rho.number_marginal(mode)
-    tail = math.fsum(probs[limit + 1:])
-    if tail > tol:
-        raise HeadroomError(
-            f"photon-number tail mass {tail:.3e} above level {limit} exceeds {tol:.1e}; "
-            f"two-copy interference would spill past cutoff {dim}")
+def _sectors(dims: tuple[int, ...]):
+    """Per-mode-total sectors T⃗ of two copies at per-mode cutoffs ``dims``:
+    yields the flat indices of the copy-a states k⃗ and of the copy-b states
+    T⃗−k⃗ (also the difference-mode index of the output states), and the
+    (total, lo) key of each mode's block."""
+    for totals in itertools.product(*(range(2 * d - 1) for d in dims)):
+        keys = [(t, max(0, t - d + 1)) for t, d in zip(totals, dims)]
+        ks = np.meshgrid(*(np.arange(lo, t - lo + 1) for t, lo in keys), indexing="ij")
+        rows_a = np.ravel_multi_index(ks, dims).ravel()
+        rows_b = np.ravel_multi_index([t - k for t, k in zip(totals, ks)], dims).ravel()
+        yield rows_a, rows_b, keys
+
+
+def _sector_unitary(keys) -> np.ndarray:
+    return reduce(np.kron, (_bs_block(*key) for key in keys))
+
+
+def _check_two_copy(rho_a: DensityOperator, rho_b: DensityOperator, tol: float) -> None:
+    """Refuse inputs whose largest beam-splitter block exceeds the memory guard,
+    or whose photon-number supports at tol/2 exceed s_a + s_b <= dim - 1 on some
+    mode (then interference would spill past the cutoff)."""
+    if rho_a.dims != rho_b.dims:
+        raise ValidationError("inputs must share the same cutoff")
+    if rho_a.dim > MEMORY_GUARD_DIM:
+        raise MemoryGuardError(
+            f"beam-splitter block side {rho_a.dim} exceeds memory guard {MEMORY_GUARD_DIM}")
+    for mode, dim in enumerate(rho_a.dims):
+        sa = rho_a.effective_support(tol / 2, mode)
+        sb = rho_b.effective_support(tol / 2, mode)
+        if sa + sb > dim - 1:
+            raise HeadroomError(
+                f"joint support {sa}+{sb} of mode {mode} exceeds cutoff headroom {dim - 1}")
+
+
+def _output_diagonal(rho_a: DensityOperator, rho_b: DensityOperator,
+                     headroom_tol: float) -> np.ndarray:
+    """Diagonal of the difference-mode state Tr_a U(ρ_a⊗ρ_b)U†, flat, from the
+    (T⃗, T⃗) blocks only. Blocks whose X_T is exactly zero are skipped; only the
+    real part of the Hermitian X_T reaches the diagonal."""
+    _check_two_copy(rho_a, rho_b, headroom_tol)
+    a, b = rho_a.matrix, rho_b.matrix
+    diag = np.zeros(rho_a.dim)
+    for rows_a, rows_b, keys in _sectors(rho_a.dims):
+        x = (a[np.ix_(rows_a, rows_a)] * b[np.ix_(rows_b, rows_b)]).real
+        if x.any():
+            u = _sector_unitary(keys)
+            diag[rows_b] += np.einsum("ij,ij->i", u @ x, u)
+    return diag
+
+
+def _output_state(rho: DensityOperator, headroom_tol: float) -> DensityOperator:
+    """Difference-mode state Tr_a U(ρ⊗ρ)U† from (T⃗, T⃗′) block pairs: only output
+    rows sharing a copy-a index m⃗ survive the trace. For a positive ρ, X_{T,T′}
+    vanishes unless both X_{T,T} and X_{T′,T′} carry mass."""
+    _check_two_copy(rho, rho, headroom_tol)
+    mat = rho.matrix
+    live = [(ra, rb, _sector_unitary(keys)) for ra, rb, keys in _sectors(rho.dims)
+            if (mat[np.ix_(ra, ra)] * mat[np.ix_(rb, rb)]).any()]
+    out = np.zeros_like(mat)
+    for s, (ra, rb, u) in enumerate(live):
+        for ra2, rb2, u2 in live[s:]:
+            _, i, i2 = np.intersect1d(ra, ra2, assume_unique=True, return_indices=True)
+            if not i.size:
+                continue
+            x = mat[np.ix_(ra, ra2)] * mat[np.ix_(rb, rb2)]
+            vals = np.einsum("ij,ij->i", u[i] @ x, u2[i2])
+            out[rb[i], rb2[i2]] += vals
+            if ra2 is not ra:  # the (T⃗′, T⃗) pair is the Hermitian conjugate
+                out[rb2[i2], rb[i]] += vals.conj()
+    return DensityOperator(0.5 * (out + out.conj().T), rho.dims,
+                           trace_deficit=rho.trace_deficit)
+
+
+# --- public two-copy paths ---
+
+def beam_splitter_unitary(dim: int) -> np.ndarray:
+    """50:50 beam splitter exp((π/4)(a†b - ab†)) at cutoff ``dim`` as a dense
+    dim²×dim² matrix, placed block by block over the conserved total-photon-number
+    subspaces (exact per complete block). The two-copy paths apply the blocks
+    directly and never build this matrix."""
+    u = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for rows_a, rows_b, keys in _sectors((dim,)):
+        idx = rows_a * dim + rows_b
+        u[np.ix_(idx, idx)] = _bs_block(*keys[0])
+    return u
 
 
 def two_copy_output(rho: DensityOperator, *,
@@ -102,16 +195,7 @@ def two_copy_output(rho: DensityOperator, *,
     """Difference-mode reduced state ρ_d = Tr_c(U_BS (ρ⊗ρ) U_BS†)."""
     if rho.n_modes != 1:
         raise ValidationError("two_copy_output expects a single-mode state")
-    _check_headroom(rho, headroom_tol)
-    dim = rho.dim
-    if dim * dim > MEMORY_GUARD_DIM:
-        raise MemoryGuardError(
-            f"two-copy dimension {dim * dim} exceeds memory guard {MEMORY_GUARD_DIM}")
-    u = beam_splitter_unitary(dim)
-    out = u @ tensor(rho, rho).matrix @ u.conj().T
-    joint = DensityOperator(0.5 * (out + out.conj().T), (dim, dim),
-                            trace_deficit=rho.trace_deficit)
-    return partial_trace(joint, keep=1)
+    return _output_state(rho, headroom_tol)
 
 
 def photon_distribution(rho_a: DensityOperator, rho_b: DensityOperator, *,
@@ -119,59 +203,22 @@ def photon_distribution(rho_a: DensityOperator, rho_b: DensityOperator, *,
     """p_n of the difference mode for two (possibly distinct) single-mode inputs."""
     if rho_a.n_modes != 1 or rho_b.n_modes != 1:
         raise ValidationError("photon_distribution expects single-mode states")
-    if rho_a.dim != rho_b.dim:
-        raise ValidationError("inputs must share the same cutoff")
-    dim = rho_a.dim
-    if dim * dim > MEMORY_GUARD_DIM:
-        raise MemoryGuardError(
-            f"two-copy dimension {dim * dim} exceeds memory guard {MEMORY_GUARD_DIM}")
-    sa = rho_a.effective_support(headroom_tol / 2)
-    sb = rho_b.effective_support(headroom_tol / 2)
-    if sa + sb > dim - 1:
-        raise HeadroomError(
-            f"joint support {sa}+{sb} exceeds cutoff headroom {dim - 1}")
-    u = beam_splitter_unitary(dim)
-    # p_n = Σ_m <m,n| U (ρ_a⊗ρ_b) U† |m,n>: only the output diagonal is needed
-    out_diag = np.einsum("ij,ij->i", u @ tensor(rho_a, rho_b).matrix, u.conj())
-    diag = np.real(out_diag).reshape(dim, dim).sum(axis=0)
-    return PhotonDistribution.from_values(diag)
+    return PhotonDistribution.from_values(_output_diagonal(rho_a, rho_b, headroom_tol))
 
 
 # --- combinatorial fast path (phase-invariant states) ---
 
-def hom_amplitudes(n_out: int, big_n: int, big_np: int) -> np.ndarray:
-    """Interference amplitudes c(n, n', N, N') for Fock inputs |N⟩⊗|N'⟩, as a
-    vector over n' (log-factorial evaluation with sign tracking)."""
-    nps = np.arange(big_np + 1)
-    valid = (n_out - nps >= 0) & (big_n - n_out + nps >= 0)
-    out = np.zeros(big_np + 1)
-    if not valid.any():
-        return out
-    nps = nps[valid]
-    log_num = 0.5 * (gammaln(big_n + 1) + gammaln(big_np + 1)
-                     + gammaln(big_n + big_np - n_out + 1) + gammaln(n_out + 1))
-    log_den = (0.5 * (big_n + big_np) * np.log(2.0)
-               + gammaln(n_out - nps + 1) + gammaln(nps + 1)
-               + gammaln(big_n - n_out + nps + 1) + gammaln(big_np - nps + 1))
-    signs = (-1.0) ** (big_n - n_out + nps)
-    out[nps] = signs * np.exp(log_num - log_den)
-    return out
-
-
-@lru_cache(maxsize=None)
 def hom_photon_distribution(big_n: int, big_np: int) -> np.ndarray:
-    """p_n for Fock inputs |N⟩⊗|N'⟩: p_n = (Σ_{n'} c(n, n', N, N'))²."""
+    """p_n for Fock inputs |N⟩⊗|N′⟩: the squared column N of the block U_{N+N′}."""
     if big_n < 0 or big_np < 0:
         raise ValidationError("photon numbers must be non-negative")
-    p = np.array([hom_amplitudes(n, big_n, big_np).sum()
-                  for n in range(big_n + big_np + 1)]) ** 2
-    p.setflags(write=False)
-    return p
+    return _bs_block(big_n + big_np)[::-1, big_n] ** 2
 
 
 def photon_distribution_phase_invariant(diag) -> PhotonDistribution:
     """p_n for a Fock-diagonal input ρ = Σ λ_m |m⟩⟨m| (two identical copies),
-    via p_n = Σ_{m,m'} λ_m λ_{m'} p_n^{m,m'}. Exact at any support."""
+    p = Σ_T |U_T|² (λ_k λ_{T−k}) over untruncated blocks, so the input support
+    needs no cutoff headroom."""
     lam = np.asarray(diag, dtype=float)
     if lam.min(initial=0.0) < -1e-12:
         raise ValidationError("diagonal weights must be non-negative")
@@ -179,16 +226,12 @@ def photon_distribution_phase_invariant(diag) -> PhotonDistribution:
         raise ValidationError("diagonal weights must sum to at most 1")
     top = int(np.nonzero(lam > 0)[0].max(initial=0))
     p = np.zeros(2 * top + 1)
-    for m in range(top + 1):
-        if lam[m] == 0:
-            continue
-        pmm = hom_photon_distribution(m, m)
-        p[:len(pmm)] += lam[m] ** 2 * pmm
-        for mp in range(m + 1, top + 1):
-            if lam[mp] == 0:
-                continue
-            pmm = hom_photon_distribution(m, mp)
-            p[:len(pmm)] += 2.0 * lam[m] * lam[mp] * pmm
+    for total in range(2 * top + 1):
+        ks = np.arange(max(0, total - top), min(total, top) + 1)
+        weights = lam[ks] * lam[total - ks]
+        if weights.any():
+            # output row k leaves n = total - k photons in the difference mode
+            p[total::-1] += _bs_block(total)[:, ks] ** 2 @ weights
     return PhotonDistribution.from_values(p)
 
 
@@ -208,36 +251,15 @@ def thermal_photon_distribution(q: float, n_max: int) -> PhotonDistribution:
 
 # --- multimode stack ---
 
-def _apply_pair_bs(t: np.ndarray, u4: np.ndarray, k: int, n_modes: int) -> np.ndarray:
-    """Apply a two-mode unitary to ket axes (k, n_modes+k) and the matching bra axes
-    of a 4·n_modes-axis tensor (ket axes first)."""
-    n_ax = 2 * n_modes
-    t = np.tensordot(u4, t, axes=([2, 3], [k, n_modes + k]))
-    t = np.moveaxis(t, [0, 1], [k, n_modes + k])
-    t = np.tensordot(t, u4.conj(), axes=([n_ax + k, n_ax + n_modes + k], [2, 3]))
-    t = np.moveaxis(t, [-2, -1], [n_ax + k, n_ax + n_modes + k])
-    return t
-
-
 def multimode_two_copy_output(rho: DensityOperator, *,
                               headroom_tol: float = DEFAULT_HEADROOM_TOL) -> DensityOperator:
     """Pairwise 50:50 beam-splitter stack on two copies of an N-mode state,
     traced down to the N difference modes."""
-    n_modes = rho.n_modes
-    total_dim = rho.dim ** 2
-    if total_dim > MEMORY_GUARD_DIM:
-        raise MemoryGuardError(
-            f"two-copy dimension {total_dim} exceeds memory guard {MEMORY_GUARD_DIM}")
-    for k in range(n_modes):
-        _check_headroom(rho, headroom_tol, mode=k)
-    dims2 = rho.dims + rho.dims
-    t = np.kron(rho.matrix, rho.matrix).reshape(dims2 + dims2)
-    nm2 = 2 * n_modes
-    for k in range(n_modes):
-        d = rho.dims[k]
-        u4 = beam_splitter_unitary(d).reshape(d, d, d, d)
-        t = _apply_pair_bs(t, u4, k, nm2 // 2)
-    joint = DensityOperator(t.reshape(total_dim, total_dim), dims2,
-                            trace_deficit=rho.trace_deficit)
-    # difference modes sit in the second-copy slots
-    return partial_trace(joint, keep=list(range(n_modes, 2 * n_modes)))
+    return _output_state(rho, headroom_tol)
+
+
+def multimode_photon_distribution(rho: DensityOperator, *,
+                                  headroom_tol: float = DEFAULT_HEADROOM_TOL) -> np.ndarray:
+    """Joint photon-number distribution of the N difference modes (the diagonal
+    of ``multimode_two_copy_output(rho)``), shaped ``rho.dims``."""
+    return _output_diagonal(rho, rho, headroom_tol).reshape(rho.dims)

@@ -18,7 +18,11 @@ import numpy as np
 from .errors import DegenerateDenominatorError, GridError, ValidationError
 from .estimators import QcsEstimate
 from .fock import DensityOperator, purity_direct
-from .interferometer import two_copy_output
+from .interferometer import (
+    is_fock_diagonal,
+    photon_distribution,
+    photon_distribution_phase_invariant,
+)
 
 DEFAULT_SPACING = 0.04
 EXTENT_PADDING = 1.2
@@ -239,20 +243,16 @@ def qcs_wigner_laplacian(rho: DensityOperator, **kwargs) -> QcsEstimate:
     """C² = -(1/4) ΔW_d / W_d at the origin, with the difference-mode Wigner
     derivatives evaluated analytically (no finite differences).
 
-    Both origin quantities depend only on the diagonal of ρ_d, so Fock-diagonal
-    inputs take the combinatorial route (exact at any support) instead of the
-    dense two-copy pipeline."""
-    from .interferometer import is_fock_diagonal, photon_distribution_phase_invariant
-
+    Both origin quantities depend only on the diagonal of ρ_d, the
+    difference-mode p_n, so they come from ``photon_distribution`` (the
+    combinatorial route for Fock-diagonal inputs)."""
     if rho.n_modes == 1 and is_fock_diagonal(rho):
         pn = photon_distribution_phase_invariant(np.real(np.diag(rho.matrix))).probs
-        signs = (-1.0) ** np.arange(len(pn))
-        w0 = math.fsum(signs * pn) / np.pi
-        lap = -4.0 / np.pi * math.fsum(signs * (1.0 + 2.0 * np.arange(len(pn))) * pn)
     else:
-        rho_d = two_copy_output(rho, **kwargs)
-        w0 = wigner_origin(rho_d)
-        lap = wigner_laplacian_origin(rho_d)
+        pn = photon_distribution(rho, rho, **kwargs).probs
+    signs = (-1.0) ** np.arange(len(pn))
+    w0 = math.fsum(signs * pn) / np.pi
+    lap = -4.0 / np.pi * math.fsum(signs * (1.0 + 2.0 * np.arange(len(pn))) * pn)
     if abs(w0) < 1e-9:
         raise DegenerateDenominatorError(f"W_d(0,0) = {w0:.3e} below resolution")
     return QcsEstimate(c_squared=-0.25 * lap / w0, method="wigner_laplacian",

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -167,3 +168,26 @@ def test_figure2(runner, tmp_path):
     csv = (out / "pn_thermal_q0.85.csv").read_text().splitlines()
     assert csv[0] == "n,p_n,cumulative"
     assert len(csv) == 26  # header + n = 0..24
+
+
+def test_high_fock_level_two_copy(runner, tmp_path):
+    # top Fock level 60: C² = 2n + 1 and purity 1 on the combinatorial path
+    path = write_spec(tmp_path, "fock60.json",
+                      {"schema": 1, "kind": "fock", "params": {"n": 60}})
+    result = runner.invoke(main, ["qcs", "--state", path])
+    assert result.exit_code == 0
+    assert abs(json.loads(result.output)["results"]["two-copy"]["c_squared"] - 121.0) < 1e-6
+    result = runner.invoke(main, ["purity", "--state", path])
+    assert result.exit_code == 0
+    assert abs(json.loads(result.output)["purity_two_copy"] - 1.0) < 1e-6
+
+
+def test_squeezed_two_copy_at_recommended_cutoff(runner, tmp_path):
+    # the recommended cutoff 136 is within the block memory guard
+    path = write_spec(tmp_path, "sq.json",
+                      {"schema": 1, "kind": "squeezed_vacuum", "params": {"r": 1.0}})
+    result = runner.invoke(main, ["qcs", "--state", path, "--route", "two-copy"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc["cutoff"] == 136
+    assert abs(doc["results"]["two-copy"]["c_squared"] - math.cosh(2.0)) < 1e-6

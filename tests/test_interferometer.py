@@ -21,7 +21,7 @@ from qcslab import (
     two_copy_output,
 )
 from qcslab.errors import RoundoffBudgetError
-from qcslab.interferometer import hom_amplitudes, is_fock_diagonal
+from qcslab.interferometer import MEMORY_GUARD_DIM, _bs_block, is_fock_diagonal
 
 
 def test_beam_splitter_is_unitary():
@@ -66,13 +66,27 @@ def test_hom_distributions_normalized():
             assert abs(p.sum() - 1.0) < 1e-10
 
 
-def test_hom_amplitude_closed_form_small_case():
-    # |1>|1>: the odd output n=1 has two equal-magnitude opposite-sign terms
-    c = hom_amplitudes(1, 1, 1)
-    assert abs(c.sum()) < 1e-12
-    for n_out in (0, 2):
-        c = hom_amplitudes(n_out, 1, 1)
-        assert abs(c.sum() ** 2 - 0.5) < 1e-12
+def test_hom_block_amplitudes_small_case():
+    # |1>|1> is column k = 1 of the T = 2 block; output row k leaves n = 2 - k
+    # photons in the difference mode. n = 1 cancels (the HOM dip), n = 0, 2
+    # carry probability 1/2 each.
+    c = _bs_block(2)[:, 1]
+    assert abs(c[1]) < 1e-12
+    for k_out in (0, 2):
+        assert abs(c[k_out] ** 2 - 0.5) < 1e-12
+
+
+def test_hom_distribution_high_photon_numbers():
+    # photon numbers where alternating closed-form amplitude sums cancel catastrophically
+    assert abs(hom_photon_distribution(60, 60).sum() - 1.0) < 1e-12
+    for big_n in (34, 61, 120):
+        diag = np.zeros(big_n + 1)
+        diag[big_n] = 1.0
+        pn = photon_distribution_phase_invariant(diag).probs
+        assert abs(pn.sum() - 1.0) < 1e-12
+        signs = (-1.0) ** np.arange(len(pn))
+        c2 = 1.0 + 2.0 * (np.arange(len(pn)) * signs * pn).sum() / (signs * pn).sum()
+        assert abs(c2 - (2 * big_n + 1)) < 1e-9
 
 
 def test_fast_path_matches_dense_pipeline():
@@ -102,14 +116,23 @@ def test_headroom_violation_raises():
                             coherent(1.0, 8, deficit_tol=1e-3))
 
 
+def _zero_state(dims):
+    # np.zeros maps its pages lazily, so an input above the guard costs no memory
+    d = int(np.prod(dims))
+    return DensityOperator(np.zeros((d, d), dtype=complex), tuple(dims))
+
+
 def test_memory_guard():
     with pytest.raises(MemoryGuardError):
-        two_copy_output(fock(0, 80))
+        two_copy_output(_zero_state((MEMORY_GUARD_DIM + 1,)))
 
 
 def test_distribution_validation():
     with pytest.raises(RoundoffBudgetError):
         PhotonDistribution.from_values(np.array([1.0, -1e-3]))
+    for broken in ([0.8, 0.3], [0.2, 0.7], [4e6, 0.0, 1.0]):
+        with pytest.raises(RoundoffBudgetError):
+            PhotonDistribution.from_values(np.array(broken))
     ok = PhotonDistribution.from_values(np.array([0.7, 0.3, -1e-12]))
     assert ok.probs[2] == 0.0
     assert ok.roundoff <= 1e-12
@@ -147,9 +170,16 @@ def test_multimode_product_state_factorizes():
 
 
 def test_multimode_memory_guard():
-    big = tensor(fock(0, 16), fock(0, 16))
+    # the largest block is the product of the per-mode blocks: 65 * 65 > 4096
     with pytest.raises(MemoryGuardError):
-        multimode_two_copy_output(big)
+        multimode_two_copy_output(_zero_state((65, 65)))
+
+
+def test_orthogonal_inputs_give_zero_overlap():
+    # Σ(-1)ⁿp_n = Tr(ρ_a ρ_b) = 0 is physical for distinct inputs
+    pn = photon_distribution(fock(0, 8), fock(1, 8))
+    assert np.allclose(pn.probs[:2], [0.5, 0.5], atol=1e-15)
+    assert abs(pn.probs[::2].sum() - pn.probs[1::2].sum()) < 1e-15
 
 
 def test_input_validation():
