@@ -15,6 +15,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import (
@@ -44,7 +45,7 @@ from .interferometer import (
 from .phase_space import overlap_wigner, qcs_wigner_gradient, qcs_wigner_laplacian
 from .sampling import estimate_qcs, sample_counts
 from .states import (
-    ClassicalMixture,
+    KINDS,
     StateSpec,
     build_state,
     gaussian_covariance,
@@ -52,6 +53,7 @@ from .states import (
     recommended_cutoff,
     rho_2m,
     rho_even_m,
+    thermal_parameters,
 )
 
 EXIT_VALIDATION = 2
@@ -60,8 +62,6 @@ EXIT_CUTOFF = 4
 
 ROUTES = ("direct", "two-copy", "pure", "wigner-gradient", "wigner-laplacian",
           "gaussian", "classical-mixture")
-GAUSSIAN_KINDS = ("coherent", "thermal", "squeezed_vacuum", "gaussian")
-PURE_KINDS = ("coherent", "fock", "squeezed_vacuum")
 
 EXACT_ROUTE_TOL = 1e-6
 WIGNER_ROUTE_TOL = 1e-3
@@ -72,9 +72,15 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _metadata(config: dict) -> dict:
+def _metadata(opts: dict, cutoff: int, *specs: StateSpec) -> dict:
+    """Provenance block. The hash covers the options with the state files
+    replaced by their canonical specs, the resolved cutoff and the numpy and
+    scipy versions, so it identifies the input, not the path it was read from."""
+    inputs = {**opts, "cutoff": cutoff, "numpy": np.__version__, "scipy": scipy.__version__}
+    if specs:
+        inputs["state"] = [spec.to_json() for spec in specs]
     digest = hashlib.sha256(
-        json.dumps(config, sort_keys=True, default=str).encode()).hexdigest()[:16]
+        json.dumps(inputs, sort_keys=True, default=str).encode()).hexdigest()[:16]
     return {"tool": "qcslab", "version": __version__, "schema": 1,
             "config_hash": digest,
             "timestamp": datetime.now(timezone.utc).isoformat()}
@@ -127,7 +133,7 @@ def _resolve_cutoff(spec: StateSpec, flag_cutoff: int | None, *, two_copy: bool)
         _fail(EXIT_VALIDATION,
               f"cutoff given both in state file ({spec.cutoff}) and as a flag "
               f"({flag_cutoff}) (ambiguous)")
-    if spec.kind == "gaussian":
+    if KINDS[spec.kind].build is None:
         # covariance-only description: no Fock-space construction, no cutoff
         return flag_cutoff or spec.cutoff or 0
     return flag_cutoff or spec.cutoff or recommended_cutoff(spec, two_copy=two_copy)
@@ -137,8 +143,7 @@ def _two_copy_pn(spec: StateSpec, rho: DensityOperator) -> PhotonDistribution:
     """Difference-mode p_n: closed form for thermal, combinatorial fast path for
     other Fock-diagonal states, dense pipeline otherwise."""
     if spec.kind == "thermal":
-        p = spec.params
-        q = p["q"] if "q" in p else p["mean_n"] / (1.0 + p["mean_n"])
+        q, _ = thermal_parameters(spec.params.get("q"), spec.params.get("mean_n"))
         return thermal_photon_distribution(q, 2 * rho.dim)
     if is_fock_diagonal(rho):
         return photon_distribution_phase_invariant(np.real(np.diag(rho.matrix)))
@@ -146,32 +151,45 @@ def _two_copy_pn(spec: StateSpec, rho: DensityOperator) -> PhotonDistribution:
 
 
 def _run_route(route: str, spec: StateSpec, cutoff: int):
+    row = KINDS[spec.kind]
     if route == "gaussian":
-        if spec.kind not in GAUSSIAN_KINDS:
-            return None
-        return qcs_gaussian(gaussian_covariance(spec))
-    if spec.kind == "gaussian":
-        return None  # covariance-only spec: Fock-space routes not applicable
+        return qcs_gaussian(gaussian_covariance(spec)) if row.covariance else None
+    if route == "classical-mixture":
+        return qcs_classical_mixture(row.mixture(spec.params)) if row.mixture else None
+    if row.build is None or (route == "pure" and not row.pure):
+        return None  # e.g. a covariance-only spec has no Fock-space routes
     rho = build_state(spec, cutoff=cutoff)
     if route == "direct":
         return qcs_direct(rho)
     if route == "two-copy":
         return qcs_two_copy(_two_copy_pn(spec, rho))
     if route == "pure":
-        if spec.kind not in PURE_KINDS:
-            return None
         return qcs_pure_shortcut(pure_state_vector(rho) / np.sqrt(1 - rho.trace_deficit))
-    if route == "classical-mixture":
-        if spec.kind != "mixture":
-            return None
-        mix = ClassicalMixture(tuple(spec.params["weights"]),
-                               tuple(spec.params["amplitudes"]))
-        return qcs_classical_mixture(mix)
     if route == "wigner-gradient":
         return qcs_wigner_gradient(rho)
     if route == "wigner-laplacian":
         return qcs_wigner_laplacian(rho)
     raise ValidationError(f"unknown route {route!r}")
+
+
+def _run_routes(spec: StateSpec, cutoff: int, routes) -> tuple[dict, dict]:
+    """Each route's estimate, "not applicable", or {"infeasible": reason} when it
+    does not fit the cutoff, plus the C² of the routes that ran. Exits 4 when
+    some route was infeasible and none ran."""
+    results, values, reasons = {}, {}, []
+    for route in routes:
+        try:
+            est = _run_route(route, spec, cutoff)
+        except CutoffError as exc:
+            results[route] = {"infeasible": str(exc)}
+            reasons.append(str(exc))
+            continue
+        results[route] = "not applicable" if est is None else est.to_dict()
+        if est is not None:
+            values[route] = est.c_squared
+    if reasons and not values:
+        _fail(EXIT_CUTOFF, reasons[0])
+    return results, values
 
 
 def _handle_errors(func):
@@ -211,11 +229,8 @@ def qcs_cmd(state_path, route, cutoff, out, config_path):
     spec = _load_spec(opts["state"])
     dim = _resolve_cutoff(spec, opts["cutoff"], two_copy=True)
     routes = ROUTES if opts["route"] == "all" else (opts["route"],)
-    results = {}
-    for r in routes:
-        est = _run_route(r, spec, dim)
-        results[r] = est.to_dict() if est is not None else "not applicable"
-    payload = {"metadata": _metadata(opts), "cutoff": dim, "results": results}
+    results, _ = _run_routes(spec, dim, routes)
+    payload = {"metadata": _metadata(opts, dim, spec), "cutoff": dim, "results": results}
     _write_json(payload, opts["out"])
 
 
@@ -231,7 +246,7 @@ def purity_cmd(state_path, cutoff, out, config_path):
     spec = _load_spec(opts["state"])
     dim = _resolve_cutoff(spec, opts["cutoff"], two_copy=True)
     rho = build_state(spec, cutoff=dim)
-    payload = {"metadata": _metadata(opts), "cutoff": dim,
+    payload = {"metadata": _metadata(opts, dim, spec), "cutoff": dim,
                "purity_direct": purity_direct(rho),
                "purity_two_copy": purity_from_pn(_two_copy_pn(spec, rho))}
     _write_json(payload, opts["out"])
@@ -253,7 +268,7 @@ def pn_dist_cmd(state_path, cutoff, out, fmt, config_path):
     dim = _resolve_cutoff(spec, opts["cutoff"], two_copy=True)
     pn = _two_copy_pn(spec, build_state(spec, cutoff=dim))
     if opts["format"] == "json":
-        _write_json({"metadata": _metadata(opts), "cutoff": dim,
+        _write_json({"metadata": _metadata(opts, dim, spec), "cutoff": dim,
                      "p_n": pn.probs.tolist(), "deficit": pn.deficit}, opts["out"])
     else:
         if not opts["out"]:
@@ -284,7 +299,7 @@ def overlap_cmd(state_paths, cutoff, out, config_path):
     trace_route = float(np.trace(rho_a.matrix @ rho_b.matrix).real)
     parity_route = purity_from_pn(photon_distribution(rho_a, rho_b))
     wigner_route = overlap_wigner(rho_a, rho_b)
-    payload = {"metadata": _metadata(opts), "cutoff": dim,
+    payload = {"metadata": _metadata(opts, dim, spec_a, spec_b), "cutoff": dim,
                "overlap_trace": trace_route, "overlap_parity": parity_route,
                "overlap_wigner": wigner_route}
     _write_json(payload, opts["out"])
@@ -302,27 +317,16 @@ def compare_cmd(state_path, cutoff, out, config_path):
     opts = _merge_config(config_path, {"state": state_path, "cutoff": cutoff, "out": out})
     spec = _load_spec(opts["state"])
     dim = _resolve_cutoff(spec, opts["cutoff"], two_copy=True)
-    results, exact_values, wigner_values = {}, {}, {}
-    for route in ROUTES:
-        est = _run_route(route, spec, dim)
-        if est is None:
-            results[route] = "not applicable"
-            continue
-        results[route] = est.to_dict()
-        if route == "wigner-gradient":
-            wigner_values[route] = est.c_squared
-        else:
-            exact_values[route] = est.c_squared
-    vals = list(exact_values.values())
+    results, values = _run_routes(spec, dim, ROUTES)
+    wigner = [v for route, v in values.items() if route == "wigner-gradient"]
+    vals = [v for route, v in values.items() if route != "wigner-gradient"]
     max_exact = max((abs(a - b) for a in vals for b in vals), default=0.0)
-    max_wigner = max((abs(w - v) for w in wigner_values.values() for v in vals),
-                     default=0.0)
-    payload = {"metadata": _metadata(opts), "cutoff": dim, "results": results,
+    max_wigner = max((abs(w - v) for w in wigner for v in vals), default=0.0)
+    payload = {"metadata": _metadata(opts, dim, spec), "cutoff": dim, "results": results,
                "max_deviation_exact": max_exact, "max_deviation_wigner": max_wigner}
     _write_json(payload, opts["out"])
     for route, res in results.items():
-        value = res["c_squared"] if isinstance(res, dict) else res
-        click.echo(f"{route:>18}: {value}", err=True)
+        click.echo(f"{route:>18}: {values.get(route, res)}", err=True)
     if max_exact > EXACT_ROUTE_TOL or max_wigner > WIGNER_ROUTE_TOL:
         _fail(EXIT_TOLERANCE,
               f"route deviation exceeds tolerance (exact {max_exact:.3e}, "
@@ -352,7 +356,7 @@ def figure2_cmd(out_dir, cutoff, n_max, config_path):
         probs[:min(len(pn.probs), nmax + 1)] = pn.probs[:nmax + 1]
         return PhotonDistribution(probs=probs, deficit=1.0 - probs.sum())
 
-    summary = {"metadata": _metadata(opts), "states": {}}
+    summary = {"metadata": _metadata(opts, dim), "states": {}}
     for name, rho in (("rho_10", rho_2m(5, dim)), ("rho_even_5", rho_even_m(5, dim))):
         pn = photon_distribution_phase_invariant(np.real(np.diag(rho.matrix)))
         truncated(pn).to_csv(out_path / f"pn_{name}.csv")
@@ -392,7 +396,7 @@ def sample_cmd(state_path, shots, seed, resamples, cutoff, out, config_path):
     pn = _two_copy_pn(spec, build_state(spec, cutoff=dim))
     rec = sample_counts(pn, opts["shots"], opts["seed"])
     est = estimate_qcs(rec, resamples=opts["resamples"])
-    payload = {"metadata": _metadata(opts), "cutoff": dim, "estimate": est.to_dict()}
+    payload = {"metadata": _metadata(opts, dim, spec), "cutoff": dim, "estimate": est.to_dict()}
     _write_json(payload, opts["out"])
 
 

@@ -3,13 +3,22 @@
 Every constructor returns a valid :class:`~qcslab.fock.DensityOperator` with
 its truncation trace deficit recorded. Gaussian covariance parametrizations
 (vacuum = I/2) are provided for the Gaussian fast path.
+
+``KINDS`` is the one place that knows what a state kind is: each row parses
+and validates the kind's parameters and gives its Fock-space constructor, ⟨n̂⟩,
+covariance, top Fock level and purity. A :class:`StateSpec` is parsed once,
+when it is made; everything downstream reads the row.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -22,18 +31,6 @@ from .fock import (
     conjugate_unitary,
     displacement_operator,
     phase_rotation_operator,
-)
-
-STATE_KINDS = (
-    "coherent",
-    "fock",
-    "thermal",
-    "squeezed_vacuum",
-    "rho_2M",
-    "rho_even_M",
-    "mixture",
-    "displaced",
-    "gaussian",
 )
 
 SCHEMA_VERSION = 1
@@ -73,18 +70,26 @@ def fock(n: int, cutoff: int) -> DensityOperator:
     return _pure(vec, deficit_tol=0.0)
 
 
-def thermal(q: float | None = None, cutoff: int = 2, *,
-            mean_n: float | None = None,
-            deficit_tol: float = DEFAULT_DEFICIT_TOL) -> DensityOperator:
-    """Thermal state with diagonal (1-q) qⁿ; accepts q or the mean photon number."""
+def thermal_parameters(q: float | None = None,
+                       mean_n: float | None = None) -> tuple[float, float]:
+    """(q, ⟨n̂⟩) of a thermal state given by exactly one of them; the other is
+    q = ⟨n̂⟩/(1+⟨n̂⟩) or ⟨n̂⟩ = q/(1-q)."""
     if (q is None) == (mean_n is None):
         raise ValidationError("specify exactly one of q or mean_n")
-    if q is None:
-        if mean_n < 0:
+    if mean_n is not None:
+        if not mean_n >= 0:
             raise ValidationError(f"mean photon number must be >= 0, got {mean_n}")
         q = mean_n / (1.0 + mean_n)
     if not 0.0 <= q < 1.0:
         raise ValidationError(f"thermal parameter must satisfy 0 <= q < 1, got {q}")
+    return q, (q / (1.0 - q) if mean_n is None else mean_n)
+
+
+def thermal(q: float | None = None, cutoff: int = 2, *,
+            mean_n: float | None = None,
+            deficit_tol: float = DEFAULT_DEFICIT_TOL) -> DensityOperator:
+    """Thermal state with diagonal (1-q) qⁿ; accepts q or the mean photon number."""
+    q, _ = thermal_parameters(q, mean_n)
     diag = (1.0 - q) * q ** np.arange(cutoff)
     deficit = q ** cutoff
     if deficit > deficit_tol:
@@ -200,7 +205,10 @@ class CovarianceMatrix:
     mean: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float)
+        try:
+            g = np.asarray(self.gamma, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"covariance matrix must be a real array: {exc}") from exc
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
             raise ValidationError("covariance matrix must be square with even dimension")
         if np.max(np.abs(g - g.T)) > 1e-10:
@@ -221,50 +229,205 @@ class CovarianceMatrix:
         return self.gamma.shape[0] // 2
 
 
-def gaussian_covariance(spec: "StateSpec") -> CovarianceMatrix:
-    """Covariance matrix of a Gaussian StateSpec (coherent/thermal/squeezed/gaussian)."""
-    kind, p = spec.kind, spec.params
-    if kind == "coherent":
-        alpha = complex(p["alpha"])
-        mean = np.sqrt(2.0) * np.array([alpha.real, alpha.imag])
-        return CovarianceMatrix(0.5 * np.eye(2), mean)
-    if kind == "thermal":
-        mean_n = p["mean_n"] if "mean_n" in p else p["q"] / (1.0 - p["q"])
-        return CovarianceMatrix(0.5 * (1.0 + 2.0 * mean_n) * np.eye(2))
-    if kind == "squeezed_vacuum":
-        r = float(p["r"])
-        return CovarianceMatrix(0.5 * np.diag([np.exp(2 * r), np.exp(-2 * r)]))
-    if kind == "gaussian":
-        return CovarianceMatrix(np.asarray(p["gamma"], float),
-                                np.asarray(p.get("mean"), float) if p.get("mean") is not None else None)
-    raise ValidationError(f"no Gaussian covariance for state kind {kind!r}")
+# --- parameter parsing: each converter validates one value and names its key ---
+
+def _real(v, key: str) -> float:
+    try:
+        x = float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(f"{key!r} must be a finite real number, got {v!r}")
+    return x
+
+
+def _integer(v, key: str, minimum: int = 0) -> int:
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
+        raise ValidationError(f"{key!r} must be an integer >= {minimum}, got {v!r}")
+    return int(v)
+
+
+def _complex(v, key: str) -> complex:
+    """A number or an [re, im] pair."""
+    try:
+        if isinstance(v, (list, tuple)) and len(v) == 2:
+            return complex(_real(v[0], key), _real(v[1], key))
+        if isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real) \
+                and cmath.isfinite(v):
+            return complex(v)
+        return complex(_real(v, key))
+    except ValidationError:
+        raise ValidationError(
+            f"{key!r} must be a finite number or an [re, im] pair, got {v!r}") from None
+
+
+def _items(v, key: str, convert) -> list:
+    if not isinstance(v, (list, tuple)):
+        raise ValidationError(f"{key!r} must be a list, got {v!r}")
+    return [convert(x, key) for x in v]
+
+
+def _base_state(v, key: str) -> "StateSpec":
+    """The state a displaced spec displaces: a {kind, params} document."""
+    if isinstance(v, dict) and "kind" in v:
+        v = StateSpec(v["kind"], v.get("params", {}))
+    if not isinstance(v, StateSpec):
+        raise ValidationError(f"{key!r} must be a state document with a 'kind', got {v!r}")
+    if KINDS[v.kind].build is None:
+        raise ValidationError(f"{key!r} must have a Fock-space constructor, not kind {v.kind!r}")
+    return v
+
+
+def _fields(**converters):
+    """Parser for a kind whose parameters are all required and independent."""
+    return lambda p: {key: convert(p[key], key) for key, convert in converters.items()}
+
+
+def _parse_thermal(p: dict) -> dict:
+    given = {key: _real(p[key], key) for key in ("q", "mean_n") if key in p}
+    thermal_parameters(**given)
+    return given
+
+
+def _mixture(p: dict) -> ClassicalMixture:
+    return ClassicalMixture(tuple(p["weights"]), tuple(p["amplitudes"]))
+
+
+def _parse_mixture(p: dict) -> dict:
+    parsed = {"weights": _items(p["weights"], "weights", _real),
+              "amplitudes": _items(p["amplitudes"], "amplitudes", _complex)}
+    _mixture(parsed)
+    return parsed
+
+
+def _parse_gaussian(p: dict) -> dict:
+    parsed = {"gamma": _items(p["gamma"], "gamma", partial(_items, convert=_real)),
+              "mean": None if p.get("mean") is None else _items(p["mean"], "mean", _real)}
+    CovarianceMatrix(**parsed)
+    return parsed
+
+
+def _thermal_mean(p: dict) -> float:
+    return thermal_parameters(p.get("q"), p.get("mean_n"))[1]
+
+
+# --- the state-kind table ---
+
+@dataclass(frozen=True)
+class Kind:
+    """What a state kind is: how its parameters parse and what they determine.
+    Every function takes the canonical parameters that ``parse`` returned."""
+
+    parse: Callable[[dict], dict]  # validates raw params, returns the canonical ones
+    build: Callable[[dict, int, float], DensityOperator] | None  # (params, dim, deficit_tol)
+    mean_n: Callable[[dict], float] | None
+    covariance: Callable[[dict], CovarianceMatrix] | None = None
+    top_level: Callable[[dict], int] | None = None  # highest occupied Fock level
+    pure: bool = False
+    mixture: Callable[[dict], ClassicalMixture] | None = None
+
+
+KINDS = {
+    "coherent": Kind(
+        _fields(alpha=_complex),
+        lambda p, dim, tol: coherent(p["alpha"], dim, tol),
+        lambda p: abs(p["alpha"]) ** 2,
+        covariance=lambda p: CovarianceMatrix(
+            0.5 * np.eye(2), np.sqrt(2.0) * np.array([p["alpha"].real, p["alpha"].imag])),
+        pure=True),
+    "fock": Kind(
+        _fields(n=_integer),
+        lambda p, dim, tol: fock(p["n"], dim),
+        lambda p: float(p["n"]),
+        top_level=lambda p: p["n"], pure=True),
+    "thermal": Kind(
+        _parse_thermal,
+        lambda p, dim, tol: thermal(p.get("q"), dim, mean_n=p.get("mean_n"), deficit_tol=tol),
+        _thermal_mean,
+        covariance=lambda p: CovarianceMatrix(0.5 * (1.0 + 2.0 * _thermal_mean(p)) * np.eye(2))),
+    "squeezed_vacuum": Kind(
+        _fields(r=_real),
+        lambda p, dim, tol: squeezed_vacuum(p["r"], dim, tol),
+        lambda p: float(np.sinh(p["r"]) ** 2),
+        covariance=lambda p: CovarianceMatrix(
+            0.5 * np.diag([np.exp(2 * p["r"]), np.exp(-2 * p["r"])])),
+        pure=True),
+    "rho_2M": Kind(
+        _fields(M=partial(_integer, minimum=1)),
+        lambda p, dim, tol: rho_2m(p["M"], dim),
+        lambda p: p["M"] + 0.5,
+        top_level=lambda p: 2 * p["M"]),
+    "rho_even_M": Kind(
+        _fields(M=partial(_integer, minimum=1)),
+        lambda p, dim, tol: rho_even_m(p["M"], dim),
+        lambda p: p["M"] + 1.0,
+        top_level=lambda p: 2 * p["M"]),
+    "mixture": Kind(
+        _parse_mixture,
+        lambda p, dim, tol: classical_mixture(_mixture(p), dim, tol),
+        lambda p: float(sum(w * abs(a) ** 2 for w, a in zip(p["weights"], p["amplitudes"]))),
+        mixture=_mixture),
+    "displaced": Kind(
+        _fields(base=_base_state, beta=_complex),
+        lambda p, dim, tol: displace(build_state(p["base"], cutoff=dim, deficit_tol=tol),
+                                     p["beta"]),
+        lambda p: mean_photon_number(p["base"]) + abs(p["beta"]) ** 2),
+    "gaussian": Kind(_parse_gaussian, None, None, covariance=lambda p: CovarianceMatrix(**p)),
+}
+
+
+def _json_value(obj):
+    """json.dumps hook for the canonical parameter values."""
+    if isinstance(obj, complex):
+        return obj.real if obj.imag == 0 else [obj.real, obj.imag]
+    if isinstance(obj, StateSpec):
+        return {"kind": obj.kind, "params": obj.params}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # --- declarative state specification (the CLI input record) ---
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Declarative benchmark-state description; serialized as versioned JSON."""
+    """Declarative benchmark-state description; serialized as versioned JSON.
+    Construction parses ``params`` once: afterwards they hold the canonical
+    values of the kind's table row (complex numbers as ``complex``, a displaced
+    base as a StateSpec, thermal states by the one of q / mean_n given)."""
 
     kind: str
     params: dict
     cutoff: int | None = None
 
     def __post_init__(self):
-        if self.kind not in STATE_KINDS:
+        row = KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if row is None:
             raise ValidationError(f"unknown state kind {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise ValidationError(f"kind {self.kind!r}: params must be a JSON object")
+        try:
+            params = row.parse(self.params)
+        except KeyError as exc:
+            raise ValidationError(f"kind {self.kind!r}: missing parameter {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"kind {self.kind!r}: {exc}") from exc
+        unknown = sorted(map(repr, self.params.keys() - params.keys()))
+        if unknown:
+            raise ValidationError(f"kind {self.kind!r}: unknown parameter {', '.join(unknown)}")
+        object.__setattr__(self, "params", params)
+        if self.cutoff is not None:
+            object.__setattr__(self, "cutoff", _integer(self.cutoff, "cutoff", minimum=2))
 
     def to_json(self) -> str:
         return json.dumps(
-            {"schema": SCHEMA_VERSION, "kind": self.kind,
-             "params": _params_to_json(self.params), "cutoff": self.cutoff},
-            indent=2, sort_keys=True)
+            {"schema": SCHEMA_VERSION, "kind": self.kind, "params": self.params,
+             "cutoff": self.cutoff},
+            indent=2, sort_keys=True, default=_json_value)
 
     @classmethod
     def from_json(cls, text: str) -> "StateSpec":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ValidationError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValidationError("state spec must be a JSON object")
@@ -272,74 +435,23 @@ class StateSpec:
             raise ValidationError(f"unsupported schema version {doc.get('schema')!r}")
         if "kind" not in doc:
             raise ValidationError("state spec missing 'kind'")
-        params = _params_from_json(doc.get("params", {}))
-        cutoff = doc.get("cutoff")
-        if cutoff is not None and (not isinstance(cutoff, int) or cutoff < 2):
-            raise ValidationError(f"cutoff must be an integer >= 2, got {cutoff!r}")
-        return cls(kind=doc["kind"], params=params, cutoff=cutoff)
-
-
-def _complex_to_json(z: complex):
-    return z.real if z.imag == 0 else [z.real, z.imag]
-
-
-def _complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(v[0], v[1])
-    raise ValidationError(f"expected a number or [re, im] pair, got {v!r}")
-
-
-def _params_to_json(params: dict) -> dict:
-    out = {}
-    for key, val in params.items():
-        if isinstance(val, complex):
-            out[key] = _complex_to_json(val)
-        elif isinstance(val, (list, tuple)) and val and isinstance(val[0], complex):
-            out[key] = [_complex_to_json(z) for z in val]
-        elif isinstance(val, np.ndarray):
-            out[key] = val.tolist()
-        else:
-            out[key] = val
-    return out
-
-
-def _params_from_json(params) -> dict:
-    if not isinstance(params, dict):
-        raise ValidationError("params must be a JSON object")
-    out = dict(params)
-    for key in ("alpha", "beta"):
-        if key in out:
-            out[key] = _complex_from_json(out[key])
-    if "amplitudes" in out:
-        out["amplitudes"] = [_complex_from_json(v) for v in out["amplitudes"]]
-    return out
+        return cls(kind=doc["kind"], params=doc.get("params", {}), cutoff=doc.get("cutoff"))
 
 
 def mean_photon_number(spec: StateSpec) -> float:
     """Rough ⟨n̂⟩ of a spec, used for default-cutoff selection."""
-    p = spec.params
-    if spec.kind == "coherent":
-        return abs(complex(p["alpha"])) ** 2
-    if spec.kind == "fock":
-        return float(p["n"])
-    if spec.kind == "thermal":
-        return p["mean_n"] if "mean_n" in p else p["q"] / (1.0 - p["q"])
-    if spec.kind == "squeezed_vacuum":
-        return float(np.sinh(p["r"]) ** 2)
-    if spec.kind == "rho_2M":
-        return float(p["M"]) + 0.5
-    if spec.kind == "rho_even_M":
-        return float(p["M"]) + 1.0
-    if spec.kind == "mixture":
-        amps = p["amplitudes"]
-        weights = p["weights"]
-        return float(sum(w * abs(a) ** 2 for w, a in zip(weights, amps)))
-    if spec.kind == "displaced":
-        base = StateSpec(p["base"]["kind"], _params_from_json(p["base"].get("params", {})))
-        return mean_photon_number(base) + abs(complex(p["beta"])) ** 2
-    raise ValidationError(f"no Fock-space mean photon number for kind {spec.kind!r}")
+    mean_n = KINDS[spec.kind].mean_n
+    if mean_n is None:
+        raise ValidationError(f"no Fock-space mean photon number for kind {spec.kind!r}")
+    return mean_n(spec.params)
+
+
+def gaussian_covariance(spec: StateSpec) -> CovarianceMatrix:
+    """Covariance matrix of a Gaussian StateSpec (coherent/thermal/squeezed/gaussian)."""
+    covariance = KINDS[spec.kind].covariance
+    if covariance is None:
+        raise ValidationError(f"no Gaussian covariance for state kind {spec.kind!r}")
+    return covariance(spec.params)
 
 
 def recommended_cutoff(spec: StateSpec, *, two_copy: bool = True,
@@ -349,10 +461,9 @@ def recommended_cutoff(spec: StateSpec, *, two_copy: bool = True,
     of a probe build picks the dimension that satisfies the interference
     headroom rule (families with slow tails, like thermal states, need more
     levels than the mean-based rule alone provides)."""
-    if spec.kind == "fock":
-        base = 2 * int(spec.params["n"]) + 4
-    elif spec.kind in ("rho_2M", "rho_even_M"):
-        base = 2 * (2 * int(spec.params["M"])) + 4
+    top_level = KINDS[spec.kind].top_level
+    if top_level is not None:
+        base = 2 * top_level(spec.params) + 4
     else:
         base = math.ceil(4.0 * (mean_photon_number(spec) + 3.0))
     if not two_copy:
@@ -369,36 +480,8 @@ def recommended_cutoff(spec: StateSpec, *, two_copy: bool = True,
 def build_state(spec: StateSpec, *, cutoff: int | None = None,
                 deficit_tol: float = DEFAULT_DEFICIT_TOL) -> DensityOperator:
     """Construct the density operator described by a StateSpec."""
-    dim = cutoff or spec.cutoff or recommended_cutoff(spec)
-    kind, p = spec.kind, spec.params
-    try:
-        if kind == "coherent":
-            return coherent(complex(p["alpha"]), dim, deficit_tol)
-        if kind == "fock":
-            return fock(int(p["n"]), dim)
-        if kind == "thermal":
-            if "mean_n" in p and "q" in p:
-                raise ValidationError("thermal spec must give q or mean_n, not both")
-            if "mean_n" in p:
-                return thermal(cutoff=dim, mean_n=float(p["mean_n"]), deficit_tol=deficit_tol)
-            return thermal(float(p["q"]), dim, deficit_tol=deficit_tol)
-        if kind == "squeezed_vacuum":
-            return squeezed_vacuum(float(p["r"]), dim, deficit_tol)
-        if kind == "rho_2M":
-            return rho_2m(int(p["M"]), dim)
-        if kind == "rho_even_M":
-            return rho_even_m(int(p["M"]), dim)
-        if kind == "mixture":
-            mix = ClassicalMixture(tuple(p["weights"]), tuple(p["amplitudes"]))
-            return classical_mixture(mix, dim, deficit_tol)
-        if kind == "displaced":
-            base_doc = p["base"]
-            base = StateSpec(base_doc["kind"], _params_from_json(base_doc.get("params", {})))
-            return displace(build_state(base, cutoff=dim, deficit_tol=deficit_tol),
-                            complex(p["beta"]))
-        if kind == "gaussian":
-            raise ValidationError(
-                "kind 'gaussian' has no Fock-space constructor; use the Gaussian route")
-    except KeyError as exc:
-        raise ValidationError(f"state kind {kind!r} missing parameter {exc}") from exc
-    raise ValidationError(f"unknown state kind {kind!r}")
+    build = KINDS[spec.kind].build
+    if build is None:
+        raise ValidationError(
+            f"kind {spec.kind!r} has no Fock-space constructor; use the Gaussian route")
+    return build(spec.params, cutoff or spec.cutoff or recommended_cutoff(spec), deficit_tol)

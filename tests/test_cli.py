@@ -191,3 +191,71 @@ def test_squeezed_two_copy_at_recommended_cutoff(runner, tmp_path):
     doc = json.loads(result.output)
     assert doc["cutoff"] == 136
     assert abs(doc["results"]["two-copy"]["c_squared"] - math.cosh(2.0)) < 1e-6
+
+
+MALFORMED_SPECS = {
+    "fock-non-integral-n": ({"kind": "fock", "params": {"n": 2.5}}, [], "'n'"),
+    "rho_even_M-non-integral-M": ({"kind": "rho_even_M", "params": {"M": 2.7}}, [], "'M'"),
+    "thermal-q-and-mean_n": ({"kind": "thermal", "params": {"q": 0.5, "mean_n": 3.0}},
+                             ["--route", "gaussian", "--cutoff", "30"], "mean_n"),
+    "thermal-q-1": ({"kind": "thermal", "params": {"q": 1.0}}, [], "q"),
+    "coherent-missing-alpha": ({"kind": "coherent", "params": {}}, [], "'alpha'"),
+    "fock-missing-n": ({"kind": "fock", "params": {}}, [], "'n'"),
+    "thermal-missing-q": ({"kind": "thermal", "params": {}}, [], "q"),
+    "gaussian-missing-gamma": ({"kind": "gaussian", "params": {}},
+                               ["--route", "gaussian"], "'gamma'"),
+    "displaced-missing-beta": ({"kind": "displaced",
+                                "params": {"base": {"kind": "fock", "params": {"n": 1}}}},
+                               [], "'beta'"),
+    "displaced-base-missing-kind": ({"kind": "displaced",
+                                     "params": {"base": {"params": {"n": 1}}, "beta": 0.5}},
+                                    [], "'base'"),
+    "squeezed-string-r": ({"kind": "squeezed_vacuum", "params": {"r": "0.3"}}, [], "'r'"),
+    "displaced-string-base": ({"kind": "displaced", "params": {"base": "fock", "beta": 0.5}},
+                              [], "'base'"),
+    "displaced-base-non-integral-n": (
+        {"kind": "displaced",
+         "params": {"base": {"kind": "fock", "params": {"n": 2.5}}, "beta": 0.5}},
+        [], "'n'"),
+}
+
+
+@pytest.mark.parametrize("doc,flags,name", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS)
+def test_malformed_spec_exits_2(runner, tmp_path, doc, flags, name):
+    path = write_spec(tmp_path, "bad.json", {"schema": 1, **doc})
+    result = runner.invoke(main, ["qcs", "--state", path, *flags])
+    assert result.exit_code == 2, result.output
+    assert name in result.output
+
+
+def test_config_hash_identifies_state_content(runner, tmp_path):
+    # one path, two contents, the same pinned cutoff
+    path = tmp_path / "state.json"
+    hashes = set()
+    for n in (1, 3):
+        path.write_text(json.dumps({"schema": 1, "kind": "fock", "params": {"n": n}}))
+        result = runner.invoke(main, ["qcs", "--state", str(path), "--route", "direct",
+                                      "--cutoff", "16"])
+        assert result.exit_code == 0
+        hashes.add(json.loads(result.output)["metadata"]["config_hash"])
+    assert len(hashes) == 2
+
+
+def test_infeasible_route_reported_and_others_kept(runner, tmp_path):
+    # at cutoff 12 the two-copy headroom rule refuses coherent(0.7); direct still runs
+    path = write_spec(tmp_path, "coh.json",
+                      {"schema": 1, "kind": "coherent", "params": {"alpha": 0.7}})
+    for cmd in (["qcs", "--route", "all"], ["compare"]):
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, [*cmd, "--state", path, "--cutoff", "12",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(out.read_text())
+        assert "exceeds cutoff headroom" in doc["results"]["two-copy"]["infeasible"]
+        assert "infeasible" in doc["results"]["wigner-laplacian"]
+        assert abs(doc["results"]["direct"]["c_squared"] - 1.0) < 1e-6
+        assert doc["results"]["classical-mixture"] == "not applicable"
+    assert doc["max_deviation_exact"] < 1e-6
+    single = runner.invoke(main, ["qcs", "--state", path, "--cutoff", "12",
+                                  "--route", "two-copy"])
+    assert single.exit_code == 4
