@@ -7,11 +7,13 @@ artifacts with a reproducibility metadata block. Exit codes: 0 success,
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import click
 import numpy as np
@@ -150,7 +152,8 @@ def _two_copy_pn(spec: StateSpec, rho: DensityOperator) -> PhotonDistribution:
     return photon_distribution(rho, rho)
 
 
-def _run_route(route: str, spec: StateSpec, cutoff: int):
+def _run_route(route: str, spec: StateSpec, state: Callable[[], DensityOperator]):
+    """One route's estimate, or None when it does not apply; ``state()`` builds ρ."""
     row = KINDS[spec.kind]
     if route == "gaussian":
         return qcs_gaussian(gaussian_covariance(spec)) if row.covariance else None
@@ -158,7 +161,7 @@ def _run_route(route: str, spec: StateSpec, cutoff: int):
         return qcs_classical_mixture(row.mixture(spec.params)) if row.mixture else None
     if row.build is None or (route == "pure" and not row.pure):
         return None  # e.g. a covariance-only spec has no Fock-space routes
-    rho = build_state(spec, cutoff=cutoff)
+    rho = state()
     if route == "direct":
         return qcs_direct(rho)
     if route == "two-copy":
@@ -177,9 +180,10 @@ def _run_routes(spec: StateSpec, cutoff: int, routes) -> tuple[dict, dict]:
     does not fit the cutoff, plus the C² of the routes that ran. Exits 4 when
     some route was infeasible and none ran."""
     results, values, reasons = {}, {}, []
+    state = functools.cache(functools.partial(build_state, spec, cutoff=cutoff))
     for route in routes:
         try:
-            est = _run_route(route, spec, cutoff)
+            est = _run_route(route, spec, state)
         except CutoffError as exc:
             results[route] = {"infeasible": str(exc)}
             reasons.append(str(exc))

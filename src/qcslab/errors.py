@@ -30,4 +30,4 @@ class RoundoffBudgetError(QcslabError):
 
 
 class GridError(QcslabError):
-    """Phase-space grid too small or finite-difference refinement did not converge."""
+    """Phase-space grid failed its normalization check (∫W against Tr)."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominatorError, ValidationError
-from .fock import DensityOperator, purity_direct, quadratures
+from .fock import DensityOperator, pad_fock_level, purity_direct, quadratures
 from .interferometer import PhotonDistribution, multimode_photon_distribution
 from .states import ClassicalMixture, CovarianceMatrix
 
@@ -64,10 +64,12 @@ def _embed_single(op: np.ndarray, dims: tuple[int, ...], mode: int) -> np.ndarra
 
 
 def qcs_direct(rho: DensityOperator) -> QcsEstimate:
-    """Commutator form: C² = Σ_j Tr([ρ, r_j][r_j, ρ]) / (2N Tr ρ²)."""
+    """Commutator form: C² = Σ_j Tr([ρ, r_j][r_j, ρ]) / (2N Tr ρ²), with the
+    commutators formed one Fock level above the cutoff, where they are exact."""
     purity = purity_direct(rho)
     if purity < 1e-10:
         raise DegenerateDenominatorError(f"purity {purity:.3e} below resolution")
+    rho = pad_fock_level(rho)
     n_modes = rho.n_modes
     num = 0.0
     for mode in range(n_modes):

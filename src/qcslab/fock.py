@@ -174,6 +174,16 @@ def partial_trace(state: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(matrix=mat, dims=kept_dims, trace_deficit=state.trace_deficit)
 
 
+def pad_fock_level(state: DensityOperator) -> DensityOperator:
+    """``state`` with one more empty Fock level per mode, on which commutators
+    with the truncated quadratures are exact."""
+    dims = tuple(d + 1 for d in state.dims)
+    t = np.zeros(dims * 2, dtype=complex)
+    t[tuple(slice(d) for d in state.dims * 2)] = state.matrix.reshape(state.dims * 2)
+    d = int(np.prod(dims))
+    return DensityOperator(t.reshape(d, d), dims, state.trace_deficit)
+
+
 def conjugate_unitary(state: DensityOperator, unitary: np.ndarray) -> DensityOperator:
     """U ρ U†, re-symmetrized to absorb floating-point Hermiticity drift."""
     mat = unitary @ state.matrix @ unitary.conj().T

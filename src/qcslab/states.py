@@ -211,17 +211,29 @@ class CovarianceMatrix:
             raise ValidationError(f"covariance matrix must be a real array: {exc}") from exc
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
             raise ValidationError("covariance matrix must be square with even dimension")
-        if np.max(np.abs(g - g.T)) > 1e-10:
-            raise ValidationError("covariance matrix must be symmetric")
-        object.__setattr__(self, "gamma", g)
         mean = np.zeros(g.shape[0]) if self.mean is None else np.asarray(self.mean, float)
         if mean.shape != (g.shape[0],):
             raise ValidationError("mean vector length must match covariance dimension")
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(mean))):
+            raise ValidationError("covariance matrix and mean vector must be finite")
+        if np.max(np.abs(g - g.T)) > 1e-10:
+            raise ValidationError("covariance matrix must be symmetric")
+        object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "mean", mean)
         n = g.shape[0] // 2
         omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        evals = np.linalg.eigvalsh(g + 0.5j * omega)
-        if evals.min() < -1e-9:
+        # uncertainty relation ν_k >= 1/2 on γ scaled to unit size, so neither a
+        # determinant nor an absolute tolerance depends on its scale: with γ/s =
+        # L Lᵀ, i L⁻¹ Ω L⁻ᵀ has eigenvalues ±s/ν_k. The tolerance admits the rounding
+        # of γ's entries times its componentwise condition number ‖|γ⁻¹||γ|‖
+        scale = np.max(np.abs(g)) or 1.0
+        try:
+            inv = np.linalg.inv(np.linalg.cholesky(g / scale))
+        except np.linalg.LinAlgError:
+            raise ValidationError("covariance matrix must be positive definite") from None
+        skeel = np.linalg.norm(np.abs(inv.T @ inv) @ np.abs(g / scale), np.inf)
+        tol = 1e-9 + np.finfo(float).eps * skeel
+        if np.max(np.abs(np.linalg.eigvalsh(1j * inv @ omega @ inv.T))) / scale > 2 * (1 + tol):
             raise ValidationError("covariance matrix violates the uncertainty relation")
 
     @property

@@ -129,7 +129,7 @@ def test_criterion_02_route_cross_validation():
         worst_wigner = max(worst_wigner, dev)
         ok &= spread <= 1e-6 and dev <= 1e-3
     elapsed = time.monotonic() - start
-    ok &= elapsed < 120.0
+    ok &= elapsed < 30.0
     report(2, ok, "8-state route matrix: exact spread "
                   f"{worst_exact:.2e} (<=1e-6), wigner deviation "
                   f"{worst_wigner:.2e} (<=1e-3), {elapsed:.1f} s")

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from qcslab.cli import main
+from qcslab.states import build_state
 
 
 @pytest.fixture
@@ -259,3 +260,40 @@ def test_infeasible_route_reported_and_others_kept(runner, tmp_path):
     single = runner.invoke(main, ["qcs", "--state", path, "--cutoff", "12",
                                   "--route", "two-copy"])
     assert single.exit_code == 4
+
+
+@pytest.mark.parametrize("params, cutoff, c2", [
+    ({"kind": "fock", "params": {"n": 1}}, 2, 3.0),
+    ({"kind": "rho_even_M", "params": {"M": 3}}, 7, 9.0),
+])
+def test_direct_route_at_tight_cutoff(runner, tmp_path, params, cutoff, c2):
+    path = write_spec(tmp_path, "s.json", {"schema": 1, **params})
+    result = runner.invoke(main, ["qcs", "--state", path, "--route", "direct",
+                                  "--cutoff", str(cutoff)])
+    assert result.exit_code == 0, result.output
+    assert abs(json.loads(result.output)["results"]["direct"]["c_squared"] - c2) < 1e-12
+
+
+@pytest.mark.parametrize("command", [["compare"], ["qcs", "--route", "all"]])
+def test_state_built_once_per_command(runner, tmp_path, monkeypatch, command):
+    calls = []
+
+    def counting_build_state(spec, **kwargs):
+        calls.append(spec)
+        return build_state(spec, **kwargs)
+
+    monkeypatch.setattr("qcslab.cli.build_state", counting_build_state)
+    path = write_spec(tmp_path, "coh.json",
+                      {"schema": 1, "kind": "coherent", "params": {"alpha": [0.3, -0.26]}})
+    result = runner.invoke(main, command + ["--state", path, "--cutoff", "28"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e308])
+def test_singular_covariance_exits_2_at_any_scale(runner, tmp_path, scale):
+    path = write_spec(tmp_path, "g.json", {"schema": 1, "kind": "gaussian", "params": {
+        "gamma": [[scale, scale], [scale, scale]]}})
+    result = runner.invoke(main, ["qcs", "--state", path, "--route", "gaussian"])
+    assert result.exit_code == 2, result.output
+    assert "positive definite" in result.output

@@ -41,6 +41,13 @@ def test_direct_fock_states():
         assert est.method == "direct"
 
 
+def test_direct_exact_at_tightest_cutoff():
+    # the top Fock level fills the cutoff, so [ρ, r] needs one level more
+    assert abs(qcs_direct(fock(1, 2)).c_squared - 3.0) < 1e-12
+    assert abs(qcs_direct(tensor(fock(1, 2), fock(0, 2))).c_squared - 2.0) < 1e-12
+    assert abs(qcs_direct(tensor(fock(1, 2), fock(1, 3))).c_squared - 3.0) < 1e-12
+
+
 def test_direct_coherent_is_one():
     assert abs(qcs_direct(coherent(0.7, 32)).c_squared - 1.0) < 1e-9
 

@@ -3,12 +3,12 @@ import pytest
 
 from qcslab import (
     GridError,
-    ValidationError,
     WignerGrid,
     coherent,
     fock,
     overlap_wigner,
     purity_direct,
+    qcs_direct,
     qcs_wigner_gradient,
     qcs_wigner_laplacian,
     rho_even_m,
@@ -101,9 +101,11 @@ def test_gradient_route_examples():
     assert abs(qcs_wigner_gradient(fock(1, 10)).c_squared - 3.0) < 1e-3
 
 
-def test_gradient_route_rejects_coarse_grid():
-    with pytest.raises(ValidationError):
-        qcs_wigner_gradient(fock(0, 6), spacing=0.2)
+@pytest.mark.parametrize("rho, c2", [(fock(30, 64), 61.0), (rho_even_m(15, 64), 33.0)])
+def test_gradient_route_exact_where_a_fixed_grid_fails(rho, c2):
+    # a fixed spacing of 0.2 is off by 4.4 and 0.57 here and still normalizes
+    assert abs(qcs_wigner_gradient(rho).c_squared - c2) < 1e-9 * c2
+    assert abs(qcs_direct(rho).c_squared - c2) < 1e-9 * c2
 
 
 def test_grid_error_when_extent_too_small():

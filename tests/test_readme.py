@@ -14,9 +14,6 @@ from qcslab.states import KINDS
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 # `name.json`: followed by its JSON block
 NAMED_SPECS = dict(re.findall(r"`(\w+\.json)`:\s*```json\n(.*?)```", README, re.S))
-# `qcs --route all` and `compare` run the gradient grid on the thermal example for
-# about 15 s each; the CLI tests cover both commands on a cheaper state
-SLOW = ("qcs --state th.json --route all", "compare --state th.json")
 
 
 def _cli_lines():
@@ -44,7 +41,7 @@ def test_cli_lines_cover_every_command():
         "qcs", "compare", "purity", "pn-dist", "overlap", "sample", "figure2"}
 
 
-@pytest.mark.parametrize("line", [line for line in _cli_lines() if line not in SLOW])
+@pytest.mark.parametrize("line", _cli_lines())
 def test_cli_line_exits_0(line, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, text in NAMED_SPECS.items():

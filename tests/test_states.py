@@ -138,6 +138,23 @@ def test_covariance_matrix_validation():
         CovarianceMatrix(np.array([[0.5, 0.2], [0.1, 0.5]]))  # asymmetric
 
 
+def test_covariance_check_holds_at_any_scale():
+    for scale in (1e12, 1e308):  # det γ = 0 < 1/4, det itself overflows at 1e308
+        with pytest.raises(ValidationError):
+            CovarianceMatrix(scale * np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(ValidationError):
+        CovarianceMatrix(np.diag([1e9, 1e-12]))  # ν = 0.03
+    with pytest.raises(ValidationError):
+        CovarianceMatrix(np.array([[np.inf, 0.0], [0.0, 0.5]]))
+    with pytest.raises(ValidationError):
+        CovarianceMatrix(0.5 * np.eye(2), mean=[np.nan, 0.0])
+    CovarianceMatrix(1e6 * np.eye(2) / 2)
+    # pure squeezing r = 8 along a rotated axis: ν = 1/2 up to the rounding of γ
+    rot = np.array([[np.cos(0.76), -np.sin(0.76)], [np.sin(0.76), np.cos(0.76)]])
+    gamma = rot @ np.diag([np.exp(16.0), np.exp(-16.0)]) @ rot.T / 2
+    CovarianceMatrix(0.5 * (gamma + gamma.T))
+
+
 def test_gaussian_covariances():
     sq = gaussian_covariance(StateSpec("squeezed_vacuum", {"r": 0.3}))
     assert np.allclose(np.diag(sq.gamma), 0.5 * np.exp([0.6, -0.6]))
