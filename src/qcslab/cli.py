@@ -17,7 +17,6 @@ from typing import Callable
 
 import click
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import (
@@ -76,9 +75,9 @@ def _fail(code: int, message: str):
 
 def _metadata(opts: dict, cutoff: int, *specs: StateSpec) -> dict:
     """Provenance block. The hash covers the options with the state files
-    replaced by their canonical specs, the resolved cutoff and the numpy and
-    scipy versions, so it identifies the input, not the path it was read from."""
-    inputs = {**opts, "cutoff": cutoff, "numpy": np.__version__, "scipy": scipy.__version__}
+    replaced by their canonical specs, the resolved cutoff and the numpy
+    version, so it identifies the input, not the path it was read from."""
+    inputs = {**opts, "cutoff": cutoff, "numpy": np.__version__}
     if specs:
         inputs["state"] = [spec.to_json() for spec in specs]
     digest = hashlib.sha256(

@@ -169,12 +169,19 @@ def qcs_multimode(rho: DensityOperator, **kwargs) -> QcsEstimate:
 
 # --- Gaussian fast path (vacuum covariance = I/2) ---
 
+def _log_det(gamma: np.ndarray, what: str) -> float:
+    """ln det γ: det γ itself overflows for valid states far from vacuum scale
+    (1e300·I/2 has det 2.5e599)."""
+    sign, log_det = np.linalg.slogdet(gamma)
+    if sign <= 0:
+        raise ValidationError(f"{what} must be positive definite")
+    return float(log_det)
+
+
 def purity_gaussian(gamma: CovarianceMatrix) -> float:
     """P = 1 / (2^N √det γ)."""
-    det = np.linalg.det(gamma.gamma)
-    if det <= 0:
-        raise ValidationError("covariance matrix must be positive definite")
-    return float(1.0 / (2.0 ** gamma.n_modes * np.sqrt(det)))
+    log_det = _log_det(gamma.gamma, "covariance matrix")
+    return math.exp(-gamma.n_modes * math.log(2.0) - 0.5 * log_det)
 
 
 def overlap_gaussian(ga: CovarianceMatrix, gb: CovarianceMatrix) -> float:
@@ -182,21 +189,16 @@ def overlap_gaussian(ga: CovarianceMatrix, gb: CovarianceMatrix) -> float:
     if ga.gamma.shape != gb.gamma.shape:
         raise ValidationError("covariance matrices must have equal dimension")
     total = ga.gamma + gb.gamma
-    det = np.linalg.det(total)
-    if det <= 0:
-        raise ValidationError("γa + γb must be positive definite")
+    log_det = _log_det(total, "γa + γb")
     delta = ga.mean - gb.mean
     quad = float(delta @ np.linalg.solve(total, delta))
-    return float(np.exp(-0.5 * quad) / np.sqrt(det))
+    return math.exp(-0.5 * quad - 0.5 * log_det)
 
 
 def qcs_gaussian(gamma: CovarianceMatrix) -> QcsEstimate:
     """C² = Tr(γ⁻¹)/4 (per mode pair, divided by the mode count)."""
-    det = np.linalg.det(gamma.gamma)
-    if det <= 0:
-        raise ValidationError("covariance matrix must be positive definite")
-    trace_inv = float(np.trace(np.linalg.inv(gamma.gamma)))
     purity = purity_gaussian(gamma)
+    trace_inv = float(np.trace(np.linalg.inv(gamma.gamma)))
     c2 = trace_inv / (4.0 * gamma.n_modes)
     return QcsEstimate(c_squared=c2, method="gaussian",
                        numerator=c2 * purity, denominator=purity)

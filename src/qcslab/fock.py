@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CutoffError, ValidationError
 
@@ -198,8 +197,18 @@ def purity_direct(rho: DensityOperator) -> float:
 
 
 def matrix_exponential(generator: np.ndarray) -> np.ndarray:
-    """Internal utility: exp(G) by scaling-and-squaring (scipy)."""
-    return expm(generator)
+    """Internal utility: exp(G) for an anti-Hermitian G (a unitary), computed as
+    V e^{−iW} Vᴴ from the Hermitian eigendecomposition iG = V W Vᴴ.
+
+    ``eigh`` reads one triangle only, so a G that is not anti-Hermitian to
+    round-off (‖G + Gᴴ‖ > HERMITICITY_TOL·max(1, ‖G‖), max norms) raises
+    ValidationError rather than return a wrong exponential.
+    """
+    g = np.asarray(generator)
+    if np.abs(g + g.conj().T).max() > HERMITICITY_TOL * max(1.0, np.abs(g).max()):
+        raise ValidationError("matrix_exponential needs an anti-Hermitian generator")
+    w, v = np.linalg.eigh(1j * g)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def displacement_operator(beta: complex, dim: int) -> np.ndarray:

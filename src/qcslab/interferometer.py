@@ -5,7 +5,8 @@ The beam splitter conserves the total photon number T = k + l of the two modes
 it mixes, so it is block-diagonal: on the span of |k, T−k⟩ it acts by a
 (T+1)-square block U_T, smaller where the cutoff truncates the block. Each
 block is the exponential of the real tridiagonal J_y generator, taken from the
-eigendecomposition of a symmetric tridiagonal matrix. Every two-copy path runs
+eigendecomposition of a real symmetric tridiagonal matrix S, which numpy's
+``eigh`` (LAPACK ``syevd``) diagonalizes as a dense matrix. Every two-copy path runs
 on these blocks. With X_T[k, k′] = ρ_a[k, k′] ρ_b[T−k, T−k′], the output
 diagonal is diag(U_T X_T U_Tᵀ) summed over the traced mode, so p_n costs
 O(dim⁴) and the full difference-mode state O(dim⁵); no dim²×dim² matrix is
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     HeadroomError,
@@ -96,7 +96,8 @@ def _bs_block(total: int, lo: int = 0) -> np.ndarray:
     same off-diagonal, so exp((π/4)G) = D V exp(−iπΛ/4) Vᵀ D† from S = V Λ Vᵀ.
     """
     k = np.arange(lo, total - lo)
-    w, v = eigh_tridiagonal(np.zeros(total - 2 * lo + 1), np.sqrt((k + 1.0) * (total - k)))
+    off = np.sqrt((k + 1.0) * (total - k))
+    w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     v = v * (1j ** np.arange(len(w)))[:, None]
     u = ((v * np.exp(-0.25j * np.pi * w)) @ v.conj().T).real.copy()
     u.setflags(write=False)

@@ -116,8 +116,6 @@ BAND_FLOOR = 1e-15  # co-diagonals below this magnitude cannot move W above roun
 def _band_accumulator(coeff, d, babs2, log_b2):
     """Σ_m coeff[m] G_{m,d}(|β|²) for one co-diagonal, as a function of |β|²
     only (the angular factor phase^d is applied by the caller)."""
-    from scipy.special import gammaln
-
     nz = np.nonzero(np.abs(coeff) > BAND_FLOOR)[0]
     if len(nz) == 0:
         return None
@@ -129,7 +127,7 @@ def _band_accumulator(coeff, d, babs2, log_b2):
         g = np.exp(-0.5 * babs2)
     else:
         with np.errstate(invalid="ignore"):
-            g = np.exp(0.5 * (d * log_b2 - gammaln(d + 1.0)) - 0.5 * babs2)
+            g = np.exp(0.5 * (d * log_b2 - math.lgamma(d + 1.0)) - 0.5 * babs2)
         g = np.where(babs2 > 0, g, 0.0)
     acc = np.zeros(babs2.shape, dtype=complex)
     for m in range(last + 1):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,20 @@ def test_gaussian_routes():
     th = gaussian_covariance(StateSpec("thermal", {"mean_n": mean_n}))
     assert abs(qcs_gaussian(th).c_squared - 1.0 / (1 + 2 * mean_n)) < 1e-12
     assert abs(purity_gaussian(th) - 1.0 / (1 + 2 * mean_n)) < 1e-12
+
+
+def test_gaussian_purity_far_from_vacuum_scale():
+    """det γ = 2.5e599 overflows; its logarithm keeps the purity 1e-300."""
+    gamma = CovarianceMatrix(1e300 * np.eye(2) / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        purity = purity_gaussian(gamma)
+        estimate = qcs_gaussian(gamma)
+        overlap = overlap_gaussian(gamma, gamma)
+    assert abs(purity / 1e-300 - 1.0) < 1e-12
+    assert estimate.denominator == purity
+    assert abs(estimate.c_squared / 1e-300 - 1.0) < 1e-12
+    assert abs(overlap / 1e-300 - 1.0) < 1e-12
 
 
 def test_gaussian_overlap():

@@ -1,0 +1,74 @@
+"""The package and every CLI command run without scipy.
+
+scipy is a test-only dependency (the oracles in other test files use its
+``expm``). Each check runs in a fresh interpreter, so modules that the test
+session itself has imported do not hide an import from the package.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run(code: str, cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_import_loads_no_scipy(tmp_path):
+    result = _run(
+        "import sys, qcslab, qcslab.cli\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])",
+        tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+SPECS = {
+    "coh.json": {"schema": 1, "kind": "coherent", "params": {"alpha": [0.3, 0.4]}},
+    "disp.json": {"schema": 1, "kind": "displaced",
+                  "params": {"base": {"kind": "fock", "params": {"n": 1}}, "beta": [0.5, 0.0]}},
+    "th.json": {"schema": 1, "kind": "thermal", "params": {"q": 0.3}},
+    "sq.json": {"schema": 1, "kind": "squeezed_vacuum", "params": {"r": 0.3}},
+}
+
+COMMANDS = [
+    ["qcs", "--state", "coh.json", "--route", "all"],
+    ["qcs", "--state", "disp.json", "--route", "all"],
+    ["qcs", "--state", "th.json", "--route", "all"],
+    ["qcs", "--state", "sq.json", "--route", "all"],
+    ["compare", "--state", "disp.json"],
+    ["purity", "--state", "sq.json"],
+    ["pn-dist", "--state", "th.json", "--format", "json"],
+    ["overlap", "--state", "coh.json", "--state", "disp.json"],
+    ["sample", "--state", "th.json", "--shots", "2000", "--resamples", "50"],
+    ["figure2", "--out", "fig2", "--cutoff", "16", "--n-max", "6"],
+]
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    """``sys.modules["scipy"] = None`` makes any ``import scipy`` or
+    ``from scipy... import`` raise, including one inside a function body."""
+    for name, doc in SPECS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    result = _run(
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from click.testing import CliRunner\n"
+        "from qcslab.cli import main\n"
+        "runner = CliRunner()\n"
+        f"for args in {COMMANDS!r}:\n"
+        "    r = runner.invoke(main, args)\n"
+        "    print(json.dumps([args, r.exit_code, repr(r.exception), r.output[-300:]]))\n",
+        tmp_path)
+    assert result.returncode == 0, result.stderr
+    runs = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [args for args, *_ in runs] == COMMANDS
+    failed = [run for run in runs if run[1] != 0]
+    assert not failed, failed
