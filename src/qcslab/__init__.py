@@ -13,7 +13,6 @@ from .errors import (
 )
 from .estimators import (
     QcsEstimate,
-    QuasiProbability,
     overlap_gaussian,
     purity_from_pn,
     purity_gaussian,
@@ -23,7 +22,7 @@ from .estimators import (
     qcs_multimode,
     qcs_pure_shortcut,
     qcs_two_copy,
-    quasi_probability,
+    qcs_wigner_laplacian,
 )
 from .fock import (
     DensityOperator,
@@ -34,12 +33,10 @@ from .fock import (
     partial_trace,
     purity_direct,
     quadratures,
-    swap_operator,
     tensor,
 )
 from .interferometer import (
     PhotonDistribution,
-    beam_splitter_unitary,
     hom_photon_distribution,
     multimode_photon_distribution,
     multimode_two_copy_output,
@@ -52,7 +49,6 @@ from .phase_space import (
     WignerGrid,
     overlap_wigner,
     qcs_wigner_gradient,
-    qcs_wigner_laplacian,
     wigner_eval,
     wigner_origin,
 )

@@ -34,6 +34,7 @@ from .estimators import (
     qcs_gaussian,
     qcs_pure_shortcut,
     qcs_two_copy,
+    qcs_wigner_laplacian,
 )
 from .fock import DensityOperator, purity_direct
 from .interferometer import (
@@ -43,13 +44,14 @@ from .interferometer import (
     photon_distribution_phase_invariant,
     thermal_photon_distribution,
 )
-from .phase_space import overlap_wigner, qcs_wigner_gradient, qcs_wigner_laplacian
+from .phase_space import overlap_wigner, qcs_wigner_gradient
 from .sampling import estimate_qcs, sample_counts
 from .states import (
     KINDS,
     StateSpec,
     build_state,
     gaussian_covariance,
+    parse_cutoff,
     pure_state_vector,
     recommended_cutoff,
     rho_2m,
@@ -65,7 +67,7 @@ ROUTES = ("direct", "two-copy", "pure", "wigner-gradient", "wigner-laplacian",
           "gaussian", "classical-mixture")
 
 EXACT_ROUTE_TOL = 1e-6
-WIGNER_ROUTE_TOL = 1e-3
+FIGURE2_CUTOFF = 48
 
 
 def _fail(code: int, message: str):
@@ -108,24 +110,26 @@ def _load_spec(path: str) -> StateSpec:
 
 def _merge_config(config_path, flag_values: dict) -> dict:
     """Apply config-file values; a key set both in the file and by an explicit
-    flag is ambiguous and rejected."""
-    if not config_path:
-        return flag_values
-    try:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_VALIDATION, f"cannot read config file: {exc}")
+    flag is ambiguous and rejected. A cutoff from either source is held to the
+    state file's rule (an integer >= 2)."""
     merged = dict(flag_values)
-    ctx = click.get_current_context()
-    param_names = {"state": "state_path", "format": "fmt"}
-    for key, value in doc.items():
-        if key not in flag_values:
-            _fail(EXIT_VALIDATION, f"unknown config key {key!r}")
-        src = ctx.get_parameter_source(param_names.get(key, key))
-        if src is not None and src.name == "COMMANDLINE":
-            _fail(EXIT_VALIDATION,
-                  f"{key!r} given both in config file and as a flag (ambiguous)")
-        merged[key] = value
+    if config_path:
+        try:
+            doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            _fail(EXIT_VALIDATION, f"cannot read config file: {exc}")
+        ctx = click.get_current_context()
+        param_names = {"state": "state_path", "format": "fmt"}
+        for key, value in doc.items():
+            if key not in flag_values:
+                _fail(EXIT_VALIDATION, f"unknown config key {key!r}")
+            src = ctx.get_parameter_source(param_names.get(key, key))
+            if src is not None and src.name == "COMMANDLINE":
+                _fail(EXIT_VALIDATION,
+                      f"{key!r} given both in config file and as a flag (ambiguous)")
+            merged[key] = value
+    if "cutoff" in merged:
+        merged["cutoff"] = parse_cutoff(merged["cutoff"])
     return merged
 
 
@@ -134,10 +138,12 @@ def _resolve_cutoff(spec: StateSpec, flag_cutoff: int | None, *, two_copy: bool)
         _fail(EXIT_VALIDATION,
               f"cutoff given both in state file ({spec.cutoff}) and as a flag "
               f"({flag_cutoff}) (ambiguous)")
+    pinned = flag_cutoff if flag_cutoff is not None else spec.cutoff
+    if pinned is not None:
+        return pinned
     if KINDS[spec.kind].build is None:
-        # covariance-only description: no Fock-space construction, no cutoff
-        return flag_cutoff or spec.cutoff or 0
-    return flag_cutoff or spec.cutoff or recommended_cutoff(spec, two_copy=two_copy)
+        return 0  # covariance-only description: no Fock-space construction, no cutoff
+    return recommended_cutoff(spec, two_copy=two_copy)
 
 
 def _two_copy_pn(spec: StateSpec, rho: DensityOperator) -> PhotonDistribution:
@@ -151,8 +157,10 @@ def _two_copy_pn(spec: StateSpec, rho: DensityOperator) -> PhotonDistribution:
     return photon_distribution(rho, rho)
 
 
-def _run_route(route: str, spec: StateSpec, state: Callable[[], DensityOperator]):
-    """One route's estimate, or None when it does not apply; ``state()`` builds ρ."""
+def _run_route(route: str, spec: StateSpec, state: Callable[[], DensityOperator],
+               pn: Callable[[], PhotonDistribution]):
+    """One route's estimate, or None when it does not apply; ``state()`` builds ρ
+    and ``pn()`` its two-copy p_n."""
     row = KINDS[spec.kind]
     if route == "gaussian":
         return qcs_gaussian(gaussian_covariance(spec)) if row.covariance else None
@@ -164,25 +172,28 @@ def _run_route(route: str, spec: StateSpec, state: Callable[[], DensityOperator]
     if route == "direct":
         return qcs_direct(rho)
     if route == "two-copy":
-        return qcs_two_copy(_two_copy_pn(spec, rho))
+        return qcs_two_copy(pn())
     if route == "pure":
         return qcs_pure_shortcut(pure_state_vector(rho) / np.sqrt(1 - rho.trace_deficit))
     if route == "wigner-gradient":
         return qcs_wigner_gradient(rho)
     if route == "wigner-laplacian":
-        return qcs_wigner_laplacian(rho)
+        return qcs_wigner_laplacian(pn())
     raise ValidationError(f"unknown route {route!r}")
 
 
 def _run_routes(spec: StateSpec, cutoff: int, routes) -> tuple[dict, dict]:
     """Each route's estimate, "not applicable", or {"infeasible": reason} when it
     does not fit the cutoff, plus the C² of the routes that ran. Exits 4 when
-    some route was infeasible and none ran."""
+    some route was infeasible and none ran. The state and its p_n are built at
+    most once each; a build that raises is not cached, so every route that
+    needs it reports the error."""
     results, values, reasons = {}, {}, []
     state = functools.cache(functools.partial(build_state, spec, cutoff=cutoff))
+    pn = functools.cache(lambda: _two_copy_pn(spec, state()))
     for route in routes:
         try:
-            est = _run_route(route, spec, state)
+            est = _run_route(route, spec, state, pn)
         except CutoffError as exc:
             results[route] = {"infeasible": str(exc)}
             reasons.append(str(exc))
@@ -294,7 +305,7 @@ def overlap_cmd(state_paths, cutoff, out, config_path):
     if len(opts["state"]) != 2:
         _fail(EXIT_VALIDATION, "overlap needs exactly two --state files")
     spec_a, spec_b = (_load_spec(p) for p in opts["state"])
-    dim = opts["cutoff"] or max(
+    dim = opts["cutoff"] if opts["cutoff"] is not None else max(
         _resolve_cutoff(spec_a, None, two_copy=True),
         _resolve_cutoff(spec_b, None, two_copy=True))
     rho_a = build_state(spec_a, cutoff=dim)
@@ -315,30 +326,27 @@ def overlap_cmd(state_paths, cutoff, out, config_path):
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @_handle_errors
 def compare_cmd(state_path, cutoff, out, config_path):
-    """Cross-validation matrix: run every applicable route and check agreement
-    (1e-6 between exact routes, 1e-3 against the Wigner-gradient route)."""
+    """Cross-validation matrix: run every applicable route and check that every
+    pair agrees within 1e-6."""
     opts = _merge_config(config_path, {"state": state_path, "cutoff": cutoff, "out": out})
     spec = _load_spec(opts["state"])
     dim = _resolve_cutoff(spec, opts["cutoff"], two_copy=True)
     results, values = _run_routes(spec, dim, ROUTES)
-    wigner = [v for route, v in values.items() if route == "wigner-gradient"]
-    vals = [v for route, v in values.items() if route != "wigner-gradient"]
-    max_exact = max((abs(a - b) for a in vals for b in vals), default=0.0)
-    max_wigner = max((abs(w - v) for w in wigner for v in vals), default=0.0)
+    vals = list(values.values())
+    max_dev = max((abs(a - b) for a in vals for b in vals), default=0.0)
     payload = {"metadata": _metadata(opts, dim, spec), "cutoff": dim, "results": results,
-               "max_deviation_exact": max_exact, "max_deviation_wigner": max_wigner}
+               "max_deviation_exact": max_dev}
     _write_json(payload, opts["out"])
     for route, res in results.items():
         click.echo(f"{route:>18}: {values.get(route, res)}", err=True)
-    if max_exact > EXACT_ROUTE_TOL or max_wigner > WIGNER_ROUTE_TOL:
+    if max_dev > EXACT_ROUTE_TOL:
         _fail(EXIT_TOLERANCE,
-              f"route deviation exceeds tolerance (exact {max_exact:.3e}, "
-              f"wigner {max_wigner:.3e})")
+              f"route deviation {max_dev:.3e} exceeds tolerance {EXACT_ROUTE_TOL:.0e}")
 
 
 @main.command("figure2")
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--cutoff", type=int, default=48, show_default=True)
+@click.option("--cutoff", type=int, default=FIGURE2_CUTOFF, show_default=True)
 @click.option("--n-max", type=int, default=24, show_default=True,
               help="Largest n in the p_n CSV columns")
 @click.option("--config", "config_path", type=click.Path(), default=None)
@@ -352,7 +360,8 @@ def figure2_cmd(out_dir, cutoff, n_max, config_path):
     out_path = Path(opts["out"])
     out_path.mkdir(parents=True, exist_ok=True)
     q = 0.85
-    dim, nmax = opts["cutoff"], opts["n_max"]
+    dim = opts["cutoff"] if opts["cutoff"] is not None else FIGURE2_CUTOFF
+    nmax = opts["n_max"]
 
     def truncated(pn: PhotonDistribution) -> PhotonDistribution:
         probs = np.zeros(nmax + 1)

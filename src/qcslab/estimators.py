@@ -5,6 +5,9 @@ denominator, so a benchmark sweep can cross-validate them against each other:
 
 - direct: commutator definition on the density matrix,
 - two_copy: the alternating photon-number sums of the interferometric scheme,
+- wigner_laplacian: −¼ΔW_d(0)/W_d(0) on the difference-mode Wigner function,
+  read from the same p_n (both origin values are parity traces of ρ_d), so
+  it is the two-copy formula written as a ratio, not an independent check,
 - pure_shortcut: 1 + 2(⟨a†a⟩ - |⟨a⟩|²) for pure states,
 - classical_mixture: closed form for finite coherent mixtures,
 - gaussian: covariance-matrix fast path,
@@ -47,14 +50,6 @@ class QcsEstimate:
         return {"c_squared": self.c_squared, "method": self.method,
                 "numerator": self.numerator, "denominator": self.denominator,
                 "uncertainty": self.uncertainty}
-
-
-@dataclass(frozen=True)
-class QuasiProbability:
-    """Signed normalized transform π_n = (-1)ⁿ p_n / Σ (-1)ⁿ p_n."""
-
-    pi: np.ndarray
-    mean_n: float
 
 
 def _embed_single(op: np.ndarray, dims: tuple[int, ...], mode: int) -> np.ndarray:
@@ -105,14 +100,13 @@ def qcs_two_copy(pn: PhotonDistribution) -> QcsEstimate:
                        numerator=numerator, denominator=den)
 
 
-def quasi_probability(pn: PhotonDistribution) -> QuasiProbability:
-    signs = (-1.0) ** np.arange(len(pn.probs))
-    den = math.fsum(signs * pn.probs)
-    if abs(den) < DENOMINATOR_FLOOR:
-        raise DegenerateDenominatorError(f"alternating sum {den:.3e} below resolution")
-    pi = signs * pn.probs / den
-    mean_n = math.fsum(np.arange(len(pi)) * pi)
-    return QuasiProbability(pi=pi, mean_n=mean_n)
+def qcs_wigner_laplacian(pn: PhotonDistribution) -> QcsEstimate:
+    """Origin-Laplacian route C² = −¼ΔW_d(0)/W_d(0). From the Weyl transforms
+    of (−1)^n̂ and (x²+p²)(−1)^n̂, πW_d(0) = Σ(−1)ⁿp_n and −¼πΔW_d(0) =
+    Σ(−1)ⁿ(1+2n)p_n: the two-copy denominator and numerator."""
+    est = qcs_two_copy(pn)
+    return QcsEstimate(c_squared=est.numerator / est.denominator, method="wigner_laplacian",
+                       numerator=est.numerator, denominator=est.denominator)
 
 
 def qcs_pure_shortcut(psi: np.ndarray) -> QcsEstimate:

@@ -21,8 +21,6 @@ DEFAULT_DEFICIT_TOL = 1e-6
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 
-SWAP_CONSTRUCTIONS = ("permutation", "exponential", "mach_zehnder")
-
 
 def annihilation(dim: int) -> np.ndarray:
     """Ladder matrix a with a[n-1, n] = sqrt(n)."""
@@ -224,32 +222,3 @@ def phase_rotation_operator(theta: float, dim: int) -> np.ndarray:
     """exp(iθ n̂), a diagonal phase-space rotation."""
     return np.diag(np.exp(1j * theta * np.arange(dim)))
 
-
-def swap_operator(dim: int, construction: str = "permutation") -> np.ndarray:
-    """Two-mode swap Ŝ in one of its three equivalent constructions.
-
-    ``permutation`` is exact at any cutoff; the two exponential forms are
-    corrupted on the truncated top photon-number shells.
-    """
-    if construction not in SWAP_CONSTRUCTIONS:
-        raise ValidationError(
-            f"unknown construction {construction!r}; expected one of {SWAP_CONSTRUCTIONS}"
-        )
-    d2 = dim * dim
-    if construction == "permutation":
-        s = np.zeros((d2, d2), dtype=complex)
-        for m in range(dim):
-            for n in range(dim):
-                s[n * dim + m, m * dim + n] = 1.0
-        return s
-    a = np.kron(annihilation(dim), np.eye(dim))
-    b = np.kron(np.eye(dim), annihilation(dim))
-    if construction == "exponential":
-        gen = (a.conj().T - b.conj().T) @ (a - b)
-        return matrix_exponential(0.5j * np.pi * gen)
-    # mach_zehnder: U_BS† (-1)^(n_b) U_BS
-    from .interferometer import beam_splitter_unitary  # local import avoids a cycle
-
-    u = beam_splitter_unitary(dim)
-    parity_b = np.kron(np.eye(dim), parity_operator(dim))
-    return u.conj().T @ parity_b @ u

@@ -179,18 +179,6 @@ def _output_state(rho: DensityOperator, headroom_tol: float) -> DensityOperator:
 
 # --- public two-copy paths ---
 
-def beam_splitter_unitary(dim: int) -> np.ndarray:
-    """50:50 beam splitter exp((π/4)(a†b - ab†)) at cutoff ``dim`` as a dense
-    dim²×dim² matrix, placed block by block over the conserved total-photon-number
-    subspaces (exact per complete block). The two-copy paths apply the blocks
-    directly and never build this matrix."""
-    u = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for rows_a, rows_b, keys in _sectors((dim,)):
-        idx = rows_a * dim + rows_b
-        u[np.ix_(idx, idx)] = _bs_block(*keys[0])
-    return u
-
-
 def two_copy_output(rho: DensityOperator, *,
                     headroom_tol: float = DEFAULT_HEADROOM_TOL) -> DensityOperator:
     """Difference-mode reduced state ρ_d = Tr_c(U_BS (ρ⊗ρ) U_BS†)."""

@@ -1,30 +1,25 @@
-"""Wigner-function evaluation and the phase-space QCS routes.
+"""Wigner-function evaluation on grids: the gradient QCS route and overlaps.
 
 The Wigner function is evaluated from the Fock-basis displaced-parity kernel
 W(α) = (1/π) Tr[ρ D(2α) (-1)^n̂] with closed-form displacement matrix elements
 (scaled Laguerre recurrences, exponential factored in from the start), never
-by numerical Fourier transform. Origin values and the origin Laplacian are
-computed analytically from parity traces, the gradient as the Wigner function
-of the commutators with the quadratures, integrated at a trapezoid spacing
-derived from the cutoff (``quadrature_spacing``).
+by numerical Fourier transform. The origin value is computed analytically
+from the parity trace, the gradient as the Wigner function of the commutators
+with the quadratures, integrated at a trapezoid spacing derived from the
+cutoff (``quadrature_spacing``). The origin-Laplacian route needs only the
+difference-mode p_n, so it lives with the two-copy route in ``estimators``.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, GridError, ValidationError
+from .errors import GridError, ValidationError
 from .estimators import QcsEstimate
 from .fock import DensityOperator, pad_fock_level, quadratures
-from .interferometer import (
-    is_fock_diagonal,
-    photon_distribution,
-    photon_distribution_phase_invariant,
-)
 
 DEFAULT_SPACING = 0.04
 EXTENT_PADDING = 1.2
@@ -41,10 +36,6 @@ class WignerGrid:
     x_axis: np.ndarray
     p_axis: np.ndarray
 
-    @property
-    def spacing(self) -> float:
-        return float(self.x_axis[1] - self.x_axis[0])
-
     def integrate(self, integrand: np.ndarray | None = None) -> float:
         """Trapezoidal ∫ f dx dp over the grid (f defaults to W)."""
         f = self.values if integrand is None else integrand
@@ -56,14 +47,6 @@ class WignerGrid:
             for i, x in enumerate(self.x_axis):
                 for j, p in enumerate(self.p_axis):
                     fh.write(f"{float(x)!r},{float(p)!r},{float(self.values[i, j])!r}\n")
-
-    def to_binary(self, path) -> None:
-        """Compact layout: header (nx, np, x0, dx, p0, dp) + row-major doubles."""
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<2q4d", len(self.x_axis), len(self.p_axis),
-                                 self.x_axis[0], self.spacing,
-                                 self.p_axis[0], self.p_axis[1] - self.p_axis[0]))
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
 
 
 def _second_moments(rho: DensityOperator) -> tuple[float, float, float, float]:
@@ -218,14 +201,6 @@ def wigner_origin(rho: DensityOperator) -> float:
     return math.fsum(signs * np.real(np.diag(rho.matrix))) / np.pi
 
 
-def wigner_laplacian_origin(rho: DensityOperator) -> float:
-    """ΔW(0,0) = -(4/π) Tr(ρ (1+2n̂)(-1)^n̂), from the Weyl transform of
-    (x²+p²)(-1)^n̂."""
-    n = np.arange(rho.dim)
-    signs = (-1.0) ** n
-    return -4.0 / np.pi * math.fsum(signs * (1.0 + 2.0 * n) * np.real(np.diag(rho.matrix)))
-
-
 def quadrature_spacing(dim: int) -> float:
     """Trapezoid spacing for products of Wigner functions of operators on
     ``dim`` Fock levels: Gaussians times polynomials of degree growing with dim,
@@ -243,26 +218,6 @@ def overlap_wigner(rho_a: DensityOperator, rho_b: DensityOperator) -> float:
     ga = wigner_eval(rho_a, axis, axis, norm_tol=1e-5)
     gb = wigner_eval(rho_b, axis, axis, norm_tol=1e-5)
     return 2.0 * np.pi * ga.integrate(ga.values * gb.values)
-
-
-def qcs_wigner_laplacian(rho: DensityOperator, **kwargs) -> QcsEstimate:
-    """C² = -(1/4) ΔW_d / W_d at the origin, with the difference-mode Wigner
-    derivatives evaluated analytically (no finite differences).
-
-    Both origin quantities depend only on the diagonal of ρ_d, the
-    difference-mode p_n, so they come from ``photon_distribution`` (the
-    combinatorial route for Fock-diagonal inputs)."""
-    if rho.n_modes == 1 and is_fock_diagonal(rho):
-        pn = photon_distribution_phase_invariant(np.real(np.diag(rho.matrix))).probs
-    else:
-        pn = photon_distribution(rho, rho, **kwargs).probs
-    signs = (-1.0) ** np.arange(len(pn))
-    w0 = math.fsum(signs * pn) / np.pi
-    lap = -4.0 / np.pi * math.fsum(signs * (1.0 + 2.0 * np.arange(len(pn))) * pn)
-    if abs(w0) < 1e-9:
-        raise DegenerateDenominatorError(f"W_d(0,0) = {w0:.3e} below resolution")
-    return QcsEstimate(c_squared=-0.25 * lap / w0, method="wigner_laplacian",
-                       numerator=-0.25 * np.pi * lap, denominator=np.pi * w0)
 
 
 def qcs_wigner_gradient(rho: DensityOperator) -> QcsEstimate:

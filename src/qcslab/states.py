@@ -263,6 +263,11 @@ def _integer(v, key: str, minimum: int = 0) -> int:
     return int(v)
 
 
+def parse_cutoff(v) -> int | None:
+    """A pinned Fock cutoff (state file, flag or config value): None or an integer >= 2."""
+    return None if v is None else _integer(v, "cutoff", minimum=2)
+
+
 def _complex(v, key: str) -> complex:
     """A number or an [re, im] pair."""
     try:
@@ -430,8 +435,7 @@ class StateSpec:
         if unknown:
             raise ValidationError(f"kind {self.kind!r}: unknown parameter {', '.join(unknown)}")
         object.__setattr__(self, "params", params)
-        if self.cutoff is not None:
-            object.__setattr__(self, "cutoff", _integer(self.cutoff, "cutoff", minimum=2))
+        object.__setattr__(self, "cutoff", parse_cutoff(self.cutoff))
 
     def to_json(self) -> str:
         return json.dumps(

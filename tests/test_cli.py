@@ -4,6 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from qcslab import interferometer
 from qcslab.cli import main
 from qcslab.states import build_state
 
@@ -139,7 +140,6 @@ def test_compare_fock1_payload(runner, fock1, tmp_path):
     assert result.exit_code == 0
     doc = json.loads(out.read_text())
     assert doc["max_deviation_exact"] < 1e-6
-    assert doc["max_deviation_wigner"] < 1e-3
     assert abs(doc["results"]["direct"]["c_squared"] - 3.0) < 1e-9
 
 
@@ -276,18 +276,43 @@ def test_direct_route_at_tight_cutoff(runner, tmp_path, params, cutoff, c2):
 
 @pytest.mark.parametrize("command", [["compare"], ["qcs", "--route", "all"]])
 def test_state_built_once_per_command(runner, tmp_path, monkeypatch, command):
-    calls = []
+    # the two-copy and Wigner-Laplacian routes share one p_n (the two-copy kernel's
+    # output diagonal, whoever calls it)
+    calls, pn_builds = [], []
+    output_diagonal = interferometer._output_diagonal
 
     def counting_build_state(spec, **kwargs):
         calls.append(spec)
         return build_state(spec, **kwargs)
 
+    def counting_output_diagonal(*args):
+        pn_builds.append(args)
+        return output_diagonal(*args)
+
     monkeypatch.setattr("qcslab.cli.build_state", counting_build_state)
+    monkeypatch.setattr(interferometer, "_output_diagonal", counting_output_diagonal)
     path = write_spec(tmp_path, "coh.json",
                       {"schema": 1, "kind": "coherent", "params": {"alpha": [0.3, -0.26]}})
     result = runner.invoke(main, command + ["--state", path, "--cutoff", "28"])
     assert result.exit_code == 0, result.output
     assert len(calls) == 1
+    assert len(pn_builds) == 1
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--cutoff", "0"], None),
+    (["--cutoff", "1"], None),
+    (["--cutoff", "-5"], None),
+    ([], {"cutoff": 0}),
+], ids=["flag-0", "flag-1", "flag-negative", "config-0"])
+def test_cutoff_below_two_exits_2(runner, tmp_path, fock1, flags, config):
+    # the state file's rule: a pinned cutoff is never ignored or read as "unset"
+    if config is not None:
+        config_path = write_spec(tmp_path, "cfg.json", config)
+        flags = ["--config", config_path]
+    result = runner.invoke(main, ["qcs", "--state", fock1, *flags])
+    assert result.exit_code == 2, result.output
+    assert "'cutoff' must be an integer >= 2" in result.output
 
 
 @pytest.mark.parametrize("scale", [1e12, 1e308])

@@ -23,7 +23,6 @@ from qcslab import (
     qcs_multimode,
     qcs_pure_shortcut,
     qcs_two_copy,
-    quasi_probability,
     squeezed_vacuum,
     tensor,
     thermal,
@@ -74,15 +73,6 @@ def test_purity_from_pn_matches_direct():
     rho = thermal(0.5, 50)
     pn = thermal_photon_distribution(0.5, 100)
     assert abs(purity_from_pn(pn) - purity_direct(rho)) < 1e-9
-
-
-def test_quasi_probability_pure_state_is_pn():
-    rho = fock(3, 12)
-    pn = fast_pn(rho)
-    qp = quasi_probability(pn)
-    assert np.min(qp.pi) > -1e-10
-    assert np.max(np.abs(qp.pi - pn.probs)) < 1e-10
-    assert abs((1 + 2 * qp.mean_n) - qcs_two_copy(pn).c_squared) < 1e-12
 
 
 def test_degenerate_denominator():

@@ -13,7 +13,6 @@ from qcslab import (
     partial_trace,
     purity_direct,
     quadratures,
-    swap_operator,
     tensor,
     thermal,
 )
@@ -100,21 +99,11 @@ def test_purity_direct():
     assert abs(purity_direct(thermal(0.5, 40)) - 1.0 / 3.0) < 1e-10
 
 
-def test_swap_constructions_agree_on_complete_shells():
-    dim = 6
-    perm = swap_operator(dim, "permutation")
-    complete = np.array([m + n <= dim - 1
-                         for m in range(dim) for n in range(dim)])
-    sub = np.ix_(complete, complete)
-    for construction in ("exponential", "mach_zehnder"):
-        other = swap_operator(dim, construction)
-        assert np.max(np.abs(other[sub] - perm[sub])) < 1e-10
-
-
 def test_swap_expectation_is_purity():
+    # the two-mode swap |m, n> -> |n, m> as a permutation of the product basis
+    swap = np.eye(64).reshape(8, 8, 8, 8).transpose(1, 0, 2, 3).reshape(64, 64)
     for rho in (fock(1, 8), thermal(0.4, 8, deficit_tol=1e-3), coherent(0.5, 8)):
         joint = tensor(rho, rho)
-        swap = swap_operator(8, "permutation")
         value = float(np.trace(joint.matrix @ swap).real)
         assert abs(value - purity_direct(rho)) < 1e-6
 

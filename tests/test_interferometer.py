@@ -7,7 +7,6 @@ from qcslab import (
     MemoryGuardError,
     PhotonDistribution,
     ValidationError,
-    beam_splitter_unitary,
     coherent,
     fock,
     hom_photon_distribution,
@@ -22,19 +21,6 @@ from qcslab import (
 )
 from qcslab.errors import RoundoffBudgetError
 from qcslab.interferometer import MEMORY_GUARD_DIM, _bs_block, is_fock_diagonal
-
-
-def test_beam_splitter_is_unitary():
-    u = beam_splitter_unitary(6)
-    assert np.max(np.abs(u @ u.conj().T - np.eye(36))) < 1e-12
-
-
-def test_beam_splitter_conserves_photon_number():
-    dim = 5
-    u = beam_splitter_unitary(dim)
-    total = np.add.outer(np.arange(dim), np.arange(dim)).reshape(-1)
-    mixing = np.abs(u)[total[:, None] != total[None, :]]
-    assert np.max(mixing, initial=0.0) < 1e-14
 
 
 def test_identical_coherent_inputs_cancel():

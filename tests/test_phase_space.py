@@ -7,6 +7,7 @@ from qcslab import (
     coherent,
     fock,
     overlap_wigner,
+    photon_distribution_phase_invariant,
     purity_direct,
     qcs_direct,
     qcs_wigner_gradient,
@@ -14,12 +15,13 @@ from qcslab import (
     rho_even_m,
     squeezed_vacuum,
     thermal,
+    thermal_photon_distribution,
     two_copy_output,
     wigner_eval,
     wigner_origin,
 )
 from qcslab.fock import displacement_operator, parity_operator
-from qcslab.phase_space import _wigner_values, default_axes, wigner_laplacian_origin
+from qcslab.phase_space import _wigner_values, default_axes
 
 
 def wigner_point_oracle(mat, x, p, pad_dim=80):
@@ -85,15 +87,26 @@ def test_parity_identity_for_two_copy_output():
     assert abs(np.pi * wigner_origin(rho_d) - purity_direct(rho)) < 1e-8
 
 
+def two_copy_pn(rho):
+    return photon_distribution_phase_invariant(np.real(np.diag(rho.matrix)))
+
+
 def test_laplacian_route_examples():
-    assert abs(qcs_wigner_laplacian(fock(0, 8)).c_squared - 1.0) < 1e-12
-    assert abs(qcs_wigner_laplacian(rho_even_m(5, 24)).c_squared - 13.0) < 1e-9
-    assert abs(qcs_wigner_laplacian(thermal(0.5, 62)).c_squared - 1.0 / 3.0) < 1e-9
+    assert abs(qcs_wigner_laplacian(two_copy_pn(fock(0, 8))).c_squared - 1.0) < 1e-12
+    assert abs(qcs_wigner_laplacian(two_copy_pn(rho_even_m(5, 24))).c_squared - 13.0) < 1e-9
+    assert abs(qcs_wigner_laplacian(two_copy_pn(thermal(0.5, 62))).c_squared
+               - 1.0 / 3.0) < 1e-9
 
 
 def test_laplacian_origin_analytic():
-    # vacuum: W = e^{-r^2}/pi so the origin Laplacian is -4/pi
-    assert abs(wigner_laplacian_origin(fock(0, 6)) - (-4.0 / np.pi)) < 1e-14
+    # identical thermal inputs leave a thermal difference mode, W_d = e^{-r²/s}/(πs)
+    # with s = (1+q)/(1-q) (vacuum at q = 0), so ΔW_d(0) = -4/(πs²) and W_d(0) = 1/(πs)
+    for q in (0.0, 0.85):
+        s = (1.0 + q) / (1.0 - q)
+        laplacian, origin = -4.0 / (np.pi * s ** 2), 1.0 / (np.pi * s)
+        est = qcs_wigner_laplacian(thermal_photon_distribution(q, 400))
+        assert abs(est.numerator - (-0.25 * np.pi * laplacian)) < 1e-14
+        assert abs(est.denominator - np.pi * origin) < 1e-14
 
 
 def test_gradient_route_examples():
@@ -120,13 +133,6 @@ def test_grid_io(tmp_path):
     grid.to_csv(csv_path)
     header = csv_path.read_text().splitlines()[0]
     assert header == "x,p,W"
-    bin_path = tmp_path / "w.bin"
-    grid.to_binary(bin_path)
-    raw = bin_path.read_bytes()
-    nx = int(np.frombuffer(raw[:8], dtype="<i8")[0])
-    assert nx == len(grid.x_axis)
-    values = np.frombuffer(raw[16 + 4 * 8:], dtype="<f8").reshape(nx, -1)
-    assert np.allclose(values, grid.values)
 
 
 def test_default_axes_cover_displaced_states():

@@ -1,4 +1,5 @@
-"""Property test: the Wigner-gradient route against the direct commutator route.
+"""Property tests on random states: the Wigner-gradient route against the direct
+commutator route, and the invariants of the two-copy p_n.
 
 Both routes give the exact C² of the truncated state: the direct route sums
 |[ρ, r]|² with [ρ, r] formed one Fock level above the cutoff, and the gradient
@@ -6,6 +7,10 @@ route integrates the Wigner functions of those commutators at the
 cutoff-derived spacing. They share only the padding and the quadrature
 matrices, so agreement to 1e-9 checks the Laguerre Wigner kernel on ρ and on
 two traceless, non-positive operators, together with the trapezoid quadrature.
+
+The two-copy p_n of a pure state has no odd-n mass (ρ⊗ρ lies in the symmetric
+subspace, on which the difference mode has even parity), and its alternating
+sum Σ(−1)ⁿp_n is the purity Tr ρ², in (0, 1] for every state.
 """
 
 import numpy as np
@@ -13,16 +18,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qcslab import DensityOperator, qcs_direct, qcs_wigner_gradient
+from qcslab import (
+    DensityOperator,
+    photon_distribution,
+    purity_direct,
+    qcs_direct,
+    qcs_wigner_gradient,
+)
 
 
 @st.composite
-def states(draw):
-    """Random rank 1-3 state on all ``dim`` <= 24 levels, optionally displaced
-    or squeezed by the truncated operators (exactly unitary there)."""
+def states(draw, ranks=st.integers(1, 3)):
+    """Random state of rank drawn from ``ranks`` on all ``dim`` <= 24 levels,
+    optionally displaced or squeezed by the truncated operators (exactly
+    unitary there)."""
     dim = draw(st.integers(2, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    rank = draw(st.integers(1, 3))
+    rank = draw(ranks)
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = g @ g.conj().T
     kind = draw(st.sampled_from(["mixed", "displaced", "squeezed"]))
@@ -44,3 +56,24 @@ def test_gradient_route_matches_direct_route(rho):
     gradient = qcs_wigner_gradient(rho)
     assert abs(gradient.c_squared - direct.c_squared) <= 1e-9 * direct.c_squared
     assert abs(gradient.denominator - direct.denominator) <= 1e-9 * direct.denominator
+
+
+def two_copy_pn(rho):
+    """p_n of ρ embedded at twice its levels, the headroom two copies need."""
+    padded = DensityOperator(np.pad(rho.matrix, (0, rho.dim)), (2 * rho.dim,))
+    return photon_distribution(padded, padded).probs
+
+
+@settings(max_examples=25, deadline=None)
+@given(states(ranks=st.just(1)))
+def test_pure_state_has_no_odd_pn_mass(rho):
+    assert two_copy_pn(rho)[1::2].sum() <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(states(ranks=st.integers(2, 3)))
+def test_mixed_state_alternating_sum_is_purity(rho):
+    probs = two_copy_pn(rho)
+    alternating = probs[::2].sum() - probs[1::2].sum()
+    assert 0.0 < alternating <= 1.0
+    assert abs(alternating - purity_direct(rho)) <= 1e-12
