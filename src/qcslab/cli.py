@@ -49,6 +49,7 @@ from .sampling import estimate_qcs, sample_counts
 from .states import (
     KINDS,
     StateSpec,
+    _integer,
     build_state,
     gaussian_covariance,
     parse_cutoff,
@@ -111,7 +112,8 @@ def _load_spec(path: str) -> StateSpec:
 def _merge_config(config_path, flag_values: dict) -> dict:
     """Apply config-file values; a key set both in the file and by an explicit
     flag is ambiguous and rejected. A cutoff from either source is held to the
-    state file's rule (an integer >= 2)."""
+    state file's rule (an integer >= 2), and shots, seed, resamples and n_max
+    to their integer minimums."""
     merged = dict(flag_values)
     if config_path:
         try:
@@ -130,6 +132,9 @@ def _merge_config(config_path, flag_values: dict) -> dict:
             merged[key] = value
     if "cutoff" in merged:
         merged["cutoff"] = parse_cutoff(merged["cutoff"])
+    for key, minimum in (("shots", 1), ("seed", 0), ("resamples", 2), ("n_max", 0)):
+        if key in merged:
+            merged[key] = _integer(merged[key], key, minimum)
     return merged
 
 
@@ -401,8 +406,6 @@ def sample_cmd(state_path, shots, seed, resamples, cutoff, out, config_path):
     opts = _merge_config(config_path, {"state": state_path, "shots": shots,
                                        "seed": seed, "resamples": resamples,
                                        "cutoff": cutoff, "out": out})
-    if opts["shots"] is None or opts["shots"] < 1:
-        _fail(EXIT_VALIDATION, f"shots must be >= 1, got {opts['shots']}")
     spec = _load_spec(opts["state"])
     dim = _resolve_cutoff(spec, opts["cutoff"], two_copy=True)
     pn = _two_copy_pn(spec, build_state(spec, cutoff=dim))

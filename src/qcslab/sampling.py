@@ -4,7 +4,9 @@ Counts are multinomial draws from p_n (numpy PCG64, seeded); the QCS is the
 plug-in estimator on empirical frequencies, with a seeded nonparametric
 bootstrap for the statistical error. Per-resample RNG streams are derived
 from the record seed via SeedSequence.spawn, so results are reproducible and
-the resamples could be evaluated in parallel.
+the resamples could be evaluated in parallel. Each resample's counts c_n are
+reduced to the exact integer sums Σ(−1)ⁿc_n and Σ(−1)ⁿn·c_n, so its C² is one
+rounding of 1 + 2·N/D and the zero and sign tests on D are exact.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from .errors import DegenerateDenominatorError, ValidationError
 from .estimators import DENOMINATOR_FLOOR, qcs_two_copy
 from .interferometer import PhotonDistribution
+from .states import _integer
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 SCHEMA_VERSION = 1
@@ -78,43 +81,35 @@ class SampledEstimate:
 
 def sample_counts(pn: PhotonDistribution, shots: int, seed: int) -> ShotRecord:
     """Multinomial draw from p_n (renormalized over its support)."""
-    if shots < 1:
-        raise ValidationError(f"shots must be >= 1, got {shots}")
+    shots = _integer(shots, "shots", minimum=1)
+    seed = _integer(seed, "seed")
     probs = pn.probs / pn.probs.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs)
     return ShotRecord(counts=counts, shots=shots, seed=seed)
 
 
-def _plugin(freqs: np.ndarray) -> tuple[float, float]:
-    """Vectorized plug-in C² and its denominator (bootstrap inner loop)."""
-    n = np.arange(len(freqs))
-    signs = (-1.0) ** n
-    den = float(signs @ freqs)
-    num = float((n * signs) @ freqs)
-    return 1.0 + 2.0 * num / den if den != 0 else np.nan, den
-
-
 def estimate_qcs(rec: ShotRecord, resamples: int = DEFAULT_RESAMPLES) -> SampledEstimate:
     """Plug-in QCS² on the empirical frequencies with a seeded bootstrap CI."""
     if rec.shots < 100:
         raise ValidationError(f"need at least 100 shots, got {rec.shots}")
-    if resamples < 2:
-        raise ValidationError(f"need at least 2 resamples, got {resamples}")
+    resamples = _integer(resamples, "resamples", minimum=2)
     freqs = rec.frequencies()
+    if int(rec.shots) * (len(freqs) - 1) > np.iinfo(np.int64).max:
+        raise ValidationError(f"{rec.shots} shots over {len(freqs)} levels overflow int64 sums")
     point = qcs_two_copy(PhotonDistribution(probs=freqs))
     if abs(point.denominator) < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(
             f"empirical alternating sum {point.denominator:.3e} below resolution")
-    children = np.random.SeedSequence(rec.seed).spawn(resamples)
-    boots = np.empty(resamples)
-    unstable = False
-    for i, child in enumerate(children):
-        counts = np.random.default_rng(child).multinomial(rec.shots, freqs)
-        c2, den = _plugin(counts / rec.shots)
-        boots[i] = c2
-        if den * point.denominator <= 0 or abs(den) < DENOMINATOR_FLOOR:
-            unstable = True
+    n = np.arange(len(freqs))
+    weights = np.column_stack([(-1) ** n, n * (-1) ** n])
+    sums = np.empty((resamples, 2), dtype=np.int64)
+    for i, child in enumerate(np.random.SeedSequence(rec.seed).spawn(resamples)):
+        sums[i] = np.random.default_rng(child).multinomial(rec.shots, freqs) @ weights
+    den, num = sums.T
+    boots = 1.0 + np.divide(2.0 * num, den, out=np.full(resamples, np.nan), where=den != 0)
+    unstable = bool(np.any((den * point.denominator <= 0)
+                           | (np.abs(den) / rec.shots < DENOMINATOR_FLOOR)))
     finite = boots[np.isfinite(boots)]
     if len(finite) < 2:
         raise DegenerateDenominatorError("bootstrap denominators collapsed to zero")

@@ -504,4 +504,5 @@ def build_state(spec: StateSpec, *, cutoff: int | None = None,
     if build is None:
         raise ValidationError(
             f"kind {spec.kind!r} has no Fock-space constructor; use the Gaussian route")
-    return build(spec.params, cutoff or spec.cutoff or recommended_cutoff(spec), deficit_tol)
+    pinned = parse_cutoff(cutoff if cutoff is not None else spec.cutoff)
+    return build(spec.params, recommended_cutoff(spec) if pinned is None else pinned, deficit_tol)

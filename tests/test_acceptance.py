@@ -238,6 +238,7 @@ def test_criterion_08_multimode_consistency():
 
 
 def test_criterion_09_sampling_coverage():
+    start = time.monotonic()
     cases = [("thermal(0.85)", thermal_photon_distribution(0.85, 300), 3.0 / 37.0),
              ("rho_even_5", fast_pn(rho_even_m(5, 24)), 13.0)]
     ok = True
@@ -252,9 +253,11 @@ def test_criterion_09_sampling_coverage():
                 hits += 1
         coverages.append((name, hits))
         ok &= hits >= 93
+    elapsed = time.monotonic() - start
+    ok &= elapsed < 30.0
     detail = ", ".join(f"{name} {hits}/100" for name, hits in coverages)
     report(9, ok, f"95% bootstrap CI coverage at 1e5 shots: {detail}; "
-                  "plug-in on exact p_n bit-identical to two-copy")
+                  f"plug-in on exact p_n bit-identical to two-copy ({elapsed:.1f} s)")
 
 
 def test_criterion_10_invariance_suite():

@@ -158,6 +158,31 @@ def test_sample_rejects_zero_shots(runner, thermal05):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("flags, config, key", [
+    (["--shots", "1000", "--seed", "-1"], None, "seed"),
+    ([], {"shots": "100"}, "shots"),
+    (["--shots", "1000"], {"resamples": "50"}, "resamples"),
+    (["--shots", "1000"], {"seed": "7"}, "seed"),
+    (["--shots", "1000"], {"resamples": 2.5}, "resamples"),
+    (["--shots", "1000"], {"seed": 1.5}, "seed"),
+    (["--shots", "1000"], {"resamples": True}, "resamples"),
+], ids=["flag-seed-negative", "config-shots-string", "config-resamples-string",
+        "config-seed-string", "config-resamples-float", "config-seed-float",
+        "config-resamples-bool"])
+def test_sample_bad_integers_exit_2(runner, tmp_path, thermal05, flags, config, key):
+    if config is not None:
+        flags = [*flags, "--config", write_spec(tmp_path, "cfg.json", config)]
+    result = runner.invoke(main, ["sample", "--state", thermal05, *flags])
+    assert result.exit_code == 2, result.output
+    assert f"'{key}' must be an integer" in result.output
+
+
+def test_figure2_negative_n_max_exits_2(runner, tmp_path):
+    result = runner.invoke(main, ["figure2", "--out", str(tmp_path), "--n-max", "-3"])
+    assert result.exit_code == 2, result.output
+    assert "'n_max' must be an integer >= 0" in result.output
+
+
 def test_figure2(runner, tmp_path):
     out = tmp_path / "fig2"
     result = runner.invoke(main, ["figure2", "--out", str(out)])

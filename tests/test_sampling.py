@@ -12,6 +12,7 @@ from qcslab import (
     sample_counts,
     thermal_photon_distribution,
 )
+from qcslab.estimators import DENOMINATOR_FLOOR
 from qcslab.sampling import estimate_from_exact
 
 
@@ -46,10 +47,17 @@ def test_estimate_requires_enough_statistics():
     with pytest.raises(ValidationError):
         estimate_qcs(sample_counts(pn, 1, seed=0) if False else
                      ShotRecord(counts=np.array([50]), shots=50, seed=0))
-    with pytest.raises(ValidationError):
-        estimate_qcs(sample_counts(pn, 1_000, seed=0), resamples=1)
+    for resamples in (1, 2.5, True):
+        with pytest.raises(ValidationError, match="'resamples' must be an integer >= 2"):
+            estimate_qcs(sample_counts(pn, 1_000, seed=0), resamples=resamples)
     with pytest.raises(ValidationError):
         sample_counts(pn, 0, seed=0)
+    for seed in (-1, 1.5, "7", True):
+        with pytest.raises(ValidationError, match="'seed' must be an integer >= 0"):
+            sample_counts(pn, 1_000, seed=seed)
+    # Σn·c_n must fit the int64 sums of the bootstrap
+    with pytest.raises(ValidationError, match="overflow"):
+        estimate_qcs(ShotRecord(counts=np.array([2 ** 62, 0, 0]), shots=2 ** 62, seed=0))
 
 
 def test_plugin_on_exact_pn_equals_two_copy_bitwise():
@@ -102,3 +110,41 @@ def test_unstable_denominator_is_flagged():
     except DegenerateDenominatorError:
         return  # the point estimate itself collapsed: also acceptable
     assert est.denominator_unstable
+
+
+def _float_bootstrap(rec: ShotRecord, resamples: int):
+    """Reference bootstrap: the float plug-in on each resample of the documented
+    streams, one default_rng per SeedSequence(rec.seed).spawn child."""
+    freqs = rec.frequencies()
+    n = np.arange(len(freqs))
+    signs = (-1.0) ** n
+    point_den = signs @ freqs
+    boots, unstable, zero_dens = [], False, 0
+    for child in np.random.SeedSequence(rec.seed).spawn(resamples):
+        f = np.random.default_rng(child).multinomial(rec.shots, freqs) / rec.shots
+        den = float(signs @ f)
+        zero_dens += den == 0
+        boots.append(1.0 + 2.0 * float((n * signs) @ f) / den if den != 0 else np.nan)
+        unstable |= den * point_den <= 0 or abs(den) < DENOMINATOR_FLOOR
+    finite = np.array(boots)[np.isfinite(boots)]
+    ci_low, ci_high = np.percentile(finite, [2.5, 97.5])
+    return finite.std(ddof=1), ci_low, ci_high, unstable, zero_dens
+
+
+@pytest.mark.parametrize("rec, resamples, hits_zero", [
+    (sample_counts(thermal_photon_distribution(0.6, 200), 100_000, seed=916), 1000, False),
+    (sample_counts(thermal_photon_distribution(0.85, 300), 100_000, seed=42), 1000, False),
+    (sample_counts(PhotonDistribution(probs=np.array([0.5005, 0.4995])), 200, seed=11), 300,
+     False),
+    # two levels, 1000 shots: every resample drawing 500/500 has Σ(−1)ⁿc_n = 0
+    (ShotRecord(counts=np.array([520, 480]), shots=1000, seed=5), 1000, True),
+], ids=["thermal-0.6", "thermal-0.85", "parity-balanced", "zero-denominator"])
+def test_bootstrap_matches_float_plugin_on_same_streams(rec, resamples, hits_zero):
+    est = estimate_qcs(rec, resamples=resamples)
+    std_error, ci_low, ci_high, unstable, zero_dens = _float_bootstrap(rec, resamples)
+    # each resample is 1 + 2N/D, so rounding is relative to max(1, |value|)
+    np.testing.assert_allclose([est.std_error, est.ci_low, est.ci_high],
+                               [std_error, ci_low, ci_high], rtol=1e-12, atol=1e-12)
+    assert est.denominator_unstable == unstable
+    if hits_zero:
+        assert zero_dens > 0 and est.denominator_unstable

@@ -200,6 +200,13 @@ def test_build_state_dispatch():
         build_state(StateSpec("fock", {}), cutoff=8)
 
 
+@pytest.mark.parametrize("cutoff", [0, 1, -3, 2.5])
+def test_build_state_rejects_bad_cutoff(cutoff):
+    # a pinned cutoff is never read as "unset" and replaced by the recommended one
+    with pytest.raises(ValidationError, match="'cutoff' must be an integer >= 2"):
+        build_state(StateSpec("fock", {"n": 1}), cutoff=cutoff)
+
+
 def test_mean_photon_number_and_recommended_cutoff():
     assert mean_photon_number(StateSpec("fock", {"n": 4})) == 4.0
     assert mean_photon_number(StateSpec("thermal", {"q": 0.5})) == 1.0
