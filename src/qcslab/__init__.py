@@ -5,7 +5,6 @@ from .errors import (
     CutoffError,
     DegenerateDenominatorError,
     GridError,
-    HeadroomError,
     MemoryGuardError,
     QcslabError,
     RoundoffBudgetError,
@@ -39,7 +38,6 @@ from .interferometer import (
     PhotonDistribution,
     hom_photon_distribution,
     multimode_photon_distribution,
-    multimode_two_copy_output,
     photon_distribution,
     photon_distribution_phase_invariant,
     thermal_photon_distribution,

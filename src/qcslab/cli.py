@@ -39,9 +39,7 @@ from .estimators import (
 from .fock import DensityOperator, purity_direct
 from .interferometer import (
     PhotonDistribution,
-    is_fock_diagonal,
     photon_distribution,
-    photon_distribution_phase_invariant,
     thermal_photon_distribution,
 )
 from .phase_space import overlap_wigner, qcs_wigner_gradient
@@ -138,7 +136,7 @@ def _merge_config(config_path, flag_values: dict) -> dict:
     return merged
 
 
-def _resolve_cutoff(spec: StateSpec, flag_cutoff: int | None, *, two_copy: bool) -> int:
+def _resolve_cutoff(spec: StateSpec, flag_cutoff: int | None) -> int:
     if flag_cutoff is not None and spec.cutoff is not None and flag_cutoff != spec.cutoff:
         _fail(EXIT_VALIDATION,
               f"cutoff given both in state file ({spec.cutoff}) and as a flag "
@@ -148,17 +146,14 @@ def _resolve_cutoff(spec: StateSpec, flag_cutoff: int | None, *, two_copy: bool)
         return pinned
     if KINDS[spec.kind].build is None:
         return 0  # covariance-only description: no Fock-space construction, no cutoff
-    return recommended_cutoff(spec, two_copy=two_copy)
+    return recommended_cutoff(spec)
 
 
 def _two_copy_pn(spec: StateSpec, rho: DensityOperator) -> PhotonDistribution:
-    """Difference-mode p_n: closed form for thermal, combinatorial fast path for
-    other Fock-diagonal states, dense pipeline otherwise."""
+    """Difference-mode p_n: closed form for thermal, the block kernel otherwise."""
     if spec.kind == "thermal":
         q, _ = thermal_parameters(spec.params.get("q"), spec.params.get("mean_n"))
         return thermal_photon_distribution(q, 2 * rho.dim)
-    if is_fock_diagonal(rho):
-        return photon_distribution_phase_invariant(np.real(np.diag(rho.matrix)))
     return photon_distribution(rho, rho)
 
 
@@ -246,7 +241,7 @@ def qcs_cmd(state_path, route, cutoff, out, config_path):
     opts = _merge_config(config_path, {"state": state_path, "route": route,
                                        "cutoff": cutoff, "out": out})
     spec = _load_spec(opts["state"])
-    dim = _resolve_cutoff(spec, opts["cutoff"], two_copy=True)
+    dim = _resolve_cutoff(spec, opts["cutoff"])
     routes = ROUTES if opts["route"] == "all" else (opts["route"],)
     results, _ = _run_routes(spec, dim, routes)
     payload = {"metadata": _metadata(opts, dim, spec), "cutoff": dim, "results": results}
@@ -263,7 +258,7 @@ def purity_cmd(state_path, cutoff, out, config_path):
     """Purity via the direct trace and the two-copy alternating sum."""
     opts = _merge_config(config_path, {"state": state_path, "cutoff": cutoff, "out": out})
     spec = _load_spec(opts["state"])
-    dim = _resolve_cutoff(spec, opts["cutoff"], two_copy=True)
+    dim = _resolve_cutoff(spec, opts["cutoff"])
     rho = build_state(spec, cutoff=dim)
     payload = {"metadata": _metadata(opts, dim, spec), "cutoff": dim,
                "purity_direct": purity_direct(rho),
@@ -284,7 +279,7 @@ def pn_dist_cmd(state_path, cutoff, out, fmt, config_path):
     opts = _merge_config(config_path, {"state": state_path, "cutoff": cutoff,
                                        "out": out, "format": fmt})
     spec = _load_spec(opts["state"])
-    dim = _resolve_cutoff(spec, opts["cutoff"], two_copy=True)
+    dim = _resolve_cutoff(spec, opts["cutoff"])
     pn = _two_copy_pn(spec, build_state(spec, cutoff=dim))
     if opts["format"] == "json":
         _write_json({"metadata": _metadata(opts, dim, spec), "cutoff": dim,
@@ -311,8 +306,7 @@ def overlap_cmd(state_paths, cutoff, out, config_path):
         _fail(EXIT_VALIDATION, "overlap needs exactly two --state files")
     spec_a, spec_b = (_load_spec(p) for p in opts["state"])
     dim = opts["cutoff"] if opts["cutoff"] is not None else max(
-        _resolve_cutoff(spec_a, None, two_copy=True),
-        _resolve_cutoff(spec_b, None, two_copy=True))
+        _resolve_cutoff(spec_a, None), _resolve_cutoff(spec_b, None))
     rho_a = build_state(spec_a, cutoff=dim)
     rho_b = build_state(spec_b, cutoff=dim)
     trace_route = float(np.trace(rho_a.matrix @ rho_b.matrix).real)
@@ -335,7 +329,7 @@ def compare_cmd(state_path, cutoff, out, config_path):
     pair agrees within 1e-6."""
     opts = _merge_config(config_path, {"state": state_path, "cutoff": cutoff, "out": out})
     spec = _load_spec(opts["state"])
-    dim = _resolve_cutoff(spec, opts["cutoff"], two_copy=True)
+    dim = _resolve_cutoff(spec, opts["cutoff"])
     results, values = _run_routes(spec, dim, ROUTES)
     vals = list(values.values())
     max_dev = max((abs(a - b) for a in vals for b in vals), default=0.0)
@@ -375,7 +369,7 @@ def figure2_cmd(out_dir, cutoff, n_max, config_path):
 
     summary = {"metadata": _metadata(opts, dim), "states": {}}
     for name, rho in (("rho_10", rho_2m(5, dim)), ("rho_even_5", rho_even_m(5, dim))):
-        pn = photon_distribution_phase_invariant(np.real(np.diag(rho.matrix)))
+        pn = photon_distribution(rho, rho)
         truncated(pn).to_csv(out_path / f"pn_{name}.csv")
         summary["states"][name] = {
             "purity": purity_from_pn(pn),
@@ -407,7 +401,7 @@ def sample_cmd(state_path, shots, seed, resamples, cutoff, out, config_path):
                                        "seed": seed, "resamples": resamples,
                                        "cutoff": cutoff, "out": out})
     spec = _load_spec(opts["state"])
-    dim = _resolve_cutoff(spec, opts["cutoff"], two_copy=True)
+    dim = _resolve_cutoff(spec, opts["cutoff"])
     pn = _two_copy_pn(spec, build_state(spec, cutoff=dim))
     rec = sample_counts(pn, opts["shots"], opts["seed"])
     est = estimate_qcs(rec, resamples=opts["resamples"])

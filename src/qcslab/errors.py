@@ -13,12 +13,8 @@ class CutoffError(QcslabError):
     """The requested state does not fit the Fock cutoff (trace deficit too large)."""
 
 
-class HeadroomError(CutoffError):
-    """Two-copy interference would spill past the cutoff (supports s_a + s_b > dim - 1)."""
-
-
 class MemoryGuardError(CutoffError):
-    """The largest two-copy beam-splitter block exceeds the configured memory guard."""
+    """A two-copy input or its largest full beam-splitter block exceeds the memory guard."""
 
 
 class DegenerateDenominatorError(QcslabError):

@@ -143,12 +143,13 @@ def qcs_classical_mixture(mix: ClassicalMixture) -> QcsEstimate:
                        numerator=den - extra, denominator=den)
 
 
-def qcs_multimode(rho: DensityOperator, **kwargs) -> QcsEstimate:
+def qcs_multimode(rho: DensityOperator) -> QcsEstimate:
     """Stacked-beam-splitter QCS for an N-mode state:
     C² = (1/N) Σ_k Tr(ρ_d (1+2n̂_{d_k}) (-1)^{Σ_j n̂_{d_j}}) / Tr(ρ_d (-1)^{Σ_j n̂_{d_j}})."""
     n_modes = rho.n_modes
-    diag = multimode_photon_distribution(rho, **kwargs).reshape(-1)
-    grids = np.meshgrid(*[np.arange(d) for d in rho.dims], indexing="ij")
+    joint = multimode_photon_distribution(rho)
+    diag = joint.reshape(-1)
+    grids = np.meshgrid(*[np.arange(d) for d in joint.shape], indexing="ij")
     total_n = sum(grids).reshape(-1)
     parity = (-1.0) ** total_n
     den = math.fsum(parity * diag)

@@ -2,19 +2,20 @@
 difference mode, and the output photon-number distribution p_n.
 
 The beam splitter conserves the total photon number T = k + l of the two modes
-it mixes, so it is block-diagonal: on the span of |k, T−k⟩ it acts by a
-(T+1)-square block U_T, smaller where the cutoff truncates the block. Each
-block is the exponential of the real tridiagonal J_y generator, taken from the
-eigendecomposition of a real symmetric tridiagonal matrix S, which numpy's
-``eigh`` (LAPACK ``syevd``) diagonalizes as a dense matrix. Every two-copy path runs
-on these blocks. With X_T[k, k′] = ρ_a[k, k′] ρ_b[T−k, T−k′], the output
-diagonal is diag(U_T X_T U_Tᵀ) summed over the traced mode, so p_n costs
-O(dim⁴) and the full difference-mode state O(dim⁵); no dim²×dim² matrix is
-built. For several modes the sectors are tuples of per-mode totals and the
-block is the Kronecker product of the per-mode blocks.
-
-Fock-diagonal inputs use the untruncated blocks, p = Σ_T |U_T|² (λ_k λ_{T−k}),
-which needs no cutoff headroom; identical thermal inputs have a closed form.
+it mixes, so it is block-diagonal: on the span of |k, T−k⟩ it acts by the
+(T+1)-square real orthogonal block U_T, a Wigner d-matrix at β = π/2, built
+from U_{T−1} in O(T²) by a two-sided recurrence (T. Risbo, J. Geodesy 70, 383
+(1996)). Every two-copy path runs one kernel on these blocks: each full block
+acts on the input columns k it needs and keeps all T+1 output rows, so the
+result is exact for the truncated pair ρ_a⊗ρ_b at any cutoff. T stops at
+top_a + top_b per mode (top: the highest level whose row of ρ is nonzero),
+so the difference mode has top_a + top_b + 1 levels (at least 2). With
+X_T[k, k′] = ρ_a[k, k′] ρ_b[T−k, T−k′], the output diagonal is
+diag(U_T X_T U_Tᵀ) summed over the traced mode, so p_n costs O(top⁴) and
+streams the blocks, the full difference-mode state costs O(top⁵), and no
+dim²×dim² matrix is built. For several modes the sectors are tuples of
+per-mode totals and the block is the Kronecker product of the per-mode
+blocks. Identical thermal inputs also have a closed form.
 """
 
 from __future__ import annotations
@@ -22,21 +23,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    HeadroomError,
-    MemoryGuardError,
-    RoundoffBudgetError,
-    ValidationError,
-)
+from .errors import MemoryGuardError, RoundoffBudgetError, ValidationError
 from .fock import DensityOperator
 
 ROUNDOFF_BUDGET = 1e-8
-DEFAULT_HEADROOM_TOL = 1e-8
-MEMORY_GUARD_DIM = 4096  # largest beam-splitter block side (product over modes) allocated
+MEMORY_GUARD_DIM = 4096  # largest input side and full block side (product over modes)
 
 
 @dataclass(frozen=True)
@@ -86,147 +81,164 @@ class PhotonDistribution:
 
 # --- the block kernel ---
 
-@lru_cache(maxsize=256)
-def _bs_block(total: int, lo: int = 0) -> np.ndarray:
-    """Block of exp((π/4)(a†b − ab†)) on |k, total−k⟩ for k = lo … total−lo
-    (lo > 0 where a cutoff truncates the block). The block is real orthogonal.
-
-    Its generator G has G[i+1, i] = −G[i, i+1] = √((k+1)(total−k)). With
-    D = diag(iʲ), G = −i D S D† for the real symmetric tridiagonal S with the
-    same off-diagonal, so exp((π/4)G) = D V exp(−iπΛ/4) Vᵀ D† from S = V Λ Vᵀ.
-    """
-    k = np.arange(lo, total - lo)
-    off = np.sqrt((k + 1.0) * (total - k))
-    w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    v = v * (1j ** np.arange(len(w)))[:, None]
-    u = ((v * np.exp(-0.25j * np.pi * w)) @ v.conj().T).real.copy()
-    u.setflags(write=False)
-    return u
-
-
-def _sectors(dims: tuple[int, ...]):
-    """Per-mode-total sectors T⃗ of two copies at per-mode cutoffs ``dims``:
-    yields the flat indices of the copy-a states k⃗ and of the copy-b states
-    T⃗−k⃗ (also the difference-mode index of the output states), and the
-    (total, lo) key of each mode's block."""
-    for totals in itertools.product(*(range(2 * d - 1) for d in dims)):
-        keys = [(t, max(0, t - d + 1)) for t, d in zip(totals, dims)]
-        ks = np.meshgrid(*(np.arange(lo, t - lo + 1) for t, lo in keys), indexing="ij")
-        rows_a = np.ravel_multi_index(ks, dims).ravel()
-        rows_b = np.ravel_multi_index([t - k for t, k in zip(totals, ks)], dims).ravel()
-        yield rows_a, rows_b, keys
+def _blocks(top: int):
+    """U_0, U_1, …, U_top: the blocks of exp((π/4)(a†b − ab†)) on |k, T−k⟩,
+    each from the previous one U = U_{T−1} by
+    U_T[k′, k] = [√k (√k′ U[k′−1, k−1] − √(T−k′) U[k′, k−1])
+                 + √(T−k) (√k′ U[k′−1, k] + √(T−k′) U[k′, k])] / (T√2),
+    with the entries outside U zero. Both indices step at once; one-sided
+    column recurrences are unstable."""
+    root = np.sqrt(np.arange(top + 1.0))
+    u = np.ones((1, 1))
+    yield u
+    for t in range(1, top + 1):
+        s, r = root[1:t + 1, None], root[t:0:-1, None]  # √k for k ≥ 1, √(T−k) for k < T
+        up = np.zeros((t + 1, t))
+        down = np.zeros((t + 1, t))
+        up[1:] = s * u  # √k′ U[k′−1, ·]
+        down[:-1] = r * u  # √(T−k′) U[k′, ·]
+        scale = 1.0 / (t * math.sqrt(2.0))
+        u = np.zeros((t + 1, t + 1))
+        u[:, 1:] = (up - down) * (scale * s.T)
+        u[:, :-1] += (up + down) * (scale * r.T)
+        yield u
 
 
-def _sector_unitary(keys) -> np.ndarray:
-    return reduce(np.kron, (_bs_block(*key) for key in keys))
+def _tops(rho: DensityOperator) -> tuple[int, ...]:
+    """Per mode, the highest level whose row of ρ has a nonzero entry."""
+    rows = np.flatnonzero(np.any(rho.matrix != 0, axis=1))
+    return tuple(int(levels.max(initial=0)) for levels in np.unravel_index(rows, rho.dims))
 
 
-def _check_two_copy(rho_a: DensityOperator, rho_b: DensityOperator, tol: float) -> None:
-    """Refuse inputs whose largest beam-splitter block exceeds the memory guard,
-    or whose photon-number supports at tol/2 exceed s_a + s_b <= dim - 1 on some
-    mode (then interference would spill past the cutoff)."""
+def _check_two_copy(rho_a: DensityOperator, rho_b: DensityOperator):
+    """The per-mode top levels of both inputs and the difference mode's levels
+    top_a + top_b + 1, at least 2 (the smallest Fock cutoff, so that ρ_d of a
+    vacuum mode is a valid input to every other routine). Refuses inputs at
+    different cutoffs, and pairs whose input side or largest full block side
+    (product over modes) exceeds the memory guard."""
     if rho_a.dims != rho_b.dims:
         raise ValidationError("inputs must share the same cutoff")
     if rho_a.dim > MEMORY_GUARD_DIM:
         raise MemoryGuardError(
-            f"beam-splitter block side {rho_a.dim} exceeds memory guard {MEMORY_GUARD_DIM}")
-    for mode, dim in enumerate(rho_a.dims):
-        sa = rho_a.effective_support(tol / 2, mode)
-        sb = rho_b.effective_support(tol / 2, mode)
-        if sa + sb > dim - 1:
-            raise HeadroomError(
-                f"joint support {sa}+{sb} of mode {mode} exceeds cutoff headroom {dim - 1}")
+            f"input side {rho_a.dim} exceeds memory guard {MEMORY_GUARD_DIM}")
+    tops_a, tops_b = _tops(rho_a), _tops(rho_b)
+    levels = tuple(max(2, ta + tb + 1) for ta, tb in zip(tops_a, tops_b))
+    side = math.prod(levels)
+    if side > MEMORY_GUARD_DIM:
+        raise MemoryGuardError(
+            f"beam-splitter block side {side} exceeds memory guard {MEMORY_GUARD_DIM}")
+    return tops_a, tops_b, levels
 
 
-def _output_diagonal(rho_a: DensityOperator, rho_b: DensityOperator,
-                     headroom_tol: float) -> np.ndarray:
-    """Diagonal of the difference-mode state Tr_a U(ρ_a⊗ρ_b)U†, flat, from the
-    (T⃗, T⃗) blocks only. Blocks whose X_T is exactly zero are skipped; only the
-    real part of the Hermitian X_T reaches the diagonal."""
-    _check_two_copy(rho_a, rho_b, headroom_tol)
+def _flat(parts, shape) -> np.ndarray:
+    """Flat C-order indices of the grid spanned by per-mode index arrays."""
+    flat = parts[0]
+    for part, size in zip(parts[1:], shape[1:]):
+        flat = (flat[:, None] * size + part).ravel()
+    return flat
+
+
+def _sectors(dims, tops_a, tops_b, levels):
+    """Per-mode-total sectors T⃗ of two copies, first mode slowest. Yields the
+    flat input indices of the copy-a states k⃗ and of the copy-b states T⃗−k⃗
+    that the sector needs (k ≤ top_a and T−k ≤ top_b per mode), the flat
+    output indices, at ``levels`` per mode, of copy a's m⃗ and of the
+    difference mode's T⃗−m⃗ for every output row, and per mode the block's
+    columns k. The first mode's blocks stream; the other modes' are held."""
+    held = [list(_blocks(n - 1)) for n in levels[1:]]
+    for first, u_first in enumerate(_blocks(levels[0] - 1)):
+        for rest in itertools.product(*(range(n) for n in levels[1:])):
+            totals = (first, *rest)
+            spans = [(max(0, t - tb), min(t, ta) + 1)
+                     for t, ta, tb in zip(totals, tops_a, tops_b)]
+            ks = [np.arange(*span) for span in spans]
+            ms = [np.arange(t + 1) for t in totals]
+            blocks = [u_first, *(h[t] for h, t in zip(held, rest))]
+            yield (_flat(ks, dims), _flat([t - k for t, k in zip(totals, ks)], dims),
+                   _flat(ms, levels), _flat([t - m for t, m in zip(totals, ms)], levels),
+                   [u[:, lo:hi] for u, (lo, hi) in zip(blocks, spans)])
+
+
+def _output_diagonal(rho_a: DensityOperator, rho_b: DensityOperator) -> np.ndarray:
+    """Diagonal of the difference-mode state Tr_a U(ρ_a⊗ρ_b)U†, shaped
+    top_a + top_b + 1 levels per mode, from the (T⃗, T⃗) blocks only. Blocks
+    whose X_T is exactly zero are skipped; only the real part of the Hermitian
+    X_T reaches the diagonal."""
+    tops_a, tops_b, levels = _check_two_copy(rho_a, rho_b)
     a, b = rho_a.matrix, rho_b.matrix
-    diag = np.zeros(rho_a.dim)
-    for rows_a, rows_b, keys in _sectors(rho_a.dims):
-        x = (a[np.ix_(rows_a, rows_a)] * b[np.ix_(rows_b, rows_b)]).real
+    diag = np.zeros(levels)
+    flat = diag.reshape(-1)
+    for rows_a, rows_b, _, out_b, columns in _sectors(rho_a.dims, tops_a, tops_b, levels):
+        x = (a[rows_a[:, None], rows_a] * b[rows_b[:, None], rows_b]).real
         if x.any():
-            u = _sector_unitary(keys)
-            diag[rows_b] += np.einsum("ij,ij->i", u @ x, u)
+            u = reduce(np.kron, columns)
+            flat[out_b] += np.einsum("ij,ij->i", u @ x, u)
     return diag
-
-
-def _output_state(rho: DensityOperator, headroom_tol: float) -> DensityOperator:
-    """Difference-mode state Tr_a U(ρ⊗ρ)U† from (T⃗, T⃗′) block pairs: only output
-    rows sharing a copy-a index m⃗ survive the trace. For a positive ρ, X_{T,T′}
-    vanishes unless both X_{T,T} and X_{T′,T′} carry mass."""
-    _check_two_copy(rho, rho, headroom_tol)
-    mat = rho.matrix
-    live = [(ra, rb, _sector_unitary(keys)) for ra, rb, keys in _sectors(rho.dims)
-            if (mat[np.ix_(ra, ra)] * mat[np.ix_(rb, rb)]).any()]
-    out = np.zeros_like(mat)
-    for s, (ra, rb, u) in enumerate(live):
-        for ra2, rb2, u2 in live[s:]:
-            _, i, i2 = np.intersect1d(ra, ra2, assume_unique=True, return_indices=True)
-            if not i.size:
-                continue
-            x = mat[np.ix_(ra, ra2)] * mat[np.ix_(rb, rb2)]
-            vals = np.einsum("ij,ij->i", u[i] @ x, u2[i2])
-            out[rb[i], rb2[i2]] += vals
-            if ra2 is not ra:  # the (T⃗′, T⃗) pair is the Hermitian conjugate
-                out[rb2[i2], rb[i]] += vals.conj()
-    return DensityOperator(0.5 * (out + out.conj().T), rho.dims,
-                           trace_deficit=rho.trace_deficit)
 
 
 # --- public two-copy paths ---
 
-def two_copy_output(rho: DensityOperator, *,
-                    headroom_tol: float = DEFAULT_HEADROOM_TOL) -> DensityOperator:
-    """Difference-mode reduced state ρ_d = Tr_c(U_BS (ρ⊗ρ) U_BS†)."""
-    if rho.n_modes != 1:
-        raise ValidationError("two_copy_output expects a single-mode state")
-    return _output_state(rho, headroom_tol)
+def two_copy_output(rho: DensityOperator) -> DensityOperator:
+    """Difference-mode reduced state ρ_d = Tr_a U(ρ⊗ρ)U† of an N-mode state
+    through the pairwise 50:50 beam-splitter stack, on 2·top + 1 levels per
+    mode, from (T⃗, T⃗′) block pairs: only output rows sharing a copy-a index m⃗
+    survive the trace. For a positive ρ, X_{T,T′} vanishes unless both X_{T,T}
+    and X_{T′,T′} carry mass."""
+    tops, _, levels = _check_two_copy(rho, rho)
+    mat = rho.matrix
+    live = [(ra, rb, oa, ob, reduce(np.kron, columns))
+            for ra, rb, oa, ob, columns in _sectors(rho.dims, tops, tops, levels)
+            if (mat[ra[:, None], ra] * mat[rb[:, None], rb]).any()]
+    out = np.zeros((math.prod(levels),) * 2, dtype=complex)
+    for s, (ra, rb, oa, ob, u) in enumerate(live):
+        for ra2, rb2, oa2, ob2, u2 in live[s:]:
+            _, i, i2 = np.intersect1d(oa, oa2, assume_unique=True, return_indices=True)
+            if not i.size:
+                continue
+            x = mat[ra[:, None], ra2] * mat[rb[:, None], rb2]
+            vals = np.einsum("ij,ij->i", u[i] @ x, u2[i2])
+            out[ob[i], ob2[i2]] += vals
+            if ra2 is not ra:  # the (T⃗′, T⃗) pair is the Hermitian conjugate
+                out[ob2[i2], ob[i]] += vals.conj()
+    return DensityOperator(0.5 * (out + out.conj().T), levels,
+                           trace_deficit=1.0 - (1.0 - rho.trace_deficit) ** 2)
 
 
-def photon_distribution(rho_a: DensityOperator, rho_b: DensityOperator, *,
-                        headroom_tol: float = DEFAULT_HEADROOM_TOL) -> PhotonDistribution:
-    """p_n of the difference mode for two (possibly distinct) single-mode inputs."""
+def photon_distribution(rho_a: DensityOperator,
+                        rho_b: DensityOperator) -> PhotonDistribution:
+    """p_n of the difference mode for two (possibly distinct) single-mode
+    inputs, n = 0 … top_a + top_b."""
     if rho_a.n_modes != 1 or rho_b.n_modes != 1:
         raise ValidationError("photon_distribution expects single-mode states")
-    return PhotonDistribution.from_values(_output_diagonal(rho_a, rho_b, headroom_tol))
+    return PhotonDistribution.from_values(_output_diagonal(rho_a, rho_b))
 
 
-# --- combinatorial fast path (phase-invariant states) ---
-
-def hom_photon_distribution(big_n: int, big_np: int) -> np.ndarray:
-    """p_n for Fock inputs |N⟩⊗|N′⟩: the squared column N of the block U_{N+N′}."""
-    if big_n < 0 or big_np < 0:
-        raise ValidationError("photon numbers must be non-negative")
-    return _bs_block(big_n + big_np)[::-1, big_n] ** 2
+def multimode_photon_distribution(rho: DensityOperator) -> np.ndarray:
+    """Joint photon-number distribution of the N difference modes (the diagonal
+    of ``two_copy_output(rho)``), shaped 2·top + 1 levels per mode."""
+    return _output_diagonal(rho, rho)
 
 
 def photon_distribution_phase_invariant(diag) -> PhotonDistribution:
-    """p_n for a Fock-diagonal input ρ = Σ λ_m |m⟩⟨m| (two identical copies),
-    p = Σ_T |U_T|² (λ_k λ_{T−k}) over untruncated blocks, so the input support
-    needs no cutoff headroom."""
+    """p_n for two copies of a Fock-diagonal input ρ = Σ λ_m |m⟩⟨m|: the kernel
+    on diag(λ), after checking that λ is a sub-normalized distribution."""
     lam = np.asarray(diag, dtype=float)
-    if lam.min(initial=0.0) < -1e-12:
-        raise ValidationError("diagonal weights must be non-negative")
+    if lam.ndim != 1 or not lam.size or lam.min() < -1e-12:
+        raise ValidationError("diagonal weights must be a non-empty list of numbers >= 0")
     if lam.sum() > 1.0 + 1e-9:
         raise ValidationError("diagonal weights must sum to at most 1")
-    top = int(np.nonzero(lam > 0)[0].max(initial=0))
-    p = np.zeros(2 * top + 1)
-    for total in range(2 * top + 1):
-        ks = np.arange(max(0, total - top), min(total, top) + 1)
-        weights = lam[ks] * lam[total - ks]
-        if weights.any():
-            # output row k leaves n = total - k photons in the difference mode
-            p[total::-1] += _bs_block(total)[:, ks] ** 2 @ weights
-    return PhotonDistribution.from_values(p)
+    rho = DensityOperator(np.diag(lam).astype(complex), (len(lam),))
+    return photon_distribution(rho, rho)
 
 
-def is_fock_diagonal(rho: DensityOperator, tol: float = 1e-12) -> bool:
-    off = rho.matrix - np.diag(np.diag(rho.matrix))
-    return bool(np.max(np.abs(off), initial=0.0) <= tol)
+def hom_photon_distribution(big_n: int, big_np: int) -> np.ndarray:
+    """p_n for Fock inputs |N⟩⊗|N′⟩: the squared column N of the block U_{N+N′}
+    (output row k leaves n = N + N′ − k photons in the difference mode)."""
+    if big_n < 0 or big_np < 0:
+        raise ValidationError("photon numbers must be non-negative")
+    for u in _blocks(big_n + big_np):
+        pass
+    return u[::-1, big_n] ** 2
 
 
 def thermal_photon_distribution(q: float, n_max: int) -> PhotonDistribution:
@@ -236,19 +248,3 @@ def thermal_photon_distribution(q: float, n_max: int) -> PhotonDistribution:
         raise ValidationError(f"thermal parameter must satisfy 0 <= q < 1, got {q}")
     n = np.arange(n_max + 1)
     return PhotonDistribution(probs=(1.0 - q) * q ** n, deficit=q ** (n_max + 1))
-
-
-# --- multimode stack ---
-
-def multimode_two_copy_output(rho: DensityOperator, *,
-                              headroom_tol: float = DEFAULT_HEADROOM_TOL) -> DensityOperator:
-    """Pairwise 50:50 beam-splitter stack on two copies of an N-mode state,
-    traced down to the N difference modes."""
-    return _output_state(rho, headroom_tol)
-
-
-def multimode_photon_distribution(rho: DensityOperator, *,
-                                  headroom_tol: float = DEFAULT_HEADROOM_TOL) -> np.ndarray:
-    """Joint photon-number distribution of the N difference modes (the diagonal
-    of ``multimode_two_copy_output(rho)``), shaped ``rho.dims``."""
-    return _output_diagonal(rho, rho, headroom_tol).reshape(rho.dims)

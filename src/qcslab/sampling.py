@@ -28,14 +28,24 @@ DEFAULT_RESAMPLES = 1000
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """Histogram of photon counts from a finite number of shots."""
+    """Histogram of photon counts from a finite number of shots: non-negative
+    integer counts summing to ``shots`` (>= 1), drawn with ``seed`` (>= 0)."""
 
     counts: np.ndarray
     shots: int
     seed: int
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        object.__setattr__(self, "shots", _integer(self.shots, "shots", minimum=1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        try:
+            counts = np.asarray(self.counts)
+        except ValueError as exc:  # a ragged list
+            raise ValidationError(f"counts must be a list of integers: {exc}") from exc
+        if (counts.ndim != 1 or not np.issubdtype(counts.dtype, np.integer)
+                or (counts < 0).any()):
+            raise ValidationError("counts must be a list of non-negative integers")
+        counts = counts.astype(np.int64)
         object.__setattr__(self, "counts", counts)
         if counts.sum() != self.shots:
             raise ValidationError("counts must sum to shots")
@@ -50,11 +60,18 @@ class ShotRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "ShotRecord":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise ValidationError(f"invalid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ValidationError("shot record must be a JSON object")
         if doc.get("schema") != SCHEMA_VERSION:
             raise ValidationError(f"unsupported schema version {doc.get('schema')!r}")
-        return cls(counts=np.asarray(doc["counts"], dtype=np.int64),
-                   shots=int(doc["shots"]), seed=int(doc["seed"]))
+        for key in ("counts", "shots", "seed"):
+            if key not in doc:
+                raise ValidationError(f"shot record missing {key!r}")
+        return cls(counts=doc["counts"], shots=doc["shots"], seed=doc["seed"])
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .fock import (
 )
 
 SCHEMA_VERSION = 1
+CUTOFF_TAIL_TOL = 1e-9  # photon-number tail mass the default two-copy cutoff leaves out
 
 
 def _log_factorial(n: np.ndarray) -> np.ndarray:
@@ -474,13 +475,12 @@ def gaussian_covariance(spec: StateSpec) -> CovarianceMatrix:
     return covariance(spec.params)
 
 
-def recommended_cutoff(spec: StateSpec, *, two_copy: bool = True,
-                       headroom_tol: float = 1e-9) -> int:
+def recommended_cutoff(spec: StateSpec, *, two_copy: bool = True) -> int:
     """Default cutoff: ceil(4(⟨n̂⟩+3)) for smooth families, 2·max_n+4 for Fock
-    mixtures. When the two-copy pipeline is the target, the photon-number tail
-    of a probe build picks the dimension that satisfies the interference
-    headroom rule (families with slow tails, like thermal states, need more
-    levels than the mean-based rule alone provides)."""
+    mixtures. The two-copy default (every CLI command) doubles it, and raises
+    it to 2s + 4 where a probe build leaves tail mass <= CUTOFF_TAIL_TOL above
+    level s (slow tails, like thermal ones). The two-copy kernel is exact at
+    any cutoff; the doubling stays so that no default result moves."""
     top_level = KINDS[spec.kind].top_level
     if top_level is not None:
         base = 2 * top_level(spec.params) + 4
@@ -490,11 +490,7 @@ def recommended_cutoff(spec: StateSpec, *, two_copy: bool = True,
         return base
     probe_dim = min(max(4 * base, 64), 512)
     probe = build_state(spec, cutoff=probe_dim, deficit_tol=1.0)
-    marginal = probe.number_marginal()
-    tail_above = np.concatenate([np.cumsum(marginal[::-1])[::-1][1:], [0.0]])
-    levels = np.nonzero(tail_above <= headroom_tol)[0]
-    support = int(levels[0]) if levels.size else probe_dim - 1
-    return max(2 * base, 2 * support + 4)
+    return max(2 * base, 2 * probe.effective_support(CUTOFF_TAIL_TOL) + 4)
 
 
 def build_state(spec: StateSpec, *, cutoff: int | None = None,

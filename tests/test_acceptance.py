@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 from click.testing import CliRunner
+from scipy.linalg import expm
 
 from qcslab import (
     ClassicalMixture,
@@ -61,16 +62,6 @@ def report(number, ok, detail):
 
 def fast_pn(rho):
     return photon_distribution_phase_invariant(np.real(np.diag(rho.matrix)))
-
-
-def clipped_thermal(q, support, dim):
-    """Thermal weights truncated to the first ``support``+1 levels and
-    renormalized, embedded at cutoff ``dim`` (keeps the two-copy headroom rule
-    satisfiable at small per-mode cutoffs)."""
-    diag = np.zeros(dim)
-    weights = (1.0 - q) * q ** np.arange(support + 1)
-    diag[: support + 1] = weights / weights.sum()
-    return DensityOperator(np.diag(diag).astype(complex), (dim,))
 
 
 def test_criterion_01_figure2_reproduction(tmp_path):
@@ -189,21 +180,33 @@ def test_criterion_05_classicality_bound():
 
 
 def test_criterion_06_combinatorial_fast_path():
+    # references that share no code with the block kernel: scipy's expm of the
+    # two-copy generator at 2·12 + 1 levels, where truncating it is exact, and
+    # the thermal closed form p_n = (1 − q)qⁿ
     rng = np.random.default_rng(31)
-    dim = 26
+    levels = 25
+    a = np.diag(np.sqrt(np.arange(1.0, levels)), k=1)
+    u = expm(0.25 * np.pi * (np.kron(a.T, a) - np.kron(a, a.T)))
+    transition = (u ** 2).reshape((levels,) * 4)  # |<m, n|U|k, l>|^2
     ok = True
+    worst = 0.0
     for _ in range(10):
-        diag = np.zeros(dim)
-        diag[:13] = rng.dirichlet(np.ones(13))  # support <= 12
-        rho = DensityOperator(np.diag(diag).astype(complex), (dim,))
-        fast = photon_distribution_phase_invariant(diag)
-        dense = photon_distribution(rho, rho)
-        m = min(len(fast.probs), len(dense.probs))
-        ok &= np.max(np.abs(fast.probs[:m] - dense.probs[:m])) < 1e-9
+        lam = rng.dirichlet(np.ones(13))  # support <= 12
+        fast = photon_distribution_phase_invariant(lam)
+        padded = np.pad(lam, (0, levels - len(lam)))
+        oracle = np.einsum("mnkl,k,l->n", transition, padded, padded)
+        ok &= len(fast) == levels
+        worst = max(worst, float(np.max(np.abs(fast.probs - oracle))))
+    for q, dim in ((0.3, 40), (0.6, 80)):
+        fast = photon_distribution_phase_invariant((1.0 - q) * q ** np.arange(dim))
+        closed = thermal_photon_distribution(q, 2 * dim - 2)
+        worst = max(worst, float(np.max(np.abs(fast.probs - closed.probs))))
+    ok &= worst < 1e-12
     for big_n in range(7):
         for big_np in range(7):
             ok &= abs(hom_photon_distribution(big_n, big_np).sum() - 1.0) < 1e-10
-    report(6, ok, "fast-path p_n matches dense pipeline (support <= 12); "
+    report(6, ok, "Fock-diagonal p_n matches the expm oracle (support <= 12) and the "
+                  f"thermal closed form (worst {worst:.1e}); "
                   "Fock-pair p_n normalized for N, N' <= 6")
 
 
@@ -223,13 +226,13 @@ def test_criterion_07_phase_space_identities():
 def test_criterion_08_multimode_consistency():
     dim = 8
     singles = {"vacuum": fock(0, dim), "fock1": fock(1, dim),
-               "thermal(0.5)": clipped_thermal(0.5, 3, dim)}
+               "thermal(0.5)": thermal(0.5, dim, deficit_tol=1e-2)}
     ok = True
     worst = 0.0
     for name_a, a in singles.items():
         for name_b, b in singles.items():
             rho = tensor(a, b)
-            multi = qcs_multimode(rho, headroom_tol=1e-6).c_squared
+            multi = qcs_multimode(rho).c_squared
             direct = qcs_direct(rho).c_squared
             worst = max(worst, abs(multi - direct))
             ok &= abs(multi - direct) < 1e-6

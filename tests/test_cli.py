@@ -268,23 +268,38 @@ def test_config_hash_identifies_state_content(runner, tmp_path):
 
 
 def test_infeasible_route_reported_and_others_kept(runner, tmp_path):
-    # at cutoff 12 the two-copy headroom rule refuses coherent(0.7); direct still runs
-    path = write_spec(tmp_path, "coh.json",
-                      {"schema": 1, "kind": "coherent", "params": {"alpha": 0.7}})
+    # thermal(0.5) leaves 0.5**12 of its trace above cutoff 12, so every Fock
+    # route is infeasible there; the Gaussian route still runs
+    path = write_spec(tmp_path, "th.json",
+                      {"schema": 1, "kind": "thermal", "params": {"q": 0.5}})
     for cmd in (["qcs", "--route", "all"], ["compare"]):
         out = tmp_path / "out.json"
         result = runner.invoke(main, [*cmd, "--state", path, "--cutoff", "12",
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
         doc = json.loads(out.read_text())
-        assert "exceeds cutoff headroom" in doc["results"]["two-copy"]["infeasible"]
-        assert "infeasible" in doc["results"]["wigner-laplacian"]
-        assert abs(doc["results"]["direct"]["c_squared"] - 1.0) < 1e-6
+        for route in ("direct", "two-copy", "wigner-gradient", "wigner-laplacian"):
+            assert "exceeds deficit tolerance" in doc["results"][route]["infeasible"]
+        assert abs(doc["results"]["gaussian"]["c_squared"] - 1.0 / 3.0) < 1e-12
         assert doc["results"]["classical-mixture"] == "not applicable"
-    assert doc["max_deviation_exact"] < 1e-6
+    assert doc["max_deviation_exact"] == 0.0
     single = runner.invoke(main, ["qcs", "--state", path, "--cutoff", "12",
                                   "--route", "two-copy"])
     assert single.exit_code == 4
+
+
+def test_two_copy_route_exact_at_tight_cutoff(runner, tmp_path):
+    # coherent(0.7) fills cutoff 12: the two-copy route gives the C² of the
+    # truncated state, as the direct route does
+    path = write_spec(tmp_path, "coh.json",
+                      {"schema": 1, "kind": "coherent", "params": {"alpha": 0.7}})
+    values = {}
+    for route in ("two-copy", "direct"):
+        result = runner.invoke(main, ["qcs", "--state", path, "--cutoff", "12",
+                                      "--route", route])
+        assert result.exit_code == 0, result.output
+        values[route] = json.loads(result.output)["results"][route]["c_squared"]
+    assert abs(values["two-copy"] - values["direct"]) <= 1e-12 * values["direct"]
 
 
 @pytest.mark.parametrize("params, cutoff, c2", [

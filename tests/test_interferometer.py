@@ -3,14 +3,12 @@ import pytest
 
 from qcslab import (
     DensityOperator,
-    HeadroomError,
     MemoryGuardError,
     PhotonDistribution,
     ValidationError,
     coherent,
     fock,
     hom_photon_distribution,
-    multimode_two_copy_output,
     partial_trace,
     photon_distribution,
     photon_distribution_phase_invariant,
@@ -18,9 +16,10 @@ from qcslab import (
     thermal,
     thermal_photon_distribution,
     two_copy_output,
+    wigner_eval,
 )
 from qcslab.errors import RoundoffBudgetError
-from qcslab.interferometer import MEMORY_GUARD_DIM, _bs_block, is_fock_diagonal
+from qcslab.interferometer import MEMORY_GUARD_DIM, _blocks
 
 
 def test_identical_coherent_inputs_cancel():
@@ -38,6 +37,9 @@ def test_two_copy_output_of_coherent_is_vacuum():
 def test_two_copy_output_is_valid_state():
     rho_d = two_copy_output(thermal(0.3, 32))
     rho_d.validate()
+    # Tr ρ_d = (Tr ρ)²: the recorded deficit is the one of the output
+    rho_d = two_copy_output(thermal(0.5, 10, deficit_tol=1e-2))
+    assert abs(rho_d.trace_deficit - (1.0 - rho_d.trace())) < 1e-12
 
 
 def test_hom_dip():
@@ -56,7 +58,7 @@ def test_hom_block_amplitudes_small_case():
     # |1>|1> is column k = 1 of the T = 2 block; output row k leaves n = 2 - k
     # photons in the difference mode. n = 1 cancels (the HOM dip), n = 0, 2
     # carry probability 1/2 each.
-    c = _bs_block(2)[:, 1]
+    c = list(_blocks(2))[-1][:, 1]
     assert abs(c[1]) < 1e-12
     for k_out in (0, 2):
         assert abs(c[k_out] ** 2 - 0.5) < 1e-12
@@ -76,15 +78,16 @@ def test_hom_distribution_high_photon_numbers():
 
 
 def test_fast_path_matches_dense_pipeline():
+    # the weights alone and the same state at cutoff 26 give one p_n on
+    # 2·8 + 1 levels: the kernel stops at the top levels, not at the cutoff
     rng = np.random.default_rng(5)
     diag = np.zeros(26)
     diag[:9] = rng.dirichlet(np.ones(9))
     rho = DensityOperator(np.diag(diag).astype(complex), (26,))
-    fast = photon_distribution_phase_invariant(diag)
+    fast = photon_distribution_phase_invariant(diag[:9])
     dense = photon_distribution(rho, rho)
-    m = min(len(fast.probs), len(dense.probs))
-    assert np.max(np.abs(fast.probs[:m] - dense.probs[:m])) < 1e-10
-    assert np.max(np.abs(dense.probs[m:])) < 1e-10
+    assert len(fast) == len(dense) == 17
+    assert np.max(np.abs(fast.probs - dense.probs)) < 1e-15
 
 
 def test_thermal_closed_form_matches_dense():
@@ -92,14 +95,6 @@ def test_thermal_closed_form_matches_dense():
     dense = photon_distribution(rho, rho)
     closed = thermal_photon_distribution(0.3, len(dense.probs) - 1)
     assert np.max(np.abs(dense.probs - closed.probs)) < 1e-9
-
-
-def test_headroom_violation_raises():
-    with pytest.raises(HeadroomError):
-        two_copy_output(thermal(0.5, 12, deficit_tol=1e-3))
-    with pytest.raises(HeadroomError):
-        photon_distribution(coherent(1.0, 8, deficit_tol=1e-3),
-                            coherent(1.0, 8, deficit_tol=1e-3))
 
 
 def _zero_state(dims):
@@ -111,6 +106,11 @@ def _zero_state(dims):
 def test_memory_guard():
     with pytest.raises(MemoryGuardError):
         two_copy_output(_zero_state((MEMORY_GUARD_DIM + 1,)))
+    # an input within the guard whose full blocks are not: 2048 + 2048 + 1 levels
+    top = _zero_state((2049,))
+    top.matrix[2048, 2048] = 1.0
+    with pytest.raises(MemoryGuardError, match="block side 4097"):
+        photon_distribution(top, top)
 
 
 def test_distribution_validation():
@@ -134,31 +134,30 @@ def test_distribution_csv(tmp_path):
     assert lines[3].startswith("2,0.25,")
 
 
-def test_is_fock_diagonal():
-    assert is_fock_diagonal(thermal(0.5, 10, deficit_tol=1e-2))
-    assert not is_fock_diagonal(coherent(0.5, 10))
-
-
 def test_multimode_matches_single_mode_pipeline():
+    # a vacuum second mode leaves the first mode's difference-mode state as is;
+    # its own difference mode keeps two levels, the smallest cutoff
     rho = thermal(0.2, 8, deficit_tol=1e-3)
-    single = two_copy_output(rho, headroom_tol=1e-2)
-    multi = multimode_two_copy_output(rho, headroom_tol=1e-2)
-    assert np.max(np.abs(single.matrix - multi.matrix)) < 1e-12
+    single = two_copy_output(rho)
+    multi = two_copy_output(tensor(rho, fock(0, 3)))
+    assert single.dims == (15,) and multi.dims == (15, 2)
+    assert np.max(np.abs(multi.matrix - tensor(single, fock(0, 2)).matrix)) < 1e-12
+    assert wigner_eval(two_copy_output(fock(0, 4))).values.max() > 0
 
 
 def test_multimode_product_state_factorizes():
     a = fock(1, 6)
-    b = fock(0, 6)
-    joint = multimode_two_copy_output(tensor(a, b))
+    b = coherent(0.4, 6, deficit_tol=1e-3)
+    joint = two_copy_output(tensor(a, b))
     expected = tensor(two_copy_output(a), two_copy_output(b))
     assert np.max(np.abs(joint.matrix - expected.matrix)) < 1e-12
-    assert joint.dims == (6, 6)
+    assert joint.dims == (3, 11)
 
 
 def test_multimode_memory_guard():
-    # the largest block is the product of the per-mode blocks: 65 * 65 > 4096
+    # the input side is the product of the per-mode cutoffs: 65 * 65 > 4096
     with pytest.raises(MemoryGuardError):
-        multimode_two_copy_output(_zero_state((65, 65)))
+        two_copy_output(_zero_state((65, 65)))
 
 
 def test_orthogonal_inputs_give_zero_overlap():
@@ -172,6 +171,9 @@ def test_input_validation():
     with pytest.raises(ValidationError):
         photon_distribution(fock(0, 8), fock(0, 10))
     with pytest.raises(ValidationError):
-        two_copy_output(tensor(fock(0, 4), fock(0, 4)))
+        photon_distribution(tensor(fock(0, 4), fock(0, 4)), tensor(fock(0, 4), fock(0, 4)))
     with pytest.raises(ValidationError):
         thermal_photon_distribution(1.0, 10)
+    for weights in ([], [0.5, -0.1], [0.7, 0.7]):
+        with pytest.raises(ValidationError):
+            photon_distribution_phase_invariant(weights)

@@ -1,9 +1,11 @@
 """The package's numpy-only exponentials against scipy's ``expm``.
 
-``_bs_block`` diagonalizes the symmetric tridiagonal form of the beam-splitter
-generator and ``matrix_exponential`` the Hermitian iG; ``expm`` uses
+``_blocks`` builds the beam-splitter blocks by a recurrence in the photon
+total and ``matrix_exponential`` diagonalizes the Hermitian iG; ``expm`` uses
 scaling-and-squaring and shares no code with either.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,28 +13,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qcslab import ValidationError
+from qcslab import ValidationError, hom_photon_distribution
 from qcslab.fock import annihilation, displacement_operator, matrix_exponential
-from qcslab.interferometer import _bs_block
+from qcslab.interferometer import _blocks
 
 TOL = 1e-12
 
 
-def block_generator(total, lo=0):
-    """J_y generator on |k, total−k⟩, k = lo … total−lo: G[i+1, i] = −G[i, i+1]
+def block_generator(total):
+    """J_y generator on |k, total−k⟩, k = 0 … total: G[k+1, k] = −G[k, k+1]
     = √((k+1)(total−k))."""
-    k = np.arange(lo, total - lo)
+    k = np.arange(total)
     off = np.sqrt((k + 1.0) * (total - k))
     return np.diag(off, -1) - np.diag(off, 1)
 
 
-@pytest.mark.parametrize("total, lo", [(1, 0), (2, 0), (60, 0), (121, 0), (256, 0),
-                                       (511, 0), (121, 30), (511, 200)])
-def test_bs_block_matches_expm(total, lo):
-    u = _bs_block(total, lo)
-    assert u.shape == (total - 2 * lo + 1,) * 2
+@pytest.mark.parametrize("total, column", [(1, 0), (2, 0), (60, 0), (121, 0), (256, 0),
+                                           (511, 0)])
+def test_bs_block_matches_expm(total, column):
+    """The last block of the recurrence, and the Fock-pair p_n read from its
+    column for |column, total − column⟩ (vacuum in the first input)."""
+    u = deque(_blocks(total), maxlen=1)[0]
+    oracle = expm(0.25 * np.pi * block_generator(total))
+    assert u.shape == (total + 1,) * 2
     assert np.abs(u @ u.T - np.eye(len(u))).max() < TOL
-    assert np.abs(u - expm(0.25 * np.pi * block_generator(total, lo))).max() < TOL
+    assert np.abs(u - oracle).max() < TOL
+    hom = hom_photon_distribution(column, total - column)
+    assert np.abs(hom - oracle[::-1, column] ** 2).max() < TOL
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,5 @@
-"""Property tests on random states: the Wigner-gradient route against the direct
-commutator route, and the invariants of the two-copy p_n.
+"""Property tests on random states: the Wigner-gradient and two-copy routes
+against the direct commutator route, and the invariants of the two-copy p_n.
 
 Both routes give the exact C² of the truncated state: the direct route sums
 |[ρ, r]|² with [ρ, r] formed one Fock level above the cutoff, and the gradient
@@ -8,7 +8,9 @@ cutoff-derived spacing. They share only the padding and the quadrature
 matrices, so agreement to 1e-9 checks the Laguerre Wigner kernel on ρ and on
 two traceless, non-positive operators, together with the trapezoid quadrature.
 
-The two-copy p_n of a pure state has no odd-n mass (ρ⊗ρ lies in the symmetric
+The two-copy route gives the exact C² of the truncated pair at any cutoff, so
+it matches the direct route to 1e-12 on states that fill their cutoff. The
+two-copy p_n of a pure state has no odd-n mass (ρ⊗ρ lies in the symmetric
 subspace, on which the difference mode has even parity), and its alternating
 sum Σ(−1)ⁿp_n is the purity Tr ρ², in (0, 1] for every state.
 """
@@ -23,6 +25,7 @@ from qcslab import (
     photon_distribution,
     purity_direct,
     qcs_direct,
+    qcs_two_copy,
     qcs_wigner_gradient,
 )
 
@@ -59,9 +62,15 @@ def test_gradient_route_matches_direct_route(rho):
 
 
 def two_copy_pn(rho):
-    """p_n of ρ embedded at twice its levels, the headroom two copies need."""
-    padded = DensityOperator(np.pad(rho.matrix, (0, rho.dim)), (2 * rho.dim,))
-    return photon_distribution(padded, padded).probs
+    return photon_distribution(rho, rho).probs
+
+
+@settings(max_examples=40, deadline=None)
+@given(states())
+def test_two_copy_route_matches_direct_route(rho):
+    direct = qcs_direct(rho).c_squared
+    two_copy = qcs_two_copy(photon_distribution(rho, rho)).c_squared
+    assert abs(two_copy - direct) <= 1e-12 * direct
 
 
 @settings(max_examples=25, deadline=None)

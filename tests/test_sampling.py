@@ -42,6 +42,28 @@ def test_shot_record_json_roundtrip():
         ShotRecord.from_json('{"schema": 2, "seed": 0, "shots": 1, "counts": [1]}')
 
 
+BAD_SHOT_RECORDS = {
+    "float-seed": '{"schema": 1, "seed": 2.7, "shots": 1000, "counts": [600, 400]}',
+    "negative-seed": '{"schema": 1, "seed": -1, "shots": 1000, "counts": [600, 400]}',
+    "zero-shots": '{"schema": 1, "seed": 0, "shots": 0, "counts": [0, 0]}',
+    "string-shots": '{"schema": 1, "seed": 0, "shots": "1000", "counts": [600, 400]}',
+    "negative-count": '{"schema": 1, "seed": 0, "shots": 1000, "counts": [1100, -100]}',
+    "float-count": '{"schema": 1, "seed": 0, "shots": 1000, "counts": [600.0, 400.0]}',
+    "nested-counts": '{"schema": 1, "seed": 0, "shots": 1000, "counts": [[600], [400]]}',
+    "ragged-counts": '{"schema": 1, "seed": 0, "shots": 1000, "counts": [[600], [300, 100]]}',
+    "huge-count": '{"schema": 1, "seed": 0, "shots": 1, "counts": [1180591620717411303424]}',
+    "array-document": '[1, 2, 3]',
+    "missing-counts": '{"schema": 1, "seed": 0, "shots": 1000}',
+    "bad-json": '{"schema": 1, "seed": 0,',
+}
+
+
+@pytest.mark.parametrize("text", BAD_SHOT_RECORDS.values(), ids=BAD_SHOT_RECORDS)
+def test_bad_shot_record_raises_validation_error(text):
+    with pytest.raises(ValidationError):
+        ShotRecord.from_json(text)
+
+
 def test_estimate_requires_enough_statistics():
     pn = thermal_photon_distribution(0.5, 40)
     with pytest.raises(ValidationError):

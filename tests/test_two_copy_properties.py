@@ -1,15 +1,16 @@
 """Property tests: the block beam-splitter kernel against an independent oracle.
 
-The oracle exponentiates the full two-copy generator Σ_i (a_i† b_i − a_i b_i†)
-with scipy's ``expm`` on the whole truncated space and traces out copy a with
-``einsum``; it shares no code with the kernel. Both use the same truncated
-ladder operators, so they agree to round-off on every input, including states
-whose photon-number support reaches the truncated blocks. The full-state tests
-draw such states and switch the headroom rule off with a tolerance above the
-total probability. ``photon_distribution`` also checks that p_n obeys
-0 <= Σ(−1)ⁿp_n = Tr(ρ_a ρ_b), which truncation breaks, so its inputs keep the
-headroom rule: they live on levels 0..s with s_a + s_b <= dim − 1.
+The oracle exponentiates each pair's generator a_i† b_i − a_i b_i† with
+scipy's ``expm`` (the pairs commute, so the stack is their product), applies
+the stack to the columns of F_a ⊗ F_b for factors ρ = F F† from ``eigh``, and
+traces out copy a with ``einsum``; it shares no code with the kernel. It
+embeds the inputs at 2·dim − 1 levels per mode: two copies of a state on
+levels 0 … dim − 1 hold at most 2·dim − 2 photons per pair, so on that space
+the truncated generator is exact. The states fill their cutoff, so the
+kernel's output has the same 2·dim − 1 levels per mode.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,14 +20,12 @@ from scipy.linalg import expm
 from qcslab import (
     DensityOperator,
     multimode_photon_distribution,
-    multimode_two_copy_output,
     photon_distribution,
     tensor,
     two_copy_output,
 )
 
 TOL = 1e-12
-NO_HEADROOM = {"headroom_tol": 2.0}
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
@@ -34,66 +33,65 @@ def _ladder(dim):
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
 
-def _embed(op, position, dims):
-    out = np.eye(1)
-    for i, d in enumerate(dims):
-        out = np.kron(out, op if i == position else np.eye(d))
-    return out
+def pair_unitary(levels):
+    """exp((π/4)(a†b − ab†)) on one pair of modes at ``levels`` each, copy a
+    slow, as a (levels,) * 4 array: out_a, out_b, in_a, in_b."""
+    a = _ladder(levels)
+    u = expm(0.25 * np.pi * (np.kron(a.T, a) - np.kron(a, a.T)))
+    return u.reshape((levels,) * 4)
 
 
-def oracle_joint(rho_a, rho_b):
-    """U (ρ_a⊗ρ_b) U† for the pairwise 50:50 beam splitters, reshaped to
-    (copy a, copy b, copy a, copy b) axes of shape ``dims`` each."""
-    dims = rho_a.dims
-    n = len(dims)
-    all_dims = dims + dims
-    gen = np.zeros((rho_a.dim ** 2,) * 2)
-    for i, d in enumerate(dims):
-        a = _embed(_ladder(d), i, all_dims)
-        b = _embed(_ladder(d), n + i, all_dims)
-        gen += a.T @ b - a @ b.T
-    u = expm(0.25 * np.pi * gen)
-    joint = u @ np.kron(rho_a.matrix, rho_b.matrix) @ u.conj().T
-    return joint.reshape((rho_a.dim,) * 4)
+def embedded_factor(rho, levels):
+    """F with ρ = F F†, its rows moved to the flat indices at ``levels`` per mode."""
+    w, v = np.linalg.eigh(rho.matrix)
+    rows = np.ravel_multi_index(np.unravel_index(np.arange(rho.dim), rho.dims), levels)
+    factor = np.zeros((math.prod(levels), rho.dim), dtype=complex)
+    factor[rows] = v * np.sqrt(np.clip(w, 0.0, None))
+    return factor
 
 
 def oracle_output(rho_a, rho_b):
-    """Difference-mode state Tr_a U (ρ_a⊗ρ_b) U†, flat indices."""
-    return np.einsum("anam->nm", oracle_joint(rho_a, rho_b))
+    """Difference-mode state Tr_a U (ρ_a⊗ρ_b) U†, flat indices at 2·dim − 1
+    levels per mode."""
+    levels = tuple(2 * d - 1 for d in rho_a.dims)
+    n = len(levels)
+    columns = np.einsum("ai,bj->abij", embedded_factor(rho_a, levels),
+                        embedded_factor(rho_b, levels))
+    psi = columns.reshape(levels + levels + (-1,))
+    for mode, size in enumerate(levels):
+        psi = np.tensordot(pair_unitary(size), psi, axes=([2, 3], [mode, n + mode]))
+        psi = np.moveaxis(psi, [0, 1], [mode, n + mode])
+    side = math.prod(levels)
+    psi = psi.reshape(side, side, -1)
+    return np.einsum("anc,amc->nm", psi, psi.conj())
 
 
 @st.composite
-def states(draw, dim, support=None):
-    """Random mixed state of rank 1-3 on levels 0..support (default: all of
-    ``dim``), optionally displaced or squeezed by the operators truncated to
-    those levels (hence exactly unitary there), embedded at cutoff ``dim``."""
+def states(draw, dim):
+    """Random mixed state of rank 1-3 filling the cutoff ``dim``, optionally
+    displaced or squeezed by the operators truncated to ``dim`` levels (hence
+    exactly unitary there)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rank = draw(st.integers(1, 3))
-    levels = dim if support is None else support + 1
-    g = rng.normal(size=(levels, rank)) + 1j * rng.normal(size=(levels, rank))
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     kind = draw(st.sampled_from(["mixed", "displaced", "squeezed"]))
     if kind != "mixed":
         z = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
-        a = _ladder(levels)
+        a = _ladder(dim)
         if kind == "displaced":
             op = expm(z * a.T - np.conj(z) * a)
         else:
             op = expm(0.5 * (np.conj(z) * a @ a - z * a.T @ a.T))
         rho = op @ rho @ op.conj().T
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[:levels, :levels] = 0.5 * (rho + rho.conj().T)
-    return DensityOperator(mat, (dim,))
+    return DensityOperator(0.5 * (rho + rho.conj().T), (dim,))
 
 
 @st.composite
 def single_mode_pairs(draw):
-    """Two states at a shared cutoff that keep the headroom rule."""
     dim = draw(st.integers(2, 10))
-    support_a = draw(st.integers(0, dim - 1))
-    support_b = draw(st.integers(0, dim - 1 - support_a))
-    return draw(states(dim, support_a)), draw(states(dim, support_b))
+    return draw(states(dim)), draw(states(dim))
 
 
 @st.composite
@@ -108,22 +106,25 @@ def test_photon_distribution_matches_oracle(pair):
     rho_a, rho_b = pair
     expected = np.real(np.diag(oracle_output(rho_a, rho_b)))
     pn = photon_distribution(rho_a, rho_b)
+    assert pn.probs.shape == expected.shape
     assert np.max(np.abs(pn.probs - np.clip(expected, 0.0, None))) < TOL
 
 
 @PROPERTY_SETTINGS
 @given(st.integers(2, 10).flatmap(states))
 def test_two_copy_output_matches_oracle(rho):
-    rho_d = two_copy_output(rho, **NO_HEADROOM)
-    assert np.max(np.abs(rho_d.matrix - oracle_output(rho, rho))) < TOL
+    rho_d = two_copy_output(rho)
+    expected = oracle_output(rho, rho)
+    assert rho_d.matrix.shape == expected.shape
+    assert np.max(np.abs(rho_d.matrix - expected)) < TOL
 
 
 @PROPERTY_SETTINGS
 @given(two_mode_states())
 def test_multimode_two_copy_output_matches_oracle(rho):
     expected = oracle_output(rho, rho)
-    rho_d = multimode_two_copy_output(rho, **NO_HEADROOM)
-    assert rho_d.dims == rho.dims
+    rho_d = two_copy_output(rho)
+    assert rho_d.dims == tuple(2 * d - 1 for d in rho.dims)
     assert np.max(np.abs(rho_d.matrix - expected)) < TOL
-    joint_pn = multimode_photon_distribution(rho, **NO_HEADROOM)
+    joint_pn = multimode_photon_distribution(rho)
     assert np.max(np.abs(joint_pn.reshape(-1) - np.real(np.diag(expected)))) < TOL
