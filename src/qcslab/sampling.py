@@ -2,11 +2,15 @@
 
 Counts are multinomial draws from p_n (numpy PCG64, seeded); the QCS is the
 plug-in estimator on empirical frequencies, with a seeded nonparametric
-bootstrap for the statistical error. Per-resample RNG streams are derived
-from the record seed via SeedSequence.spawn, so results are reproducible and
-the resamples could be evaluated in parallel. Each resample's counts c_n are
-reduced to the exact integer sums Σ(−1)ⁿc_n and Σ(−1)ⁿn·c_n, so its C² is one
-rounding of 1 + 2·N/D and the zero and sign tests on D are exact.
+bootstrap for the statistical error. The record is drawn from
+``default_rng(seed)``. The bootstrap draws every resample, in order, from one
+PCG64 generator on the first spawn child ``SeedSequence(seed).spawn(1)[0]``, a
+stream independent of the record's, so results are reproducible. Resamples
+are drawn over the levels up to the highest occupied one, in row blocks that
+bound memory at any resample count; blocked draws equal a single call. Each
+resample's counts c_n are reduced to the exact integer sums Σ(−1)ⁿc_n and
+Σ(−1)ⁿn·c_n, so its C² is one rounding of 1 + 2·N/D and the zero and sign
+tests on D are exact.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .states import _integer
 RNG_ALGORITHM = "numpy.random.PCG64"
 SCHEMA_VERSION = 1
 DEFAULT_RESAMPLES = 1000
+_BLOCK_ROWS = 4096  # resamples drawn per multinomial call
 
 
 @dataclass(frozen=True)
@@ -118,11 +123,14 @@ def estimate_qcs(rec: ShotRecord, resamples: int = DEFAULT_RESAMPLES) -> Sampled
     if abs(point.denominator) < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(
             f"empirical alternating sum {point.denominator:.3e} below resolution")
-    n = np.arange(len(freqs))
+    top = int(np.flatnonzero(rec.counts)[-1]) + 1
+    n = np.arange(top)
     weights = np.column_stack([(-1) ** n, n * (-1) ** n])
+    rng = np.random.default_rng(np.random.SeedSequence(rec.seed).spawn(1)[0])
     sums = np.empty((resamples, 2), dtype=np.int64)
-    for i, child in enumerate(np.random.SeedSequence(rec.seed).spawn(resamples)):
-        sums[i] = np.random.default_rng(child).multinomial(rec.shots, freqs) @ weights
+    for start in range(0, resamples, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, resamples - start)
+        sums[start:start + rows] = rng.multinomial(rec.shots, freqs[:top], size=rows) @ weights
     den, num = sums.T
     boots = 1.0 + np.divide(2.0 * num, den, out=np.full(resamples, np.nan), where=den != 0)
     unstable = bool(np.any((den * point.denominator <= 0)

@@ -257,7 +257,7 @@ def test_criterion_09_sampling_coverage():
         coverages.append((name, hits))
         ok &= hits >= 93
     elapsed = time.monotonic() - start
-    ok &= elapsed < 30.0
+    ok &= elapsed < 10.0
     detail = ", ".join(f"{name} {hits}/100" for name, hits in coverages)
     report(9, ok, f"95% bootstrap CI coverage at 1e5 shots: {detail}; "
                   f"plug-in on exact p_n bit-identical to two-copy ({elapsed:.1f} s)")

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcslab import (
     DegenerateDenominatorError,
@@ -13,7 +17,7 @@ from qcslab import (
     thermal_photon_distribution,
 )
 from qcslab.estimators import DENOMINATOR_FLOOR
-from qcslab.sampling import estimate_from_exact
+from qcslab.sampling import _BLOCK_ROWS, estimate_from_exact
 
 
 def test_sampling_is_deterministic():
@@ -136,14 +140,18 @@ def test_unstable_denominator_is_flagged():
 
 def _float_bootstrap(rec: ShotRecord, resamples: int):
     """Reference bootstrap: the float plug-in on each resample of the documented
-    streams, one default_rng per SeedSequence(rec.seed).spawn child."""
-    freqs = rec.frequencies()
-    n = np.arange(len(freqs))
+    stream, drawn one row at a time from the one default_rng on
+    SeedSequence(rec.seed).spawn(1)[0], over the levels up to the highest
+    occupied one."""
+    top = int(np.flatnonzero(rec.counts)[-1]) + 1
+    freqs = rec.frequencies()[:top]
+    n = np.arange(top)
     signs = (-1.0) ** n
     point_den = signs @ freqs
     boots, unstable, zero_dens = [], False, 0
-    for child in np.random.SeedSequence(rec.seed).spawn(resamples):
-        f = np.random.default_rng(child).multinomial(rec.shots, freqs) / rec.shots
+    rng = np.random.default_rng(np.random.SeedSequence(rec.seed).spawn(1)[0])
+    for _ in range(resamples):
+        f = rng.multinomial(rec.shots, freqs) / rec.shots
         den = float(signs @ f)
         zero_dens += den == 0
         boots.append(1.0 + 2.0 * float((n * signs) @ f) / den if den != 0 else np.nan)
@@ -160,7 +168,11 @@ def _float_bootstrap(rec: ShotRecord, resamples: int):
      False),
     # two levels, 1000 shots: every resample drawing 500/500 has Σ(−1)ⁿc_n = 0
     (ShotRecord(counts=np.array([520, 480]), shots=1000, seed=5), 1000, True),
-], ids=["thermal-0.6", "thermal-0.85", "parity-balanced", "zero-denominator"])
+    # spans three row blocks: the blocked draws must equal the per-row draws
+    (sample_counts(thermal_photon_distribution(0.85, 300), 100_000, seed=43),
+     2 * _BLOCK_ROWS + 3, False),
+], ids=["thermal-0.6", "thermal-0.85", "parity-balanced", "zero-denominator",
+        "thermal-0.85-blocks"])
 def test_bootstrap_matches_float_plugin_on_same_streams(rec, resamples, hits_zero):
     est = estimate_qcs(rec, resamples=resamples)
     std_error, ci_low, ci_high, unstable, zero_dens = _float_bootstrap(rec, resamples)
@@ -170,3 +182,43 @@ def test_bootstrap_matches_float_plugin_on_same_streams(rec, resamples, hits_zer
     assert est.denominator_unstable == unstable
     if hits_zero:
         assert zero_dens > 0 and est.denominator_unstable
+
+
+@st.composite
+def shot_records(draw):
+    """Shot record of at least 100 shots over 1-40 levels, possibly ending in
+    empty levels."""
+    counts = draw(st.lists(st.integers(0, 5_000), min_size=1, max_size=40)
+                  .filter(lambda c: sum(c) >= 100))
+    return ShotRecord(counts=np.array(counts), shots=sum(counts),
+                      seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _estimate_or_error(rec, resamples):
+    try:
+        return estimate_qcs(rec, resamples=resamples)
+    except DegenerateDenominatorError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shot_records(), st.integers(1, 50), st.integers(2, 300))
+def test_trailing_empty_levels_do_not_change_bootstrap(rec, k, resamples):
+    padded = ShotRecord(counts=np.concatenate([rec.counts, np.zeros(k, dtype=np.int64)]),
+                        shots=rec.shots, seed=rec.seed)
+    assert _estimate_or_error(padded, resamples) == _estimate_or_error(rec, resamples)
+
+
+def test_bootstrap_memory_is_bounded_by_row_blocks():
+    rec = sample_counts(thermal_photon_distribution(0.9, 400), 100_000, seed=8)
+    top = int(np.flatnonzero(rec.counts)[-1]) + 1
+    assert np.count_nonzero(rec.counts) >= 60
+    resamples = 50_000
+    tracemalloc.start()
+    try:
+        estimate_qcs(rec, resamples=resamples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one unblocked draw would hold every resample's counts at once
+    assert peak < 0.5 * resamples * top * 8
