@@ -3,19 +3,19 @@ difference mode, and the output photon-number distribution p_n.
 
 The beam splitter conserves the total photon number T = k + l of the two modes
 it mixes, so it is block-diagonal: on the span of |k, T−k⟩ it acts by the
-(T+1)-square real orthogonal block U_T, a Wigner d-matrix at β = π/2, built
-from U_{T−1} in O(T²) by a two-sided recurrence (T. Risbo, J. Geodesy 70, 383
-(1996)). Every two-copy path runs one kernel on these blocks: each full block
-acts on the input columns k it needs and keeps all T+1 output rows, so the
+(T+1)-square real orthogonal block U_T, a Wigner d-matrix at β = π/2. Every
+two-copy path runs one kernel on these blocks, built only on the input
+columns k it reads (k ≤ top_a, T−k ≤ top_b; top: the highest level whose row
+of ρ is nonzero) from the same columns of U_{T−1} by a two-sided recurrence
+(T. Risbo, J. Geodesy 70, 383 (1996)). Each keeps all T+1 output rows, so the
 result is exact for the truncated pair ρ_a⊗ρ_b at any cutoff. T stops at
-top_a + top_b per mode (top: the highest level whose row of ρ is nonzero),
-so the difference mode has top_a + top_b + 1 levels (at least 2). With
-X_T[k, k′] = ρ_a[k, k′] ρ_b[T−k, T−k′], the output diagonal is
-diag(U_T X_T U_Tᵀ) summed over the traced mode, so p_n costs O(top⁴) and
-streams the blocks, the full difference-mode state costs O(top⁵), and no
-dim²×dim² matrix is built. For several modes the sectors are tuples of
-per-mode totals and the block is the Kronecker product of the per-mode
-blocks. Identical thermal inputs also have a closed form.
+top_a + top_b per mode, so the difference mode has top_a + top_b + 1 levels
+(at least 2). With X_T[k, k′] = ρ_a[k, k′] ρ_b[T−k, T−k′], the output
+diagonal is diag(U_T X_T U_Tᵀ) summed over the traced mode, so p_n costs
+O(top⁴), the full difference-mode state costs O(top⁵), and no dim²×dim²
+matrix is built. For several modes the sectors are tuples of per-mode totals,
+the block is the Kronecker product of the per-mode ones, and every index is a
+per-mode slice. Identical thermal inputs also have a closed form.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -81,26 +80,28 @@ class PhotonDistribution:
 
 # --- the block kernel ---
 
-def _blocks(top: int):
-    """U_0, U_1, …, U_top: the blocks of exp((π/4)(a†b − ab†)) on |k, T−k⟩,
-    each from the previous one U = U_{T−1} by
+def _blocks(top_a: int, top_b: int):
+    """For T = 0 … top_a + top_b, the window max(0, T − top_b) ≤ k ≤ min(T, top_a)
+    of the columns of the block U_T of exp((π/4)(a†b − ab†)) on |k, T−k⟩, all
+    T+1 rows, from the previous window (U = U_{T−1}, zero outside) by
     U_T[k′, k] = [√k (√k′ U[k′−1, k−1] − √(T−k′) U[k′, k−1])
-                 + √(T−k) (√k′ U[k′−1, k] + √(T−k′) U[k′, k])] / (T√2),
-    with the entries outside U zero. Both indices step at once; one-sided
-    column recurrences are unstable."""
-    root = np.sqrt(np.arange(top + 1.0))
+                 + √(T−k) (√k′ U[k′−1, k] + √(T−k′) U[k′, k])] / (T√2).
+    Column k reads columns k−1 and k only, so the entries are the full block's
+    in O(T·width). Both indices step at once; one-sided column recurrences are
+    unstable."""
+    root = np.sqrt(np.arange(top_a + top_b + 1.0))
     u = np.ones((1, 1))
     yield u
-    for t in range(1, top + 1):
-        s, r = root[1:t + 1, None], root[t:0:-1, None]  # √k for k ≥ 1, √(T−k) for k < T
-        up = np.zeros((t + 1, t))
-        down = np.zeros((t + 1, t))
-        up[1:] = s * u  # √k′ U[k′−1, ·]
-        down[:-1] = r * u  # √(T−k′) U[k′, ·]
+    for t in range(1, top_a + top_b + 1):
+        lo, hi = max(0, t - top_b), min(t, top_a)
+        up = np.zeros((t + 1, hi - lo + 2))  # columns lo−1 … hi of U_{t−1}
+        down = np.zeros((t + 1, hi - lo + 2))
+        cols = slice(int(lo == 0), int(lo == 0) + u.shape[1])
+        up[1:, cols] = root[1:t + 1, None] * u  # √k′ U[k′−1, ·]
+        down[:-1, cols] = root[t:0:-1, None] * u  # √(T−k′) U[k′, ·]
         scale = 1.0 / (t * math.sqrt(2.0))
-        u = np.zeros((t + 1, t + 1))
-        u[:, 1:] = (up - down) * (scale * s.T)
-        u[:, :-1] += (up + down) * (scale * r.T)
+        u = ((up - down)[:, :-1] * (scale * root[lo:hi + 1])
+             + (up + down)[:, 1:] * (scale * root[t - hi:t - lo + 1][::-1]))
         yield u
 
 
@@ -130,49 +131,48 @@ def _check_two_copy(rho_a: DensityOperator, rho_b: DensityOperator):
     return tops_a, tops_b, levels
 
 
-def _flat(parts, shape) -> np.ndarray:
-    """Flat C-order indices of the grid spanned by per-mode index arrays."""
-    flat = parts[0]
-    for part, size in zip(parts[1:], shape[1:]):
-        flat = (flat[:, None] * size + part).ravel()
-    return flat
+def _downto(top: int, bottom: int = 0) -> slice:
+    """The levels top, top − 1, …, bottom."""
+    return slice(top, bottom - 1 if bottom else None, -1)
 
 
-def _sectors(dims, tops_a, tops_b, levels):
-    """Per-mode-total sectors T⃗ of two copies, first mode slowest. Yields the
-    flat input indices of the copy-a states k⃗ and of the copy-b states T⃗−k⃗
-    that the sector needs (k ≤ top_a and T−k ≤ top_b per mode), the flat
-    output indices, at ``levels`` per mode, of copy a's m⃗ and of the
-    difference mode's T⃗−m⃗ for every output row, and per mode the block's
-    columns k. The first mode's blocks stream; the other modes' are held."""
-    held = [list(_blocks(n - 1)) for n in levels[1:]]
-    for first, u_first in enumerate(_blocks(levels[0] - 1)):
-        for rest in itertools.product(*(range(n) for n in levels[1:])):
+def _sectors(tops_a, tops_b):
+    """Per-mode-total sectors T⃗ of two copies, first mode slowest: T⃗, per mode
+    the slices of the copy-a levels k it reads (k ≤ top_a, T−k ≤ top_b) and of
+    the copy-b levels T−k in the same order, and the per-mode windows on those
+    columns. The first mode's windows stream; the other modes' are held."""
+    held = [list(_blocks(ta, tb)) for ta, tb in zip(tops_a[1:], tops_b[1:])]
+    for first, u_first in enumerate(_blocks(tops_a[0], tops_b[0])):
+        for rest in itertools.product(*(range(len(h)) for h in held)):
             totals = (first, *rest)
-            spans = [(max(0, t - tb), min(t, ta) + 1)
-                     for t, ta, tb in zip(totals, tops_a, tops_b)]
-            ks = [np.arange(*span) for span in spans]
-            ms = [np.arange(t + 1) for t in totals]
-            blocks = [u_first, *(h[t] for h, t in zip(held, rest))]
-            yield (_flat(ks, dims), _flat([t - k for t, k in zip(totals, ks)], dims),
-                   _flat(ms, levels), _flat([t - m for t, m in zip(totals, ms)], levels),
-                   [u[:, lo:hi] for u, (lo, hi) in zip(blocks, spans)])
+            spans = [(max(0, t - tb), min(t, ta)) for t, ta, tb in zip(totals, tops_a, tops_b)]
+            yield (totals, tuple(slice(lo, hi + 1) for lo, hi in spans),
+                   tuple(_downto(t - lo, t - hi) for t, (lo, hi) in zip(totals, spans)),
+                   [u_first, *(h[t] for h, t in zip(held, rest))])
+
+
+def _kron(windows) -> np.ndarray:
+    """Kronecker product of per-mode windows, rows m⃗ and columns k⃗ in C order."""
+    u = windows[0]
+    for w in windows[1:]:
+        u = (u[:, None, :, None] * w[None, :, None, :]).reshape(len(u) * len(w), -1)
+    return u
 
 
 def _output_diagonal(rho_a: DensityOperator, rho_b: DensityOperator) -> np.ndarray:
     """Diagonal of the difference-mode state Tr_a U(ρ_a⊗ρ_b)U†, shaped
-    top_a + top_b + 1 levels per mode, from the (T⃗, T⃗) blocks only. Blocks
-    whose X_T is exactly zero are skipped; only the real part of the Hermitian
-    X_T reaches the diagonal."""
+    top_a + top_b + 1 levels per mode, from the (T⃗, T⃗) blocks only; output row
+    m⃗ adds to level T⃗ − m⃗. Blocks whose X_T is exactly zero are skipped; only
+    the real part of the Hermitian X_T reaches the diagonal."""
     tops_a, tops_b, levels = _check_two_copy(rho_a, rho_b)
-    a, b = rho_a.matrix, rho_b.matrix
+    a, b = rho_a.matrix.reshape(rho_a.dims * 2), rho_b.matrix.reshape(rho_b.dims * 2)
     diag = np.zeros(levels)
-    flat = diag.reshape(-1)
-    for rows_a, rows_b, _, out_b, columns in _sectors(rho_a.dims, tops_a, tops_b, levels):
-        x = (a[rows_a[:, None], rows_a] * b[rows_b[:, None], rows_b]).real
+    for totals, ka, kb, windows in _sectors(tops_a, tops_b):
+        x = (a[ka + ka] * b[kb + kb]).real
         if x.any():
-            u = reduce(np.kron, columns)
-            flat[out_b] += np.einsum("ij,ij->i", u @ x, u)
+            u = _kron(windows)
+            view = diag[tuple(map(_downto, totals))]
+            view += np.einsum("ij,ij->i", u @ x.reshape(u.shape[1], -1), u).reshape(view.shape)
     return diag
 
 
@@ -181,27 +181,27 @@ def _output_diagonal(rho_a: DensityOperator, rho_b: DensityOperator) -> np.ndarr
 def two_copy_output(rho: DensityOperator) -> DensityOperator:
     """Difference-mode reduced state ρ_d = Tr_a U(ρ⊗ρ)U† of an N-mode state
     through the pairwise 50:50 beam-splitter stack, on 2·top + 1 levels per
-    mode, from (T⃗, T⃗′) block pairs: only output rows sharing a copy-a index m⃗
-    survive the trace. For a positive ρ, X_{T,T′} vanishes unless both X_{T,T}
-    and X_{T′,T′} carry mass."""
+    mode. A sector pair T⃗ ≤ T⃗′ adds its copy-a rows m⃗ ≤ min(T⃗, T⃗′), the ones
+    the trace keeps, at (T⃗ − m⃗, T⃗′ − m⃗); these make P, and ρ_d = P + P† with
+    the diagonal (T⃗ = T⃗′) counted once. For a positive ρ, X_{T,T′} vanishes
+    unless both X_{T,T} and X_{T′,T′} carry mass."""
     tops, _, levels = _check_two_copy(rho, rho)
-    mat = rho.matrix
-    live = [(ra, rb, oa, ob, reduce(np.kron, columns))
-            for ra, rb, oa, ob, columns in _sectors(rho.dims, tops, tops, levels)
-            if (mat[ra[:, None], ra] * mat[rb[:, None], rb]).any()]
-    out = np.zeros((math.prod(levels),) * 2, dtype=complex)
-    for s, (ra, rb, oa, ob, u) in enumerate(live):
-        for ra2, rb2, oa2, ob2, u2 in live[s:]:
-            _, i, i2 = np.intersect1d(oa, oa2, assume_unique=True, return_indices=True)
-            if not i.size:
-                continue
-            x = mat[ra[:, None], ra2] * mat[rb[:, None], rb2]
-            vals = np.einsum("ij,ij->i", u[i] @ x, u2[i2])
-            out[ob[i], ob2[i2]] += vals
-            if ra2 is not ra:  # the (T⃗′, T⃗) pair is the Hermitian conjugate
-                out[ob2[i2], ob[i]] += vals.conj()
-    return DensityOperator(0.5 * (out + out.conj().T), levels,
-                           trace_deficit=1.0 - (1.0 - rho.trace_deficit) ** 2)
+    mat = rho.matrix.reshape(rho.dims * 2)
+    live = [(totals, ka, kb, windows) for totals, ka, kb, windows in _sectors(tops, tops)
+            if (mat[ka + ka] * mat[kb + kb]).any()]
+    out = np.zeros(levels * 2, dtype=complex)
+    axes = list(range(len(levels)))  # einsum(view, axes * 2, axes): writeable view[m⃗, m⃗]
+    for s, (totals, ka, kb, windows) in enumerate(live):
+        for totals2, ka2, kb2, windows2 in live[s:]:
+            box = [min(t, t2) + 1 for t, t2 in zip(totals, totals2)]
+            u, u2 = (_kron([w[:c] for w, c in zip(ws, box)]) for ws in (windows, windows2))
+            x = (mat[ka + ka2] * mat[kb + kb2]).reshape(u.shape[1], u2.shape[1])
+            view = out[tuple(map(_downto, totals + totals2))][tuple(slice(c) for c in box * 2)]
+            np.einsum(view, axes * 2, axes)[...] += np.einsum("ij,ij->i", u @ x, u2).reshape(box)
+    out = out.reshape((math.prod(levels),) * 2)
+    out = out + out.conj().T
+    np.fill_diagonal(out, 0.5 * out.diagonal())
+    return DensityOperator(out, levels, trace_deficit=1.0 - (1.0 - rho.trace_deficit) ** 2)
 
 
 def photon_distribution(rho_a: DensityOperator,
@@ -232,13 +232,13 @@ def photon_distribution_phase_invariant(diag) -> PhotonDistribution:
 
 
 def hom_photon_distribution(big_n: int, big_np: int) -> np.ndarray:
-    """p_n for Fock inputs |N⟩⊗|N′⟩: the squared column N of the block U_{N+N′}
-    (output row k leaves n = N + N′ − k photons in the difference mode)."""
+    """p_n for Fock inputs |N⟩⊗|N′⟩: the squared column N of U_{N+N′}, the last
+    window (output row k leaves n = N + N′ − k photons in the difference mode)."""
     if big_n < 0 or big_np < 0:
         raise ValidationError("photon numbers must be non-negative")
-    for u in _blocks(big_n + big_np):
+    for u in _blocks(big_n, big_np):
         pass
-    return u[::-1, big_n] ** 2
+    return u[::-1, 0] ** 2
 
 
 def thermal_photon_distribution(q: float, n_max: int) -> PhotonDistribution:

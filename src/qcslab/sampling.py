@@ -117,13 +117,13 @@ def estimate_qcs(rec: ShotRecord, resamples: int = DEFAULT_RESAMPLES) -> Sampled
         raise ValidationError(f"need at least 100 shots, got {rec.shots}")
     resamples = _integer(resamples, "resamples", minimum=2)
     freqs = rec.frequencies()
-    if int(rec.shots) * (len(freqs) - 1) > np.iinfo(np.int64).max:
-        raise ValidationError(f"{rec.shots} shots over {len(freqs)} levels overflow int64 sums")
+    top = int(np.flatnonzero(rec.counts)[-1]) + 1  # one past the highest occupied level
+    if int(rec.shots) * (top - 1) > np.iinfo(np.int64).max:
+        raise ValidationError(f"{rec.shots} shots over {top} levels overflow int64 sums")
     point = qcs_two_copy(PhotonDistribution(probs=freqs))
     if abs(point.denominator) < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(
             f"empirical alternating sum {point.denominator:.3e} below resolution")
-    top = int(np.flatnonzero(rec.counts)[-1]) + 1
     n = np.arange(top)
     weights = np.column_stack([(-1) ** n, n * (-1) ** n])
     rng = np.random.default_rng(np.random.SeedSequence(rec.seed).spawn(1)[0])

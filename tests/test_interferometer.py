@@ -1,3 +1,7 @@
+import math
+from fractions import Fraction
+from itertools import accumulate, islice
+
 import numpy as np
 import pytest
 
@@ -58,10 +62,42 @@ def test_hom_block_amplitudes_small_case():
     # |1>|1> is column k = 1 of the T = 2 block; output row k leaves n = 2 - k
     # photons in the difference mode. n = 1 cancels (the HOM dip), n = 0, 2
     # carry probability 1/2 each.
-    c = list(_blocks(2))[-1][:, 1]
+    c = next(islice(_blocks(2, 2), 2, None))[:, 1]
     assert abs(c[1]) < 1e-12
     for k_out in (0, 2):
         assert abs(c[k_out] ** 2 - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.3, 0.4 - 0.9j])
+def test_coherent_against_vacuum_is_poisson(alpha):
+    # copy b holds only level 0, so its window is one column wide: the pair
+    # leaves a coherent state of amplitude α/√2 in the difference mode
+    mean = abs(alpha) ** 2 / 2
+    rho, vacuum = coherent(alpha, 40), fock(0, 40)
+    for pair in ((rho, vacuum), (vacuum, rho)):
+        pn = photon_distribution(*pair).probs
+        poisson = [math.exp(-mean) * mean ** n / math.factorial(n) for n in range(len(pn))]
+        assert len(pn) == 40
+        assert np.abs(pn - poisson).max() < 1e-12
+
+
+def hom_one_photon_exact(big_n):
+    """p_n for |N⟩⊗|1⟩, n = 0 … N + 1, as the exact fraction
+    (C(N,n) − C(N,n−1))²·n!·(N+1−n)! / (2^{N+1}·N!), rounded once."""
+    fact = [1, *accumulate(range(1, big_n + 2), lambda a, b: a * b)]
+    comb = [math.comb(big_n, n) for n in range(big_n + 1)] + [0]
+    return np.array([
+        float(Fraction((comb[n] - comb[n - 1]) ** 2 * fact[n] * fact[big_n + 1 - n],
+                       2 ** (big_n + 1) * fact[big_n]))
+        for n in range(big_n + 2)])
+
+
+@pytest.mark.parametrize("big_n", [1, 5, 30, 2000])
+def test_hom_one_photon_matches_exact_form(big_n):
+    # unequal windows: the last one is the single column N of U_{N+1}
+    exact = hom_one_photon_exact(big_n)
+    for pair in ((big_n, 1), (1, big_n)):
+        assert np.abs(hom_photon_distribution(*pair) - exact).max() < 1e-14
 
 
 def test_hom_distribution_high_photon_numbers():

@@ -1,11 +1,12 @@
 """The package's numpy-only exponentials against scipy's ``expm``.
 
-``_blocks`` builds the beam-splitter blocks by a recurrence in the photon
-total and ``matrix_exponential`` diagonalizes the Hermitian iG; ``expm`` uses
-scaling-and-squaring and shares no code with either.
+``_blocks`` builds the columns of the beam-splitter blocks that two inputs
+need by a recurrence in the photon total, and ``matrix_exponential``
+diagonalizes the Hermitian iG; ``expm`` uses scaling-and-squaring and shares no
+code with either.
 """
 
-from collections import deque
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -31,15 +32,29 @@ def block_generator(total):
 @pytest.mark.parametrize("total, column", [(1, 0), (2, 0), (60, 0), (121, 0), (256, 0),
                                            (511, 0)])
 def test_bs_block_matches_expm(total, column):
-    """The last block of the recurrence, and the Fock-pair p_n read from its
-    column for |column, total − column⟩ (vacuum in the first input)."""
-    u = deque(_blocks(total), maxlen=1)[0]
+    """The full block at ``total`` (inputs up to ``total`` in both copies), and
+    the Fock-pair p_n read from its column for |column, total − column⟩
+    (vacuum in the first input)."""
+    u = next(islice(_blocks(total, total), total, None))
     oracle = expm(0.25 * np.pi * block_generator(total))
     assert u.shape == (total + 1,) * 2
     assert np.abs(u @ u.T - np.eye(len(u))).max() < TOL
     assert np.abs(u - oracle).max() < TOL
     hom = hom_photon_distribution(column, total - column)
     assert np.abs(hom - oracle[::-1, column] ** 2).max() < TOL
+
+
+def test_bs_block_windows_match_expm():
+    """Unequal tops: at each total T the window holds the columns
+    max(0, T − top_b) … min(T, top_a) of the full block, all T + 1 rows."""
+    top_a, top_b = 40, 7
+    windows = list(_blocks(top_a, top_b))
+    assert len(windows) == top_a + top_b + 1
+    for total, u in enumerate(windows):
+        lo, hi = max(0, total - top_b), min(total, top_a)
+        oracle = expm(0.25 * np.pi * block_generator(total))
+        assert u.shape == (total + 1, hi - lo + 1)
+        assert np.abs(u - oracle[:, lo:hi + 1]).max() < TOL
 
 
 @settings(max_examples=30, deadline=None)

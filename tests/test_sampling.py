@@ -81,9 +81,17 @@ def test_estimate_requires_enough_statistics():
     for seed in (-1, 1.5, "7", True):
         with pytest.raises(ValidationError, match="'seed' must be an integer >= 0"):
             sample_counts(pn, 1_000, seed=seed)
-    # Σn·c_n must fit the int64 sums of the bootstrap
+    # Σn·c_n must fit the int64 sums of the bootstrap: 2**62 shots on level 2 overflow
     with pytest.raises(ValidationError, match="overflow"):
-        estimate_qcs(ShotRecord(counts=np.array([2 ** 62, 0, 0]), shots=2 ** 62, seed=0))
+        estimate_qcs(ShotRecord(counts=np.array([0, 0, 2 ** 62]), shots=2 ** 62, seed=0))
+    # the guard reads the highest occupied level, not the record's length: every
+    # shot on level 0 sums to 2**62, and empty levels appended change nothing
+    est = estimate_qcs(ShotRecord(counts=np.array([2 ** 62, 0, 0]), shots=2 ** 62, seed=0))
+    assert est.c_squared == 1.0
+    counts = [2 ** 60, 2 ** 59, 2 ** 59]
+    short = estimate_qcs(ShotRecord(counts=np.array(counts), shots=2 ** 61, seed=3))
+    padded = estimate_qcs(ShotRecord(counts=np.array(counts + [0, 0]), shots=2 ** 61, seed=3))
+    assert short == padded and short.c_squared == 2.0
 
 
 def test_plugin_on_exact_pn_equals_two_copy_bitwise():

@@ -6,8 +6,9 @@ the stack to the columns of F_a ⊗ F_b for factors ρ = F F† from ``eigh``, a
 traces out copy a with ``einsum``; it shares no code with the kernel. It
 embeds the inputs at 2·dim − 1 levels per mode: two copies of a state on
 levels 0 … dim − 1 hold at most 2·dim − 2 photons per pair, so on that space
-the truncated generator is exact. The states fill their cutoff, so the
-kernel's output has the same 2·dim − 1 levels per mode.
+the truncated generator is exact. Most states fill their cutoff, so the
+kernel's output has the same 2·dim − 1 levels per mode; pairs with different
+top levels give fewer, and the oracle's levels beyond them must be empty.
 """
 
 import math
@@ -95,6 +96,23 @@ def single_mode_pairs(draw):
 
 
 @st.composite
+def unequal_pairs(draw):
+    """Two different top levels and two states at one cutoff that fill only
+    their own levels 0 … top (a single level is the vacuum), so the two copies
+    read windows of different widths."""
+    dim = draw(st.integers(2, 10))
+    tops = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+    pair = []
+    for top in tops:
+        matrix = np.zeros((dim, dim), dtype=complex)
+        matrix[0, 0] = 1.0
+        if top:
+            matrix[:top + 1, :top + 1] = draw(states(top + 1)).matrix
+        pair.append(DensityOperator(matrix, (dim,)))
+    return tops, pair
+
+
+@st.composite
 def two_mode_states(draw):
     d1, d2 = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     return tensor(draw(states(d1)), draw(states(d2)))
@@ -108,6 +126,26 @@ def test_photon_distribution_matches_oracle(pair):
     pn = photon_distribution(rho_a, rho_b)
     assert pn.probs.shape == expected.shape
     assert np.max(np.abs(pn.probs - np.clip(expected, 0.0, None))) < TOL
+
+
+@PROPERTY_SETTINGS
+@given(unequal_pairs())
+def test_unequal_tops_match_oracle(drawn):
+    """p_n has top_a + top_b + 1 levels (at least 2) and ρ_d of two copies of
+    ρ_a has 2·top_a + 1; the oracle's levels beyond them are empty."""
+    (top_a, top_b), (rho_a, rho_b) = drawn
+    expected = np.real(np.diag(oracle_output(rho_a, rho_b)))
+    pn = photon_distribution(rho_a, rho_b).probs
+    assert len(pn) == max(2, top_a + top_b + 1)
+    padded = np.zeros_like(expected)
+    padded[:len(pn)] = pn
+    assert np.max(np.abs(padded - np.clip(expected, 0.0, None))) < TOL
+    expected = oracle_output(rho_a, rho_a)
+    rho_d = two_copy_output(rho_a)
+    assert rho_d.dims == (max(2, 2 * top_a + 1),)
+    padded = np.zeros_like(expected)
+    padded[:rho_d.dim, :rho_d.dim] = rho_d.matrix
+    assert np.max(np.abs(padded - expected)) < TOL
 
 
 @PROPERTY_SETTINGS
