@@ -7,10 +7,17 @@ Fock levels per mode. Conventions used throughout the package:
   untruncated levels and x² + p² = 1 + 2n̂ (vacuum variance 1/2),
 - tensor products put the first factor on the slow (leftmost) index,
 - density operators carry their truncation trace deficit explicitly.
+
+One scaled Laguerre recurrence (``scaled_laguerre``) gives the exact matrix
+elements of the displacement operator, both for ``displacement_operator`` and
+for the Wigner kernel in ``phase_space``. The elements are exact at any
+cutoff, so there is no headroom rule: what a displacement moves past the
+cutoff shows up as trace deficit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,44 +188,51 @@ def pad_fock_level(state: DensityOperator) -> DensityOperator:
     return DensityOperator(t.reshape(d, d), dims, state.trace_deficit)
 
 
-def conjugate_unitary(state: DensityOperator, unitary: np.ndarray) -> DensityOperator:
-    """U ρ U†, re-symmetrized to absorb floating-point Hermiticity drift."""
-    mat = unitary @ state.matrix @ unitary.conj().T
-    mat = 0.5 * (mat + mat.conj().T)
-    deficit = max(state.trace_deficit, 1.0 - float(np.trace(mat).real))
-    return DensityOperator(matrix=mat, dims=state.dims, trace_deficit=deficit)
-
-
 def purity_direct(rho: DensityOperator) -> float:
     """Tr ρ², evaluated as the squared Frobenius norm (ρ Hermitian)."""
     return float(np.sum(np.abs(rho.matrix) ** 2))
 
 
-def matrix_exponential(generator: np.ndarray) -> np.ndarray:
-    """Internal utility: exp(G) for an anti-Hermitian G (a unitary), computed as
-    V e^{−iW} Vᴴ from the Hermitian eigendecomposition iG = V W Vᴴ.
+def log_factorial(n) -> np.ndarray:
+    """ln n! elementwise, by ``math.lgamma``."""
+    n = np.asarray(n)
+    return np.array([math.lgamma(k + 1.0) for k in n.ravel().tolist()]).reshape(n.shape)
 
-    ``eigh`` reads one triangle only, so a G that is not anti-Hermitian to
-    round-off (‖G + Gᴴ‖ > HERMITICITY_TOL·max(1, ‖G‖), max norms) raises
-    ValidationError rather than return a wrong exponential.
+
+def scaled_laguerre(x, d, count: int):
+    """Yield G_{m,d}(x) = √(m!/(m+d)!) x^{d/2} e^{−x/2} L_m^{(d)}(x) for
+    m = 0 … count − 1, broadcast over x and the band d (integers >= 0).
+
+    With x = |β|², G_{m,d} is the modulus of the displacement matrix element
+    ⟨m+d|D(β)|m⟩ (Cahill & Glauber 1969). The recurrence is Laguerre's three-term
+    one, rescaled so that the Gaussian envelope and the 1/√((m+d)!) factor are in
+    G_{0,d} from the start (kept in the log domain, so high bands neither
+    overflow nor lose their scale) and every step stays O(1).
     """
-    g = np.asarray(generator)
-    if np.abs(g + g.conj().T).max() > HERMITICITY_TOL * max(1.0, np.abs(g).max()):
-        raise ValidationError("matrix_exponential needs an anti-Hermitian generator")
-    w, v = np.linalg.eigh(1j * g)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    x = np.asarray(x, dtype=float)
+    d = np.asarray(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_power = np.where(d > 0, d * np.log(x), 0.0)  # ln x^d, with 0^0 = 1
+    g = np.exp(0.5 * (log_power - log_factorial(d)) - 0.5 * x)
+    g_prev = np.zeros_like(g)
+    for m in range(count):
+        yield g
+        if m + 1 < count:
+            g_next = ((2 * m + d + 1 - x) * g
+                      - np.sqrt(m * (m + d)) * g_prev) / np.sqrt((m + 1) * (m + 1 + d))
+            g_prev, g = g, g_next
 
 
-def displacement_operator(beta: complex, dim: int) -> np.ndarray:
-    """D(β) = exp(β a† - β* a) on the truncated space.
-
-    Accuracy degrades once |β|² approaches dim/4; callers should keep headroom.
-    """
-    a = annihilation(dim)
-    return matrix_exponential(beta * a.conj().T - np.conj(beta) * a)
-
-
-def phase_rotation_operator(theta: float, dim: int) -> np.ndarray:
-    """exp(iθ n̂), a diagonal phase-space rotation."""
-    return np.diag(np.exp(1j * theta * np.arange(dim)))
-
+def displacement_operator(beta: complex, rows: int, cols: int) -> np.ndarray:
+    """The exact elements ⟨m|D(β)|n⟩ of D(β) = exp(β a† − β* a) for m < rows and
+    n < cols: G_{n,m−n}(|β|²) e^{i(m−n)φ} on and below the diagonal and
+    G_{m,n−m}(|β|²) (−e^{−iφ})^{n−m} above it, with φ = arg β."""
+    size = max(rows, cols)
+    bands = np.arange(size)
+    g = np.array(list(scaled_laguerre(abs(beta) ** 2, bands, min(rows, cols))))
+    phi = np.angle(beta)
+    down = np.exp(1j * bands * phi)
+    up = (-1.0) ** bands * np.exp(-1j * bands * phi)
+    m, n = np.ogrid[:rows, :cols]
+    band = np.abs(m - n)
+    return g[np.minimum(m, n), band] * np.where(m >= n, down[band], up[band])

@@ -1,12 +1,12 @@
 """Wigner-function evaluation on grids: the gradient QCS route and overlaps.
 
 The Wigner function is evaluated from the Fock-basis displaced-parity kernel
-W(α) = (1/π) Tr[ρ D(2α) (-1)^n̂] with closed-form displacement matrix elements
-(scaled Laguerre recurrences, exponential factored in from the start), never
-by numerical Fourier transform. The origin value is computed analytically
-from the parity trace, the gradient as the Wigner function of the commutators
-with the quadratures, integrated at a trapezoid spacing derived from the
-cutoff (``quadrature_spacing``). The origin-Laplacian route needs only the
+W(α) = (1/π) Tr[ρ D(2α) (-1)^n̂] with the exact displacement matrix elements
+of ``fock.scaled_laguerre`` (the one recurrence that also builds D(β) for
+``states.displace``), never by numerical Fourier transform. The origin value
+is computed analytically from the parity trace, the gradient as the Wigner
+function of the commutators with the quadratures, integrated at a trapezoid
+spacing derived from the cutoff (``quadrature_spacing``). The origin-Laplacian route needs only the
 difference-mode p_n, so it lives with the two-copy route in ``estimators``.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GridError, ValidationError
 from .estimators import QcsEstimate
-from .fock import DensityOperator, pad_fock_level, quadratures
+from .fock import DensityOperator, pad_fock_level, quadratures, scaled_laguerre
 
 DEFAULT_SPACING = 0.04
 EXTENT_PADDING = 1.2
@@ -96,31 +96,17 @@ def wigner_eval(rho: DensityOperator, x_axis: np.ndarray | None = None,
 BAND_FLOOR = 1e-15  # co-diagonals below this magnitude cannot move W above roundoff
 
 
-def _band_accumulator(coeff, d, babs2, log_b2):
+def _band_accumulator(coeff, d, babs2):
     """Σ_m coeff[m] G_{m,d}(|β|²) for one co-diagonal, as a function of |β|²
     only (the angular factor phase^d is applied by the caller)."""
     nz = np.nonzero(np.abs(coeff) > BAND_FLOOR)[0]
     if len(nz) == 0:
         return None
     last = int(nz[-1])
-    g_prev = np.zeros_like(babs2)
-    # G_{0,d} = |β|^d e^{-|β|²/2} / √(d!), kept in log domain so the high
-    # bands neither overflow (β^d) nor lose the 1/√(d!) scale
-    if d == 0:
-        g = np.exp(-0.5 * babs2)
-    else:
-        with np.errstate(invalid="ignore"):
-            g = np.exp(0.5 * (d * log_b2 - math.lgamma(d + 1.0)) - 0.5 * babs2)
-        g = np.where(babs2 > 0, g, 0.0)
     acc = np.zeros(babs2.shape, dtype=complex)
-    for m in range(last + 1):
-        c = coeff[m]
+    for c, g in zip(coeff[:last + 1], scaled_laguerre(babs2, d, last + 1)):
         if c != 0:
             acc += c * g
-        if m < last:
-            g_next = ((2 * m + d + 1 - babs2) * g
-                      - np.sqrt(m * (m + d)) * g_prev) / np.sqrt((m + 1) * (m + 1 + d))
-            g_prev, g = g, g_next
     return acc
 
 
@@ -147,7 +133,6 @@ def _wigner_values(mat: np.ndarray, x_axis: np.ndarray, p_axis: np.ndarray) -> n
     beta = np.sqrt(2.0) * (xq + 1j * pq)  # D(2α) argument with α = (x+ip)/√2
     babs2 = np.abs(beta) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_b2 = np.where(babs2 > 0, np.log(babs2), -np.inf)
         phase = np.where(babs2 > 0, beta / np.sqrt(babs2), 0.0)
     signs = (-1.0) ** np.arange(dim)
     # per-quadrant accumulators over (sign of x, sign of p); without symmetry
@@ -161,7 +146,7 @@ def _wigner_values(mat: np.ndarray, x_axis: np.ndarray, p_axis: np.ndarray) -> n
         if d > 0:
             ph_pow = ph_pow * phase
         band = np.diagonal(mat, offset=d)  # ρ_{m, m+d}
-        acc = _band_accumulator(band * signs[:dim - d], d, babs2, log_b2)
+        acc = _band_accumulator(band * signs[:dim - d], d, babs2)
         if acc is None:
             continue
         if d == 0:

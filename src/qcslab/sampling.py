@@ -144,8 +144,3 @@ def estimate_qcs(rec: ShotRecord, resamples: int = DEFAULT_RESAMPLES) -> Sampled
         ci_low=float(ci_low), ci_high=float(ci_high), shots=rec.shots,
         resamples=resamples, seed=rec.seed, denominator_unstable=unstable)
 
-
-def estimate_from_exact(pn: PhotonDistribution) -> float:
-    """Infinite-shot limit: the plug-in estimator applied to exact p_n; equals
-    qcs_two_copy bit-for-bit (same code path)."""
-    return qcs_two_copy(pn).c_squared

@@ -1,7 +1,9 @@
 """Constructors for the benchmark state families.
 
 Every constructor returns a valid :class:`~qcslab.fock.DensityOperator` with
-its truncation trace deficit recorded. Gaussian covariance parametrizations
+its truncation trace deficit recorded. ``displace`` applies the exact elements
+of D(β) (``fock.displacement_operator``), so a displaced state has its true
+deficit too and no accuracy domain in |β|. Gaussian covariance parametrizations
 (vacuum = I/2) are provided for the Gaussian fast path.
 
 ``KINDS`` is the one place that knows what a state kind is: each row parses
@@ -23,28 +25,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import CutoffError, ValidationError
-from .fock import (
-    DEFAULT_DEFICIT_TOL,
-    DensityOperator,
-    annihilation,
-    conjugate_unitary,
-    displacement_operator,
-    phase_rotation_operator,
-)
+from .fock import DEFAULT_DEFICIT_TOL, DensityOperator, displacement_operator, log_factorial
 
 SCHEMA_VERSION = 1
 CUTOFF_TAIL_TOL = 1e-9  # photon-number tail mass the default two-copy cutoff leaves out
 
 
-def _log_factorial(n: np.ndarray) -> np.ndarray:
-    """ln n! elementwise, by ``math.lgamma``."""
-    return np.array([math.lgamma(k + 1.0) for k in n.tolist()])
-
-
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     """Fock amplitudes e^{-|α|²/2} αⁿ/√n! of the coherent state |α⟩."""
     n = np.arange(dim)
-    log_mag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * _log_factorial(n) \
+    log_mag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * log_factorial(n) \
         if alpha != 0 else np.concatenate([[0.0], np.full(dim - 1, -np.inf)])
     phase = np.exp(1j * n * np.angle(alpha)) if alpha != 0 else np.ones(dim)
     return np.exp(log_mag) * phase
@@ -109,7 +99,7 @@ def squeezed_vacuum(r: float, cutoff: int,
     """Squeezed vacuum with ⟨n̂⟩ = sinh²r; x is the anti-squeezed quadrature for r > 0,
     matching the covariance diag(e^{2r}, e^{-2r})/2."""
     k = np.arange((cutoff + 1) // 2)
-    log_c = 0.5 * _log_factorial(2 * k) - k * np.log(2.0) - _log_factorial(k) \
+    log_c = 0.5 * log_factorial(2 * k) - k * np.log(2.0) - log_factorial(k) \
         + k * np.log(np.tanh(abs(r))) if r != 0 else np.where(k == 0, 0.0, -np.inf)
     amps = np.exp(log_c) / np.sqrt(np.cosh(r))
     if r < 0:
@@ -178,18 +168,26 @@ def random_classical_mixture(rng: np.random.Generator, max_terms: int = 5,
     return ClassicalMixture(tuple(weights), tuple(amps))
 
 
-def displace(rho: DensityOperator, beta: complex) -> DensityOperator:
-    """D(β) ρ D†(β). Documented accuracy domain: |β|² <= dim/4."""
+def displace(rho: DensityOperator, beta: complex,
+             deficit_tol: float = DEFAULT_DEFICIT_TOL) -> DensityOperator:
+    """D(β) ρ D†(β) on ρ's cutoff, from the exact elements of D(β) in the
+    columns up to ρ's highest occupied level. The mass moved past the cutoff
+    is the result's trace deficit; CutoffError when it exceeds deficit_tol."""
     if rho.n_modes != 1:
         raise ValidationError("displace expects a single-mode state")
-    return conjugate_unitary(rho, displacement_operator(beta, rho.dim))
+    top = max(np.flatnonzero(np.any(rho.matrix != 0, axis=0)), default=0)
+    d = displacement_operator(beta, rho.dim, top + 1)
+    moved = d @ rho.matrix[:top + 1, :top + 1] @ d.conj().T
+    return DensityOperator.from_matrix(moved, rho.dims, deficit_tol=deficit_tol)
 
 
 def phase_rotate(rho: DensityOperator, theta: float) -> DensityOperator:
-    """e^{iθn̂} ρ e^{-iθn̂}."""
+    """e^{iθn̂} ρ e^{-iθn̂}: ρ_mn e^{iθ(m−n)}."""
     if rho.n_modes != 1:
         raise ValidationError("phase_rotate expects a single-mode state")
-    return conjugate_unitary(rho, phase_rotation_operator(theta, rho.dim))
+    n = np.arange(rho.dim)
+    return DensityOperator(rho.matrix * np.exp(1j * theta * (n[:, None] - n)), rho.dims,
+                           rho.trace_deficit)
 
 
 def pure_state_vector(rho: DensityOperator, tol: float = 1e-9) -> np.ndarray:
@@ -392,7 +390,7 @@ KINDS = {
     "displaced": Kind(
         _fields(base=_base_state, beta=_complex),
         lambda p, dim, tol: displace(build_state(p["base"], cutoff=dim, deficit_tol=tol),
-                                     p["beta"]),
+                                     p["beta"], tol),
         lambda p: mean_photon_number(p["base"]) + abs(p["beta"]) ** 2),
     "gaussian": Kind(_parse_gaussian, None, None, covariance=lambda p: CovarianceMatrix(**p)),
 }
@@ -477,10 +475,12 @@ def gaussian_covariance(spec: StateSpec) -> CovarianceMatrix:
 
 def recommended_cutoff(spec: StateSpec, *, two_copy: bool = True) -> int:
     """Default cutoff: ceil(4(⟨n̂⟩+3)) for smooth families, 2·max_n+4 for Fock
-    mixtures. The two-copy default (every CLI command) doubles it, and raises
-    it to 2s + 4 where a probe build leaves tail mass <= CUTOFF_TAIL_TOL above
-    level s (slow tails, like thermal ones). The two-copy kernel is exact at
-    any cutoff; the doubling stays so that no default result moves."""
+    mixtures. The two-copy default (every CLI command) doubles it; for smooth
+    families it raises it to 2s + 4 where a probe build leaves tail mass
+    <= CUTOFF_TAIL_TOL above level s (slow tails, like thermal ones). A kind
+    with a top level has support s <= top, so 2s + 4 < 2·base and no probe is
+    built. The two-copy kernel is exact at any cutoff; the doubling stays so
+    that no default result moves."""
     top_level = KINDS[spec.kind].top_level
     if top_level is not None:
         base = 2 * top_level(spec.params) + 4
@@ -488,6 +488,8 @@ def recommended_cutoff(spec: StateSpec, *, two_copy: bool = True) -> int:
         base = math.ceil(4.0 * (mean_photon_number(spec) + 3.0))
     if not two_copy:
         return base
+    if top_level is not None:
+        return 2 * base
     probe_dim = min(max(4 * base, 64), 512)
     probe = build_state(spec, cutoff=probe_dim, deficit_tol=1.0)
     return max(2 * base, 2 * probe.effective_support(CUTOFF_TAIL_TOL) + 4)

@@ -362,3 +362,17 @@ def test_singular_covariance_exits_2_at_any_scale(runner, tmp_path, scale):
     result = runner.invoke(main, ["qcs", "--state", path, "--route", "gaussian"])
     assert result.exit_code == 2, result.output
     assert "positive definite" in result.output
+
+
+@pytest.mark.parametrize("base, beta, cutoff", [(0, 2.0, 8), (3, 1.0, 10)],
+                         ids=["vacuum-beta-2-cutoff-8", "fock-3-beta-1-cutoff-10"])
+def test_displaced_state_past_cutoff_exits_4(runner, tmp_path, base, beta, cutoff):
+    # the exact displacement moves 5.1e-2 and 4.7e-3 of the trace past these
+    # cutoffs; a unitary on the truncated space would keep it and read C² as
+    # 2.510 and 7.085 (true values 1 and 7)
+    path = write_spec(tmp_path, "disp.json", {"schema": 1, "kind": "displaced", "params": {
+        "base": {"kind": "fock", "params": {"n": base}}, "beta": beta}})
+    for cmd in (["qcs", "--route", "all"], ["compare"]):
+        result = runner.invoke(main, [*cmd, "--state", path, "--cutoff", str(cutoff)])
+        assert result.exit_code == 4, result.output
+        assert "trace deficit" in result.output

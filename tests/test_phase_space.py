@@ -20,16 +20,21 @@ from qcslab import (
     wigner_eval,
     wigner_origin,
 )
-from qcslab.fock import displacement_operator, parity_operator
+from scipy.linalg import expm
+
+from qcslab.fock import annihilation, parity_operator
 from qcslab.phase_space import _wigner_values, default_axes
 
 
 def wigner_point_oracle(mat, x, p, pad_dim=80):
     """Slow reference: W = Tr[rho D(2 alpha) parity]/pi with the displacement
-    built by matrix exponential in a padded space (truncation-safe)."""
+    built by scipy's matrix exponential in a padded space (truncation-safe),
+    sharing no code with the kernel's Laguerre recurrence."""
     padded = np.zeros((pad_dim, pad_dim), dtype=complex)
     padded[: mat.shape[0], : mat.shape[0]] = mat
-    d = displacement_operator(np.sqrt(2.0) * (x + 1j * p), pad_dim)
+    beta = np.sqrt(2.0) * (x + 1j * p)
+    a = annihilation(pad_dim)
+    d = expm(beta * a.conj().T - np.conj(beta) * a)
     return float(np.real(np.trace(padded @ d @ parity_operator(pad_dim))) / np.pi)
 
 

@@ -17,7 +17,7 @@ from qcslab import (
     thermal_photon_distribution,
 )
 from qcslab.estimators import DENOMINATOR_FLOOR
-from qcslab.sampling import _BLOCK_ROWS, estimate_from_exact
+from qcslab.sampling import _BLOCK_ROWS
 
 
 def test_sampling_is_deterministic():
@@ -95,8 +95,14 @@ def test_estimate_requires_enough_statistics():
 
 
 def test_plugin_on_exact_pn_equals_two_copy_bitwise():
-    pn = thermal_photon_distribution(0.5, 80)
-    assert estimate_from_exact(pn) == qcs_two_copy(pn).c_squared
+    # the sampled point estimate is the two-copy formula on the record's
+    # frequencies: bit-identical on a record whose frequencies are an exact p_n
+    pn = PhotonDistribution(probs=np.array([0.625, 0.25, 0.125]))
+    rec = ShotRecord(counts=np.array([5000, 2000, 1000]), shots=8000, seed=0)
+    assert estimate_qcs(rec).c_squared == qcs_two_copy(pn).c_squared
+    rec = sample_counts(thermal_photon_distribution(0.5, 80), 100_000, seed=7)
+    plugin = qcs_two_copy(PhotonDistribution(probs=rec.frequencies())).c_squared
+    assert estimate_qcs(rec, resamples=2).c_squared == plugin
 
 
 def test_bootstrap_ci_covers_exact_value():

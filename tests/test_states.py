@@ -122,6 +122,14 @@ def test_displace_and_phase_rotate_preserve_purity():
     assert np.allclose(spun.matrix, rho.matrix)  # Fock states are phase invariant
 
 
+def test_phase_rotate_by_pi_flips_odd_coherences():
+    rho = coherent(0.4 + 0.2j, 8, deficit_tol=1e-3)
+    spun = phase_rotate(rho, np.pi)
+    signs = (-1.0) ** np.arange(8)
+    assert np.allclose(spun.matrix, signs[:, None] * rho.matrix * signs)
+    assert spun.trace_deficit == rho.trace_deficit
+
+
 def test_pure_state_vector():
     rho = coherent(0.5, 20)
     vec = pure_state_vector(rho)
@@ -216,3 +224,17 @@ def test_mean_photon_number_and_recommended_cutoff():
     # slow thermal tail forces extra headroom beyond the mean-based rule
     th = recommended_cutoff(StateSpec("thermal", {"q": 0.5}))
     assert 0.5 ** (th // 2) < 1e-8
+
+
+def test_recommended_cutoff_of_top_level_kinds_builds_no_probe(monkeypatch):
+    # the support of these kinds stops at their top level, so a probe cannot
+    # move the doubled rule 4·top + 8, whatever the top
+    def no_build(*args, **kwargs):
+        raise AssertionError("recommended_cutoff built a state")
+
+    monkeypatch.setattr("qcslab.states.build_state", no_build)
+    for n in (0, 1, 60, 511, 600):
+        assert recommended_cutoff(StateSpec("fock", {"n": n})) == 4 * n + 8
+    for kind in ("rho_2M", "rho_even_M"):
+        for m in (1, 24, 300):
+            assert recommended_cutoff(StateSpec(kind, {"M": m})) == 8 * m + 8
