@@ -14,7 +14,8 @@ class CutoffError(QcslabError):
 
 
 class MemoryGuardError(CutoffError):
-    """A two-copy input or its largest full beam-splitter block exceeds the memory guard."""
+    """A two-copy input, its largest full beam-splitter block, or a Wigner grid
+    (more than MEMORY_GUARD_DIM² points) exceeds the memory guard."""
 
 
 class DegenerateDenominatorError(QcslabError):

@@ -18,6 +18,7 @@ cutoff shows up as trace deficit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import CutoffError, ValidationError
 DEFAULT_DEFICIT_TOL = 1e-6
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
+LOG_TINY = math.log(sys.float_info.min)  # ln G_{0,d} below which scaled_laguerre carries exponents
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -199,6 +201,12 @@ def log_factorial(n) -> np.ndarray:
     return np.array([math.lgamma(k + 1.0) for k in n.ravel().tolist()]).reshape(n.shape)
 
 
+def _laguerre_step(g, g_prev, m: int, d, x):
+    """G_{m+1,d}(x) from G_{m,d} and G_{m−1,d}."""
+    return ((2 * m + d + 1 - x) * g
+            - np.sqrt(m * (m + d)) * g_prev) / np.sqrt((m + 1) * (m + 1 + d))
+
+
 def scaled_laguerre(x, d, count: int):
     """Yield G_{m,d}(x) = √(m!/(m+d)!) x^{d/2} e^{−x/2} L_m^{(d)}(x) for
     m = 0 … count − 1, broadcast over x and the band d (integers >= 0).
@@ -207,20 +215,36 @@ def scaled_laguerre(x, d, count: int):
     ⟨m+d|D(β)|m⟩ (Cahill & Glauber 1969). The recurrence is Laguerre's three-term
     one, rescaled so that the Gaussian envelope and the 1/√((m+d)!) factor are in
     G_{0,d} from the start (kept in the log domain, so high bands neither
-    overflow nor lose their scale) and every step stays O(1).
+    overflow nor lose their scale) and every step stays O(1). Where G_{0,d}
+    underflows (e^{−x/2} alone does once x ≳ 1,417), the same recurrence also
+    runs on mantissas near 1 with their binary exponents carried apart, and
+    those entries of G are the mantissas scaled back; the recurrence is linear,
+    so scaling by powers of two is exact.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_power = np.where(d > 0, d * np.log(x), 0.0)  # ln x^d, with 0^0 = 1
-    g = np.exp(0.5 * (log_power - log_factorial(d)) - 0.5 * x)
+    log_g = 0.5 * (log_power - log_factorial(d)) - 0.5 * x
+    g = np.exp(log_g)
     g_prev = np.zeros_like(g)
+    low = np.flatnonzero(np.isfinite(log_g) & (log_g < LOG_TINY))
+    if low.size:
+        xs, ds = (v if v.ndim == 0 else np.broadcast_to(v, g.shape).flat[low] for v in (x, d))
+        exponent = np.floor(log_g.flat[low] / math.log(2.0)).astype(int)
+        gs, gs_prev = np.exp(log_g.flat[low] - exponent * math.log(2.0)), np.zeros(low.size)
     for m in range(count):
+        if low.size:
+            g = np.asarray(g)
+            g.flat[low] = np.ldexp(gs, exponent)
         yield g
         if m + 1 < count:
-            g_next = ((2 * m + d + 1 - x) * g
-                      - np.sqrt(m * (m + d)) * g_prev) / np.sqrt((m + 1) * (m + 1 + d))
-            g_prev, g = g, g_next
+            g_prev, g = g, _laguerre_step(g, g_prev, m, d, x)
+            if low.size:
+                gs_prev, gs = gs, _laguerre_step(gs, gs_prev, m, ds, xs)
+                shift = np.maximum(np.frexp(gs)[1], np.frexp(gs_prev)[1])
+                gs, gs_prev = np.ldexp(gs, -shift), np.ldexp(gs_prev, -shift)
+                exponent = exponent + shift
 
 
 def displacement_operator(beta: complex, rows: int, cols: int) -> np.ndarray:

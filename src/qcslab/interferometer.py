@@ -7,19 +7,23 @@ it mixes, so it is block-diagonal: on the span of |k, T−k⟩ it acts by the
 two-copy path runs one kernel on these blocks, built only on the input
 columns k it reads (k ≤ top_a, T−k ≤ top_b; top: the highest level whose row
 of ρ is nonzero) from the same columns of U_{T−1} by a two-sided recurrence
-(T. Risbo, J. Geodesy 70, 383 (1996)). Each keeps all T+1 output rows, so the
-result is exact for the truncated pair ρ_a⊗ρ_b at any cutoff. T stops at
-top_a + top_b per mode, so the difference mode has top_a + top_b + 1 levels
-(at least 2). With X_T[k, k′] = ρ_a[k, k′] ρ_b[T−k, T−k′], the output
-diagonal is diag(U_T X_T U_Tᵀ) summed over the traced mode, so p_n costs
-O(top⁴), the full difference-mode state costs O(top⁵), and no dim²×dim²
-matrix is built. For several modes the sectors are tuples of per-mode totals,
+(T. Risbo, J. Geodesy 70, 383 (1996)). The full blocks U_0 … U_64 do not
+depend on ρ: each process builds them once, on first use, and holds them
+read-only (0.75 MB), so a window with T ≤ 64 is a view of its block; windows
+above T = 64 stream from U_64 for the first mode. Each window keeps all T+1
+output rows, so the result is exact for the truncated pair ρ_a⊗ρ_b at any
+cutoff. T stops at top_a + top_b per mode, so the difference mode has
+top_a + top_b + 1 levels (at least 2). With X_T[k, k′] = ρ_a[k, k′]
+ρ_b[T−k, T−k′], the output diagonal is diag(U_T X_T U_Tᵀ) summed over the
+traced mode, so p_n costs O(top⁴), the full difference-mode state costs
+O(top⁵), and no dim²×dim² matrix is built. For several modes the sectors are tuples of per-mode totals,
 the block is the Kronecker product of the per-mode ones, and every index is a
 per-mode slice. Identical thermal inputs also have a closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,29 +84,39 @@ class PhotonDistribution:
 
 # --- the block kernel ---
 
-def _blocks(top_a: int, top_b: int):
-    """For T = 0 … top_a + top_b, the window max(0, T − top_b) ≤ k ≤ min(T, top_a)
-    of the columns of the block U_T of exp((π/4)(a†b − ab†)) on |k, T−k⟩, all
-    T+1 rows, from the previous window (U = U_{T−1}, zero outside) by
+_HELD_TOTAL = 64  # U_0 … U_64 are held per process: Σ(T+1)² = 93,665 entries, 0.75 MB
+
+
+def _step(u: np.ndarray, t: int, lo: int, hi: int, root: np.ndarray) -> np.ndarray:
+    """Columns lo … hi of U_t, read-only, from u, the columns max(0, lo − 1) …
+    min(hi, t − 1) of U_{t−1} (zero outside), by
     U_T[k′, k] = [√k (√k′ U[k′−1, k−1] − √(T−k′) U[k′, k−1])
-                 + √(T−k) (√k′ U[k′−1, k] + √(T−k′) U[k′, k])] / (T√2).
-    Column k reads columns k−1 and k only, so the entries are the full block's
-    in O(T·width). Both indices step at once; one-sided column recurrences are
-    unstable."""
-    root = np.sqrt(np.arange(top_a + top_b + 1.0))
-    u = np.ones((1, 1))
-    yield u
-    for t in range(1, top_a + top_b + 1):
-        lo, hi = max(0, t - top_b), min(t, top_a)
-        up = np.zeros((t + 1, hi - lo + 2))  # columns lo−1 … hi of U_{t−1}
-        down = np.zeros((t + 1, hi - lo + 2))
-        cols = slice(int(lo == 0), int(lo == 0) + u.shape[1])
-        up[1:, cols] = root[1:t + 1, None] * u  # √k′ U[k′−1, ·]
-        down[:-1, cols] = root[t:0:-1, None] * u  # √(T−k′) U[k′, ·]
-        scale = 1.0 / (t * math.sqrt(2.0))
-        u = ((up - down)[:, :-1] * (scale * root[lo:hi + 1])
-             + (up + down)[:, 1:] * (scale * root[t - hi:t - lo + 1][::-1]))
-        yield u
+                 + √(T−k) (√k′ U[k′−1, k] + √(T−k′) U[k′, k])] / (T√2)
+    (root[k] = √k). Column k reads columns k−1 and k only, so the entries are
+    the full block's in O(T·width). Both indices step at once; one-sided
+    column recurrences are unstable."""
+    up = np.zeros((t + 1, hi - lo + 2))  # columns lo−1 … hi of U_{t−1}
+    down = np.zeros((t + 1, hi - lo + 2))
+    cols = slice(int(lo == 0), int(lo == 0) + u.shape[1])
+    up[1:, cols] = root[1:t + 1, None] * u  # √k′ U[k′−1, ·]
+    down[:-1, cols] = root[t:0:-1, None] * u  # √(T−k′) U[k′, ·]
+    scale = 1.0 / (t * math.sqrt(2.0))
+    u = ((up - down)[:, :-1] * (scale * root[lo:hi + 1])
+         + (up + down)[:, 1:] * (scale * root[t - hi:t - lo + 1][::-1]))
+    u.flags.writeable = False
+    return u
+
+
+@functools.cache
+def _held_block(t: int) -> np.ndarray:
+    """The full block U_t (t ≤ _HELD_TOTAL), built once per process from U_{t−1}
+    and read-only. The blocks are deterministic, so a race between threads can
+    only build one twice, never misorder them."""
+    if t == 0:
+        u = np.ones((1, 1))
+        u.flags.writeable = False
+        return u
+    return _step(_held_block(t - 1), t, 0, t, np.sqrt(np.arange(t + 1.0)))
 
 
 def _tops(rho: DensityOperator) -> tuple[int, ...]:
@@ -136,19 +150,37 @@ def _downto(top: int, bottom: int = 0) -> slice:
     return slice(top, bottom - 1 if bottom else None, -1)
 
 
+def _modes(top_a: int, top_b: int):
+    """Per total T = 0 … top_a + top_b of one mode of two copies: T, the slices
+    of the copy-a levels k it reads (lo = max(0, T − top_b) ≤ k ≤ min(T, top_a)
+    = hi) and of the copy-b levels T−k in the same order, the output levels
+    T … 0, and the read-only window on those columns of the block U_T of
+    exp((π/4)(a†b − ab†)) on |k, T−k⟩, all T+1 rows. Up to T = 64 the window is
+    a view of the held U_T; above it, each window streams from the previous one
+    by ``_step``, starting from the held U_64, and equals that block's columns
+    bit for bit."""
+    root = np.sqrt(np.arange(top_a + top_b + 1.0))
+    for t in range(top_a + top_b + 1):
+        lo, hi = max(0, t - top_b), min(t, top_a)
+        u = _held_block(t)[:, lo:hi + 1] if t <= _HELD_TOTAL else _step(u, t, lo, hi, root)
+        yield t, slice(lo, hi + 1), _downto(t - lo, t - hi), _downto(t), u
+
+
+def _blocks(top_a: int, top_b: int):
+    """The windows of ``_modes``: for each T, columns lo … hi of U_T."""
+    for *_, u in _modes(top_a, top_b):
+        yield u
+
+
 def _sectors(tops_a, tops_b):
-    """Per-mode-total sectors T⃗ of two copies, first mode slowest: T⃗, per mode
-    the slices of the copy-a levels k it reads (k ≤ top_a, T−k ≤ top_b) and of
-    the copy-b levels T−k in the same order, and the per-mode windows on those
-    columns. The first mode's windows stream; the other modes' are held."""
-    held = [list(_blocks(ta, tb)) for ta, tb in zip(tops_a[1:], tops_b[1:])]
-    for first, u_first in enumerate(_blocks(tops_a[0], tops_b[0])):
-        for rest in itertools.product(*(range(len(h)) for h in held)):
-            totals = (first, *rest)
-            spans = [(max(0, t - tb), min(t, ta)) for t, ta, tb in zip(totals, tops_a, tops_b)]
-            yield (totals, tuple(slice(lo, hi + 1) for lo, hi in spans),
-                   tuple(_downto(t - lo, t - hi) for t, (lo, hi) in zip(totals, spans)),
-                   [u_first, *(h[t] for h, t in zip(held, rest))])
+    """Per-mode-total sectors T⃗ of two copies, first mode slowest, each as the
+    tuples (T⃗, copy-a slices, copy-b slices, output slices, windows) over the
+    modes. The descriptors of modes 2…N are built once per call and held; the
+    first mode's stream with its windows."""
+    held = [list(_modes(ta, tb)) for ta, tb in zip(tops_a[1:], tops_b[1:])]
+    for first in _modes(tops_a[0], tops_b[0]):
+        for rest in itertools.product(*held):
+            yield tuple(zip(first, *rest))
 
 
 def _kron(windows) -> np.ndarray:
@@ -167,11 +199,11 @@ def _output_diagonal(rho_a: DensityOperator, rho_b: DensityOperator) -> np.ndarr
     tops_a, tops_b, levels = _check_two_copy(rho_a, rho_b)
     a, b = rho_a.matrix.reshape(rho_a.dims * 2), rho_b.matrix.reshape(rho_b.dims * 2)
     diag = np.zeros(levels)
-    for totals, ka, kb, windows in _sectors(tops_a, tops_b):
+    for _, ka, kb, dest, windows in _sectors(tops_a, tops_b):
         x = (a[ka + ka] * b[kb + kb]).real
         if x.any():
             u = _kron(windows)
-            view = diag[tuple(map(_downto, totals))]
+            view = diag[dest]
             view += np.einsum("ij,ij->i", u @ x.reshape(u.shape[1], -1), u).reshape(view.shape)
     return diag
 
@@ -187,16 +219,17 @@ def two_copy_output(rho: DensityOperator) -> DensityOperator:
     unless both X_{T,T} and X_{T′,T′} carry mass."""
     tops, _, levels = _check_two_copy(rho, rho)
     mat = rho.matrix.reshape(rho.dims * 2)
-    live = [(totals, ka, kb, windows) for totals, ka, kb, windows in _sectors(tops, tops)
+    live = [(totals, ka, kb, dest, windows)
+            for totals, ka, kb, dest, windows in _sectors(tops, tops)
             if (mat[ka + ka] * mat[kb + kb]).any()]
     out = np.zeros(levels * 2, dtype=complex)
     axes = list(range(len(levels)))  # einsum(view, axes * 2, axes): writeable view[m⃗, m⃗]
-    for s, (totals, ka, kb, windows) in enumerate(live):
-        for totals2, ka2, kb2, windows2 in live[s:]:
+    for s, (totals, ka, kb, dest, windows) in enumerate(live):
+        for totals2, ka2, kb2, dest2, windows2 in live[s:]:
             box = [min(t, t2) + 1 for t, t2 in zip(totals, totals2)]
             u, u2 = (_kron([w[:c] for w, c in zip(ws, box)]) for ws in (windows, windows2))
             x = (mat[ka + ka2] * mat[kb + kb2]).reshape(u.shape[1], u2.shape[1])
-            view = out[tuple(map(_downto, totals + totals2))][tuple(slice(c) for c in box * 2)]
+            view = out[dest + dest2][tuple(slice(c) for c in box * 2)]
             np.einsum(view, axes * 2, axes)[...] += np.einsum("ij,ij->i", u @ x, u2).reshape(box)
     out = out.reshape((math.prod(levels),) * 2)
     out = out + out.conj().T

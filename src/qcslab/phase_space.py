@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, ValidationError
+from .errors import GridError, MemoryGuardError, ValidationError
 from .estimators import QcsEstimate
 from .fock import DensityOperator, pad_fock_level, quadratures, scaled_laguerre
+from .interferometer import MEMORY_GUARD_DIM
 
 DEFAULT_SPACING = 0.04
 EXTENT_PADDING = 1.2
@@ -75,13 +76,18 @@ def wigner_eval(rho: DensityOperator, x_axis: np.ndarray | None = None,
                 spacing: float = DEFAULT_SPACING,
                 norm_tol: float | None = 1e-6) -> WignerGrid:
     """Evaluate W on a grid from the Fock kernel; checks ∫W = Tr ρ unless
-    norm_tol is None."""
+    norm_tol is None. Refuses, before allocating it, a grid of more than
+    MEMORY_GUARD_DIM² points."""
     if rho.n_modes != 1:
         raise ValidationError("wigner_eval expects a single-mode state")
     if x_axis is None or p_axis is None:
         x_axis, p_axis = default_axes(rho, spacing)
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
+    if x_axis.size * p_axis.size > MEMORY_GUARD_DIM ** 2:
+        raise MemoryGuardError(
+            f"Wigner grid of {x_axis.size} x {p_axis.size} points exceeds memory guard "
+            f"{MEMORY_GUARD_DIM}^2")
     values = _wigner_values(rho.matrix, x_axis, p_axis)
     grid = WignerGrid(values=values, x_axis=x_axis, p_axis=p_axis)
     if norm_tol is not None:

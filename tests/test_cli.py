@@ -288,6 +288,19 @@ def test_infeasible_route_reported_and_others_kept(runner, tmp_path):
     assert single.exit_code == 4
 
 
+def test_wigner_grid_past_the_memory_guard_is_infeasible(runner, tmp_path):
+    # fock(300) at 302 levels: the gradient route's grid has 7,881² points
+    path = write_spec(tmp_path, "f300.json", {"schema": 1, "kind": "fock", "params": {"n": 300}})
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, ["qcs", "--route", "all", "--state", path, "--cutoff", "302",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(out.read_text())
+    assert "exceeds memory guard" in doc["results"]["wigner-gradient"]["infeasible"]
+    for route in ("direct", "two-copy", "pure"):
+        assert abs(doc["results"][route]["c_squared"] - 601.0) < 1e-9
+
+
 def test_two_copy_route_exact_at_tight_cutoff(runner, tmp_path):
     # coherent(0.7) fills cutoff 12: the two-copy route gives the C² of the
     # truncated state, as the direct route does

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,7 @@ from qcslab import (
     tensor,
     thermal,
 )
-from qcslab.fock import displacement_operator
+from qcslab.fock import displacement_operator, scaled_laguerre
 
 
 def test_ladder_matrix_elements():
@@ -123,3 +124,32 @@ def test_displacement_moves_vacuum_to_coherent():
     moved = displacement_operator(alpha, 30, 1)[:, 0]
     expected = coherent(alpha, 30)
     assert np.max(np.abs(np.outer(moved, moved.conj()) - expected.matrix)) < 1e-15
+
+
+def laguerre_element(m, d, x):
+    """G_{m,d}(x) = √(m!/(m+d)!) x^{d/2} e^{−x/2} L_m^{(d)}(x) at 50 digits."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        return (mpmath.sqrt(mpmath.factorial(m) / mpmath.factorial(m + d))
+                * x ** (mpmath.mpf(d) / 2) * mpmath.exp(-x / 2) * mpmath.laguerre(m, d, x))
+
+
+def test_scaled_laguerre_past_the_underflow_of_its_start():
+    # e^{−800} underflows, yet G_{m,d}(1600) is O(1e-2) near m = x and tiny
+    # but representable below it
+    bands = [0, 1, 2, 7]
+    g = np.array(list(scaled_laguerre(1600.0, bands, 1600)))
+    for m, d in [(1599, 0), (1599, 1), (1500, 2), (1200, 0), (1000, 7), (300, 1), (100, 0)]:
+        ref = laguerre_element(m, d, 1600)
+        assert abs(g[m, bands.index(d)] - ref) <= 1e-12 * abs(ref)
+
+
+def test_displacement_elements_past_the_underflow_of_their_start():
+    # ⟨m|D(40)|n⟩ for m < n lies on band n − m, whose start underflows for
+    # |β|² = 1600; β is real, so the element is (−1)^{n−m} G_{m,n−m}
+    d = displacement_operator(40.0, 1201, 1201)
+    for m, n in [(1000, 1200), (5, 1200), (1200, 1000), (600, 600)]:
+        lo, hi = min(m, n), max(m, n)
+        ref = laguerre_element(lo, hi - lo, 1600) * (-1) ** ((n - m) * (n > m))
+        assert d[m, n].imag == 0.0
+        assert abs(d[m, n].real - ref) <= 1e-12 * abs(ref)

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, islice
 
@@ -23,7 +26,7 @@ from qcslab import (
     wigner_eval,
 )
 from qcslab.errors import RoundoffBudgetError
-from qcslab.interferometer import MEMORY_GUARD_DIM, _blocks
+from qcslab.interferometer import MEMORY_GUARD_DIM, _blocks, _held_block
 
 
 def test_identical_coherent_inputs_cancel():
@@ -213,3 +216,69 @@ def test_input_validation():
     for weights in ([], [0.5, -0.1], [0.7, 0.7]):
         with pytest.raises(ValidationError):
             photon_distribution_phase_invariant(weights)
+
+
+# pairs of top levels whose totals end below, at and above the held U_64
+HELD_EDGE_PAIRS = [(64, 0), (65, 0), (40, 7), (2, 90), (100, 100)]
+
+
+def test_held_blocks_give_the_same_windows_cold_and_warm():
+    for pair in HELD_EDGE_PAIRS:
+        _held_block.cache_clear()
+        cold = [w.copy() for w in _blocks(*pair)]
+        warm = list(_blocks(*pair))
+        assert len(cold) == len(warm) == sum(pair) + 1
+        assert all(np.array_equal(c, w) for c, w in zip(cold, warm))
+    # a window is the same columns of U_T whichever window it was streamed in
+    for top_a, top_b in HELD_EDGE_PAIRS:
+        for t, (w, full) in enumerate(zip(_blocks(top_a, top_b), _blocks(200, 200))):
+            lo = max(0, t - top_b)
+            assert np.array_equal(w, full[:, lo:lo + w.shape[1]])
+
+
+def test_held_and_streamed_windows_are_read_only():
+    windows = list(_blocks(100, 100))
+    for t in (0, 40, 64, 65, 100, 200):
+        with pytest.raises(ValueError):
+            windows[t][0, 0] = 1.0
+
+
+def test_first_mode_windows_stream():
+    # holding every window of a top-200 pair would take 66 MB
+    rho = fock(200, 202)
+    _held_block.cache_clear()
+    tracemalloc.start()
+    try:
+        photon_distribution(rho, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.8e6
+
+
+def test_cold_threads_match_a_single_thread():
+    inputs = [(coherent(0.9, 40), thermal(0.6, 40, deficit_tol=1e-6)),
+              (fock(63, 64), fock(2, 64)), (thermal(0.8, 80), coherent(1.5, 80)),
+              (fock(20, 90), coherent(2.0, 90))]
+    expected = [photon_distribution(a, b).probs for a, b in inputs]
+    results = [None] * len(inputs)
+    start = threading.Barrier(len(inputs))
+
+    def work(i):
+        start.wait()
+        results[i] = photon_distribution(*inputs[i]).probs
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _held_block.cache_clear()
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    for got, want in zip(results, expected):
+        assert np.array_equal(got, want)

@@ -1,8 +1,12 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
 from qcslab import (
     GridError,
+    MemoryGuardError,
     WignerGrid,
     coherent,
     fock,
@@ -23,6 +27,7 @@ from qcslab import (
 from scipy.linalg import expm
 
 from qcslab.fock import annihilation, parity_operator
+from qcslab.interferometer import MEMORY_GUARD_DIM
 from qcslab.phase_space import _wigner_values, default_axes
 
 
@@ -144,3 +149,35 @@ def test_default_axes_cover_displaced_states():
     rho = coherent(2.0, 40)
     axis, _ = default_axes(rho)
     assert axis[-1] > np.sqrt(2) * 2.0 + 4.0  # mean offset plus several sigma
+
+
+def test_wigner_grid_past_the_memory_guard_is_refused_before_allocating():
+    axis = np.linspace(-5.0, 5.0, 5000)
+    assert axis.size ** 2 > MEMORY_GUARD_DIM ** 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryGuardError):
+            wigner_eval(fock(0, 2), axis, axis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a float grid of 5,000² points is 200 MB
+
+
+def test_gradient_route_refuses_a_grid_past_the_memory_guard():
+    # the default grid of fock(300) at 302 levels has 7,881² points
+    with pytest.raises(MemoryGuardError):
+        qcs_wigner_gradient(fock(300, 302))
+
+
+def test_fock_wigner_far_out_matches_closed_form():
+    # W_n(α) = (−1)ⁿ e^{−2|α|²} L_n(4|α|²)/π; at |β|² = 4|α|² ≥ 1,458 the
+    # Laguerre recurrence starts below the smallest normal double
+    n = 10
+    axis = np.array([0.0, 20.0, 24.0, 26.0, 27.0])
+    w = _wigner_values(fock(n, 25).matrix, axis, axis)
+    with mpmath.workdps(40):
+        for i in range(1, len(axis)):
+            a2 = mpmath.mpf(axis[i]) ** 2 / 2
+            ref = (-1) ** n * mpmath.exp(-2 * a2) * mpmath.laguerre(n, 0, 4 * a2) / mpmath.pi
+            assert abs(w[i, 0] - ref) <= 1e-12 * abs(ref)
