@@ -29,7 +29,6 @@ from .fock import (
     creation,
     number_operator,
     parity_operator,
-    partial_trace,
     purity_direct,
     quadratures,
     tensor,

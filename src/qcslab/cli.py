@@ -55,7 +55,6 @@ from .states import (
     recommended_cutoff,
     rho_2m,
     rho_even_m,
-    thermal_parameters,
 )
 
 EXIT_VALIDATION = 2
@@ -150,10 +149,11 @@ def _resolve_cutoff(spec: StateSpec, flag_cutoff: int | None) -> int:
 
 
 def _two_copy_pn(spec: StateSpec, rho: DensityOperator) -> PhotonDistribution:
-    """Difference-mode p_n: closed form for thermal, the block kernel otherwise."""
-    if spec.kind == "thermal":
-        q, _ = thermal_parameters(spec.params.get("q"), spec.params.get("mean_n"))
-        return thermal_photon_distribution(q, 2 * rho.dim)
+    """Difference-mode p_n: the kind's closed form if it has one, the block
+    kernel otherwise."""
+    closed_form = KINDS[spec.kind].two_copy_pn
+    if closed_form is not None:
+        return closed_form(spec.params, rho.dim)
     return photon_distribution(rho, rho)
 
 

@@ -98,26 +98,24 @@ class DensityOperator:
         dims: tuple[int, ...] | None = None,
         *,
         deficit_tol: float = DEFAULT_DEFICIT_TOL,
-        check: bool = True,
     ) -> "DensityOperator":
         matrix = np.asarray(matrix, dtype=complex)
         if dims is None:
             dims = (matrix.shape[0],)
         dims = tuple(int(d) for d in dims)
         drift = np.max(np.abs(matrix - matrix.conj().T))
-        if check and drift > 1e-8:
+        if drift > 1e-8:
             raise ValidationError(f"matrix is not Hermitian (drift {drift:.3e})")
         matrix = 0.5 * (matrix + matrix.conj().T)
         tr = float(np.trace(matrix).real)
         deficit = 1.0 - tr
-        if check:
-            if deficit < -1e-9:
-                raise ValidationError(f"trace {tr} exceeds 1")
-            if deficit > deficit_tol:
-                raise CutoffError(
-                    f"trace deficit {deficit:.3e} exceeds tolerance {deficit_tol:.1e}; "
-                    "increase the Fock cutoff"
-                )
+        if deficit < -1e-9:
+            raise ValidationError(f"trace {tr} exceeds 1")
+        if deficit > deficit_tol:
+            raise CutoffError(
+                f"trace deficit {deficit:.3e} exceeds tolerance {deficit_tol:.1e}; "
+                "increase the Fock cutoff"
+            )
         return cls(matrix=matrix, dims=dims, trace_deficit=max(deficit, 0.0))
 
     def validate(self, *, deficit_tol: float = DEFAULT_DEFICIT_TOL) -> None:
@@ -132,14 +130,16 @@ class DensityOperator:
         if not (1.0 - deficit_tol - 1e-12 <= tr <= 1.0 + 1e-12):
             raise CutoffError(f"trace {tr} outside [1 - {deficit_tol:.1e}, 1]")
 
-    def number_marginal(self, mode: int = 0) -> np.ndarray:
-        """Photon-number distribution of one mode (diagonal of its reduced state)."""
-        reduced = partial_trace(self, keep=mode) if self.n_modes > 1 else self
-        return np.clip(np.diag(reduced.matrix).real, 0.0, None)
+    def number_marginal(self) -> np.ndarray:
+        """Photon-number distribution of the first mode: the diagonal of ρ
+        summed over the other modes."""
+        diag = np.diagonal(self.matrix).real.reshape(self.dims[0], -1)
+        return np.clip(diag.sum(axis=1), 0.0, None)
 
-    def effective_support(self, tail_tol: float = 1e-12, mode: int = 0) -> int:
-        """Smallest s such that the photon-number tail mass above s is <= tail_tol."""
-        probs = self.number_marginal(mode)
+    def effective_support(self, tail_tol: float = 1e-12) -> int:
+        """Smallest s such that the first mode's photon-number tail mass above
+        s is <= tail_tol."""
+        probs = self.number_marginal()
         tail = np.cumsum(probs[::-1])[::-1]
         above = np.concatenate([tail[1:], [0.0]])
         ok = np.nonzero(above <= tail_tol)[0]
@@ -151,33 +151,6 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     mat = np.kron(a.matrix, b.matrix)
     deficit = 1.0 - a.trace() * b.trace()
     return DensityOperator(matrix=mat, dims=a.dims + b.dims, trace_deficit=max(deficit, 0.0))
-
-
-def partial_trace(state: DensityOperator, keep) -> DensityOperator:
-    """Trace out all modes except ``keep`` (an index or sequence of indices)."""
-    if isinstance(keep, (int, np.integer)):
-        keep = [int(keep)]
-    keep = list(keep)
-    n = state.n_modes
-    if any(k < 0 or k >= n for k in keep):
-        raise ValidationError(f"mode index out of range: keep={keep}, n_modes={n}")
-    dims = state.dims
-    t = state.matrix.reshape(dims + dims)
-    traced = [m for m in range(n) if m not in keep]
-    for count, m in enumerate(sorted(traced, reverse=True)):
-        nm = n - count  # modes remaining before this trace
-        t = np.trace(t, axis1=m, axis2=m + nm)
-    sorted_dims = tuple(dims[k] for k in sorted(keep))
-    d = int(np.prod(sorted_dims))
-    # after tracing, the layout follows sorted mode order; restore keep order
-    order = list(np.argsort(np.argsort(keep)))
-    if order != list(range(len(keep))):
-        t = t.reshape(sorted_dims + sorted_dims)
-        t = t.transpose(order + [len(keep) + o for o in order])
-    mat = t.reshape(d, d)
-    mat = 0.5 * (mat + mat.conj().T)
-    kept_dims = tuple(dims[k] for k in keep)
-    return DensityOperator(matrix=mat, dims=kept_dims, trace_deficit=state.trace_deficit)
 
 
 def pad_fock_level(state: DensityOperator) -> DensityOperator:

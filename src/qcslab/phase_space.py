@@ -22,7 +22,6 @@ from .estimators import QcsEstimate
 from .fock import DensityOperator, pad_fock_level, quadratures, scaled_laguerre
 from .interferometer import MEMORY_GUARD_DIM
 
-DEFAULT_SPACING = 0.04
 EXTENT_PADDING = 1.2
 # grid half-width covers mean offset plus this many standard deviations,
 # keeping the 2-D Gaussian tail mass below ~1e-8
@@ -42,46 +41,41 @@ class WignerGrid:
         f = self.values if integrand is None else integrand
         return float(np.trapezoid(np.trapezoid(f, self.p_axis, axis=1), self.x_axis))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,p,W\n")
-            for i, x in enumerate(self.x_axis):
-                for j, p in enumerate(self.p_axis):
-                    fh.write(f"{float(x)!r},{float(p)!r},{float(self.values[i, j])!r}\n")
-
 
 def _second_moments(rho: DensityOperator) -> tuple[float, float, float, float]:
-    """Means and standard deviations of x and p for grid sizing."""
-    x, p = quadratures(rho.dim)
-    mx = float(np.trace(rho.matrix @ x).real)
-    mp = float(np.trace(rho.matrix @ p).real)
-    vx = float(np.trace(rho.matrix @ x @ x).real) - mx ** 2
-    vp = float(np.trace(rho.matrix @ p @ p).real) - mp ** 2
-    return mx, mp, math.sqrt(max(vx, 0.5)), math.sqrt(max(vp, 0.5))
+    """Means and standard deviations of x and p for grid sizing, from ρ's
+    diagonals at offsets 0, 1 and 2, the only ones the truncated x, p, x², p²
+    reach, with no dim × dim product; x² and p² end in (dim − 1)/2, as x @ x does."""
+    n, mat = np.arange(rho.dim), rho.matrix
+    up, down = np.diagonal(mat, 1), np.diagonal(mat, -1)
+    step1 = np.sqrt(n[1:] / 2.0)  # x_{n−1,n} = i p_{n−1,n} = √(n/2)
+    step2 = np.sqrt(n[1:-1] * n[2:]) / 2.0  # (x²)_{n−2,n} = −(p²)_{n−2,n}
+    level = np.append(n[:-1] + 0.5, n[-1] / 2.0)  # diagonal of x² and of p²
+    mx = float(np.dot(step1, (up + down).real))
+    mp = float(np.dot(step1, (down - up).imag))
+    diag = float(np.dot(level, np.diagonal(mat).real))
+    off = float(np.dot(step2, (np.diagonal(mat, 2) + np.diagonal(mat, -2)).real))
+    return (mx, mp, math.sqrt(max(diag + off - mx ** 2, 0.5)),
+            math.sqrt(max(diag - off - mp ** 2, 0.5)))
 
 
-def default_axes(rho: DensityOperator,
-                 spacing: float = DEFAULT_SPACING) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric uniform axes wide enough that the state's phase-space tail
-    (mean offset + EXTENT_SIGMAS standard deviations, padded) is negligible."""
+def default_axes(rho: DensityOperator, spacing: float) -> np.ndarray:
+    """Symmetric uniform axis wide enough in x and p that the state's
+    phase-space tail (mean offset + EXTENT_SIGMAS standard deviations,
+    padded) is negligible."""
     mx, mp, sx, sp = _second_moments(rho)
     half = EXTENT_PADDING * (max(abs(mx), abs(mp)) + EXTENT_SIGMAS * max(sx, sp) + 1.0)
     n_half = int(np.ceil(half / spacing))
-    axis = spacing * np.arange(-n_half, n_half + 1)
-    return axis, axis.copy()
+    return spacing * np.arange(-n_half, n_half + 1)
 
 
-def wigner_eval(rho: DensityOperator, x_axis: np.ndarray | None = None,
-                p_axis: np.ndarray | None = None, *,
-                spacing: float = DEFAULT_SPACING,
-                norm_tol: float | None = 1e-6) -> WignerGrid:
-    """Evaluate W on a grid from the Fock kernel; checks ∫W = Tr ρ unless
-    norm_tol is None. Refuses, before allocating it, a grid of more than
+def wigner_eval(rho: DensityOperator, x_axis: np.ndarray, p_axis: np.ndarray, *,
+                norm_tol: float) -> WignerGrid:
+    """Evaluate W on a grid from the Fock kernel and check ∫W = Tr ρ to within
+    norm_tol. Refuses, before allocating it, a grid of more than
     MEMORY_GUARD_DIM² points."""
     if rho.n_modes != 1:
         raise ValidationError("wigner_eval expects a single-mode state")
-    if x_axis is None or p_axis is None:
-        x_axis, p_axis = default_axes(rho, spacing)
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     if x_axis.size * p_axis.size > MEMORY_GUARD_DIM ** 2:
@@ -90,12 +84,11 @@ def wigner_eval(rho: DensityOperator, x_axis: np.ndarray | None = None,
             f"{MEMORY_GUARD_DIM}^2")
     values = _wigner_values(rho.matrix, x_axis, p_axis)
     grid = WignerGrid(values=values, x_axis=x_axis, p_axis=p_axis)
-    if norm_tol is not None:
-        total = grid.integrate()
-        if abs(total - rho.trace()) > norm_tol:
-            raise GridError(
-                f"Wigner normalization check failed: integral {total:.8f} vs trace "
-                f"{rho.trace():.8f}; grid extent or spacing insufficient")
+    total = grid.integrate()
+    if abs(total - rho.trace()) > norm_tol:
+        raise GridError(
+            f"Wigner normalization check failed: integral {total:.8f} vs trace "
+            f"{rho.trace():.8f}; grid extent or spacing insufficient")
     return grid
 
 
@@ -203,8 +196,8 @@ def quadrature_spacing(dim: int) -> float:
 def overlap_wigner(rho_a: DensityOperator, rho_b: DensityOperator) -> float:
     """Tr(ρ_a ρ_b) as 2π ∫ W_a W_b on a shared grid covering both states."""
     spacing = quadrature_spacing(max(rho_a.dim, rho_b.dim))
-    ax_a, _ = default_axes(rho_a, spacing)
-    ax_b, _ = default_axes(rho_b, spacing)
+    ax_a = default_axes(rho_a, spacing)
+    ax_b = default_axes(rho_b, spacing)
     axis = ax_a if len(ax_a) >= len(ax_b) else ax_b
     ga = wigner_eval(rho_a, axis, axis, norm_tol=1e-5)
     gb = wigner_eval(rho_b, axis, axis, norm_tol=1e-5)
@@ -217,7 +210,7 @@ def qcs_wigner_gradient(rho: DensityOperator) -> QcsEstimate:
     ∂ₚW_ρ = W_{−i[x̂,ρ]}, with the (traceless) commutators formed one Fock
     level above the cutoff. Numerator and denominator match the direct route."""
     rho = pad_fock_level(rho)
-    axis, _ = default_axes(rho, quadrature_spacing(rho.dim))
+    axis = default_axes(rho, quadrature_spacing(rho.dim))
     grid = wigner_eval(rho, axis, axis, norm_tol=1e-5)
     grad_sq = 0.0
     for r in quadratures(rho.dim):  # i[x̂,ρ] gives −∂ₚW, the same square

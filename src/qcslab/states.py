@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import CutoffError, ValidationError
 from .fock import DEFAULT_DEFICIT_TOL, DensityOperator, displacement_operator, log_factorial
+from .interferometer import PhotonDistribution, thermal_photon_distribution
 
 SCHEMA_VERSION = 1
 CUTOFF_TAIL_TOL = 1e-9  # photon-number tail mass the default two-copy cutoff leaves out
@@ -327,8 +328,8 @@ def _parse_gaussian(p: dict) -> dict:
     return parsed
 
 
-def _thermal_mean(p: dict) -> float:
-    return thermal_parameters(p.get("q"), p.get("mean_n"))[1]
+def _thermal(p: dict) -> tuple[float, float]:
+    return thermal_parameters(p.get("q"), p.get("mean_n"))
 
 
 # --- the state-kind table ---
@@ -345,6 +346,8 @@ class Kind:
     top_level: Callable[[dict], int] | None = None  # highest occupied Fock level
     pure: bool = False
     mixture: Callable[[dict], ClassicalMixture] | None = None
+    # closed-form two-copy difference-mode p_n at cutoff dim, in place of the kernel
+    two_copy_pn: Callable[[dict, int], PhotonDistribution] | None = None
 
 
 KINDS = {
@@ -363,8 +366,9 @@ KINDS = {
     "thermal": Kind(
         _parse_thermal,
         lambda p, dim, tol: thermal(p.get("q"), dim, mean_n=p.get("mean_n"), deficit_tol=tol),
-        _thermal_mean,
-        covariance=lambda p: CovarianceMatrix(0.5 * (1.0 + 2.0 * _thermal_mean(p)) * np.eye(2))),
+        lambda p: _thermal(p)[1],
+        covariance=lambda p: CovarianceMatrix(0.5 * (1.0 + 2.0 * _thermal(p)[1]) * np.eye(2)),
+        two_copy_pn=lambda p, dim: thermal_photon_distribution(_thermal(p)[0], 2 * dim)),
     "squeezed_vacuum": Kind(
         _fields(r=_real),
         lambda p, dim, tol: squeezed_vacuum(p["r"], dim, tol),
@@ -473,23 +477,18 @@ def gaussian_covariance(spec: StateSpec) -> CovarianceMatrix:
     return covariance(spec.params)
 
 
-def recommended_cutoff(spec: StateSpec, *, two_copy: bool = True) -> int:
-    """Default cutoff: ceil(4(⟨n̂⟩+3)) for smooth families, 2·max_n+4 for Fock
-    mixtures. The two-copy default (every CLI command) doubles it; for smooth
-    families it raises it to 2s + 4 where a probe build leaves tail mass
-    <= CUTOFF_TAIL_TOL above level s (slow tails, like thermal ones). A kind
-    with a top level has support s <= top, so 2s + 4 < 2·base and no probe is
-    built. The two-copy kernel is exact at any cutoff; the doubling stays so
-    that no default result moves."""
+def recommended_cutoff(spec: StateSpec) -> int:
+    """Default cutoff: twice the one-copy rule, which is 2·top + 4 for a kind
+    with a top level and ceil(4(⟨n̂⟩+3)) otherwise. The latter is raised to
+    2s + 4 where a probe build leaves tail mass <= CUTOFF_TAIL_TOL above level
+    s (slow tails, like thermal ones); a kind with a top level has support
+    s <= top, so a probe could not raise its cutoff and none is built. The
+    two-copy kernel is exact at any cutoff; the doubling stays so that no
+    default result moves."""
     top_level = KINDS[spec.kind].top_level
     if top_level is not None:
-        base = 2 * top_level(spec.params) + 4
-    else:
-        base = math.ceil(4.0 * (mean_photon_number(spec) + 3.0))
-    if not two_copy:
-        return base
-    if top_level is not None:
-        return 2 * base
+        return 2 * (2 * top_level(spec.params) + 4)
+    base = math.ceil(4.0 * (mean_photon_number(spec) + 3.0))
     probe_dim = min(max(4 * base, 64), 512)
     probe = build_state(spec, cutoff=probe_dim, deficit_tol=1.0)
     return max(2 * base, 2 * probe.effective_support(CUTOFF_TAIL_TOL) + 4)

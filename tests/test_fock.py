@@ -1,6 +1,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcslab import (
     DensityOperator,
@@ -11,7 +13,6 @@ from qcslab import (
     fock,
     number_operator,
     parity_operator,
-    partial_trace,
     purity_direct,
     quadratures,
     tensor,
@@ -73,26 +74,37 @@ def test_tensor_and_partial_trace_roundtrip():
     b = thermal(0.3, 6, deficit_tol=1e-3)
     joint = tensor(a, b)
     assert joint.dims == (6, 6)
-    back_a = partial_trace(joint, keep=0)
-    back_b = partial_trace(joint, keep=1)
+    t = joint.matrix.reshape(6, 6, 6, 6)
     # tracing out a truncated factor scales by its (slightly deficient) trace
-    assert np.allclose(back_a.matrix, a.matrix * b.trace(), atol=1e-12)
-    assert np.allclose(back_b.matrix, b.matrix * a.trace(), atol=1e-12)
+    assert np.allclose(np.einsum("ijkj->ik", t), a.matrix * b.trace(), atol=1e-12)
+    assert np.allclose(np.einsum("ijil->jl", t), b.matrix * a.trace(), atol=1e-12)
 
 
-def test_partial_trace_keep_order():
-    rng = np.random.default_rng(3)
-    mats = []
-    for dim in (2, 3, 4):
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        m = m @ m.conj().T
-        mats.append(m / np.trace(m))
-    rho = tensor(tensor(DensityOperator(mats[0], (2,)), DensityOperator(mats[1], (3,))),
-                 DensityOperator(mats[2], (4,)))
-    kept = partial_trace(rho, keep=[2, 0])
-    assert kept.dims == (4, 2)
-    expected = np.kron(mats[2], mats[0])
-    assert np.allclose(kept.matrix, expected, atol=1e-12)
+@settings(max_examples=40, deadline=None)
+@given(dims=st.lists(st.integers(2, 4), min_size=2, max_size=3), rank=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_number_marginal_of_entangled_states(dims, rank, seed):
+    # random vectors on the joint space are entangled across every cut
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(dims))
+    vecs = rng.normal(size=(rank, size)) + 1j * rng.normal(size=(rank, size))
+    weights = rng.dirichlet(np.ones(rank))
+    mat = sum(w * np.outer(v, v.conj()) / np.vdot(v, v).real for w, v in zip(weights, vecs))
+    rest = "cdef"[:len(dims) - 1]
+    reduced = np.einsum(f"a{rest}b{rest}->ab", mat.reshape(tuple(dims) * 2))
+    marginal = DensityOperator(mat, tuple(dims)).number_marginal()
+    assert np.allclose(marginal, np.diagonal(reduced).real, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("first, second", [
+    (thermal(0.5, 30), coherent(0.8, 12)),
+    (fock(4, 10), thermal(0.3, 6, deficit_tol=1e-3)),
+    (coherent(1.5, 24), fock(2, 3)),
+])
+def test_effective_support_of_product_state_is_first_factors(first, second):
+    joint = tensor(first, second)
+    for tail_tol in (1e-12, 1e-6):
+        assert joint.effective_support(tail_tol) == first.effective_support(tail_tol)
 
 
 def test_purity_direct():

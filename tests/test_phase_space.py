@@ -1,8 +1,11 @@
+import time
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcslab import (
     GridError,
@@ -26,9 +29,19 @@ from qcslab import (
 )
 from scipy.linalg import expm
 
-from qcslab.fock import annihilation, parity_operator
+from qcslab.fock import DensityOperator, annihilation, parity_operator, quadratures
 from qcslab.interferometer import MEMORY_GUARD_DIM
-from qcslab.phase_space import _wigner_values, default_axes
+from qcslab.phase_space import (
+    _second_moments,
+    _wigner_values,
+    default_axes,
+    quadrature_spacing,
+)
+
+
+def wigner_on_default_axes(rho):
+    axis = default_axes(rho, quadrature_spacing(rho.dim))
+    return wigner_eval(rho, axis, axis, norm_tol=1e-6)
 
 
 def wigner_point_oracle(mat, x, p, pad_dim=80):
@@ -44,7 +57,7 @@ def wigner_point_oracle(mat, x, p, pad_dim=80):
 
 
 def test_vacuum_wigner_is_gaussian():
-    grid = wigner_eval(fock(0, 6))
+    grid = wigner_on_default_axes(fock(0, 6))
     xx, pp = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
     expected = np.exp(-(xx ** 2 + pp ** 2)) / np.pi
     assert np.max(np.abs(grid.values - expected)) < 1e-12
@@ -53,7 +66,7 @@ def test_vacuum_wigner_is_gaussian():
 def test_fock_one_negative_at_origin():
     rho = fock(1, 8)
     assert abs(wigner_origin(rho) - (-1.0 / np.pi)) < 1e-14
-    grid = wigner_eval(rho)
+    grid = wigner_on_default_axes(rho)
     i = np.argmin(np.abs(grid.x_axis))
     assert abs(grid.values[i, i] - (-1.0 / np.pi)) < 1e-12
 
@@ -70,7 +83,7 @@ def test_wigner_values_match_displaced_parity_oracle():
 def test_normalization_invariant():
     for rho in (coherent(0.7, 28), thermal(0.5, 40), squeezed_vacuum(0.6, 40),
                 rho_even_m(3, 16)):
-        grid = wigner_eval(rho)  # raises GridError if the check fails
+        grid = wigner_on_default_axes(rho)  # raises GridError if the check fails
         assert abs(grid.integrate() - rho.trace()) < 1e-6
 
 
@@ -87,7 +100,7 @@ def test_overlap_coherent_closed_form():
 
 def test_difference_mode_wigner_nonnegative_for_identical_inputs():
     rho_d = two_copy_output(coherent(0.8, 28))
-    grid = wigner_eval(rho_d)
+    grid = wigner_on_default_axes(rho_d)
     assert grid.values.min() > -1e-10
 
 
@@ -134,20 +147,12 @@ def test_gradient_route_exact_where_a_fixed_grid_fails(rho, c2):
 def test_grid_error_when_extent_too_small():
     axis = np.linspace(-1.0, 1.0, 51)
     with pytest.raises(GridError):
-        wigner_eval(thermal(0.5, 30), axis, axis)
-
-
-def test_grid_io(tmp_path):
-    grid = wigner_eval(fock(0, 6))
-    csv_path = tmp_path / "w.csv"
-    grid.to_csv(csv_path)
-    header = csv_path.read_text().splitlines()[0]
-    assert header == "x,p,W"
+        wigner_eval(thermal(0.5, 30), axis, axis, norm_tol=1e-6)
 
 
 def test_default_axes_cover_displaced_states():
     rho = coherent(2.0, 40)
-    axis, _ = default_axes(rho)
+    axis = default_axes(rho, quadrature_spacing(rho.dim))
     assert axis[-1] > np.sqrt(2) * 2.0 + 4.0  # mean offset plus several sigma
 
 
@@ -157,7 +162,7 @@ def test_wigner_grid_past_the_memory_guard_is_refused_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(MemoryGuardError):
-            wigner_eval(fock(0, 2), axis, axis)
+            wigner_eval(fock(0, 2), axis, axis, norm_tol=1e-6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -168,6 +173,40 @@ def test_gradient_route_refuses_a_grid_past_the_memory_guard():
     # the default grid of fock(300) at 302 levels has 7,881² points
     with pytest.raises(MemoryGuardError):
         qcs_wigner_gradient(fock(300, 302))
+
+
+def test_gradient_route_refuses_a_large_grid_without_dense_products():
+    # padded to 2,409 levels the grid needs 31,341² points; sizing it from ρ's
+    # diagonals at offsets 0-2 costs O(dim), where dense products took seconds
+    rho = fock(600, 2408)
+    start = time.perf_counter()
+    with pytest.raises(MemoryGuardError):
+        qcs_wigner_gradient(rho)
+    assert time.perf_counter() - start < 1.0
+
+
+def dense_second_moments(rho):
+    """The dense products the grid sizing avoids: Tr ρx, Tr ρp, Tr ρx², Tr ρp²."""
+    x, p = quadratures(rho.dim)
+    mx = float(np.trace(rho.matrix @ x).real)
+    mp = float(np.trace(rho.matrix @ p).real)
+    vx = float(np.trace(rho.matrix @ x @ x).real) - mx ** 2
+    vp = float(np.trace(rho.matrix @ p @ p).real) - mp ** 2
+    return mx, mp, np.sqrt(max(vx, 0.5)), np.sqrt(max(vp, 0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 24), rank=st.integers(1, 3), top=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_second_moments_match_dense_products(dim, rank, top, seed):
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
+    if top:  # mass on the top level, where x @ x and p @ p are truncated
+        vecs[:, -1] *= 10.0
+    weights = rng.dirichlet(np.ones(rank))
+    mat = sum(w * np.outer(v, v.conj()) / np.vdot(v, v).real for w, v in zip(weights, vecs))
+    rho = DensityOperator(mat, (dim,))
+    assert np.allclose(_second_moments(rho), dense_second_moments(rho), rtol=1e-12, atol=1e-12)
 
 
 def test_fock_wigner_far_out_matches_closed_form():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -218,9 +219,8 @@ def test_build_state_rejects_bad_cutoff(cutoff):
 def test_mean_photon_number_and_recommended_cutoff():
     assert mean_photon_number(StateSpec("fock", {"n": 4})) == 4.0
     assert mean_photon_number(StateSpec("thermal", {"q": 0.5})) == 1.0
-    base = recommended_cutoff(StateSpec("coherent", {"alpha": 0.7}), two_copy=False)
-    doubled = recommended_cutoff(StateSpec("coherent", {"alpha": 0.7}))
-    assert doubled >= 2 * base
+    one_copy = math.ceil(4.0 * (0.7 ** 2 + 3.0))  # the one-copy rule ceil(4(⟨n̂⟩+3))
+    assert recommended_cutoff(StateSpec("coherent", {"alpha": 0.7})) >= 2 * one_copy
     # slow thermal tail forces extra headroom beyond the mean-based rule
     th = recommended_cutoff(StateSpec("thermal", {"q": 0.5}))
     assert 0.5 ** (th // 2) < 1e-8
