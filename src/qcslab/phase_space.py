@@ -59,14 +59,18 @@ def _second_moments(rho: DensityOperator) -> tuple[float, float, float, float]:
             math.sqrt(max(diag - off - mp ** 2, 0.5)))
 
 
-def default_axes(rho: DensityOperator, spacing: float) -> np.ndarray:
-    """Symmetric uniform axis wide enough in x and p that the state's
-    phase-space tail (mean offset + EXTENT_SIGMAS standard deviations,
-    padded) is negligible."""
+def default_axes(rho: DensityOperator, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric uniform x and p axes, each wide enough that the state's
+    phase-space tail along it (mean offset + EXTENT_SIGMAS standard deviations
+    of that quadrature, padded) is negligible. Both are odd-length and
+    origin-symmetric, so ``_wigner_values`` evaluates one quadrant."""
+    def axis(mean, sigma):
+        n_half = int(np.ceil(EXTENT_PADDING * (abs(mean) + EXTENT_SIGMAS * sigma + 1.0)
+                             / spacing))
+        return spacing * np.arange(-n_half, n_half + 1)
+
     mx, mp, sx, sp = _second_moments(rho)
-    half = EXTENT_PADDING * (max(abs(mx), abs(mp)) + EXTENT_SIGMAS * max(sx, sp) + 1.0)
-    n_half = int(np.ceil(half / spacing))
-    return spacing * np.arange(-n_half, n_half + 1)
+    return axis(mx, sx), axis(mp, sp)
 
 
 def wigner_eval(rho: DensityOperator, x_axis: np.ndarray, p_axis: np.ndarray, *,
@@ -194,13 +198,13 @@ def quadrature_spacing(dim: int) -> float:
 
 
 def overlap_wigner(rho_a: DensityOperator, rho_b: DensityOperator) -> float:
-    """Tr(ρ_a ρ_b) as 2π ∫ W_a W_b on a shared grid covering both states."""
+    """Tr(ρ_a ρ_b) as 2π ∫ W_a W_b on a shared grid covering both states: per
+    direction, the wider of their default axes."""
     spacing = quadrature_spacing(max(rho_a.dim, rho_b.dim))
-    ax_a = default_axes(rho_a, spacing)
-    ax_b = default_axes(rho_b, spacing)
-    axis = ax_a if len(ax_a) >= len(ax_b) else ax_b
-    ga = wigner_eval(rho_a, axis, axis, norm_tol=1e-5)
-    gb = wigner_eval(rho_b, axis, axis, norm_tol=1e-5)
+    x_axis, p_axis = (max(pair, key=len) for pair in
+                      zip(default_axes(rho_a, spacing), default_axes(rho_b, spacing)))
+    ga = wigner_eval(rho_a, x_axis, p_axis, norm_tol=1e-5)
+    gb = wigner_eval(rho_b, x_axis, p_axis, norm_tol=1e-5)
     return 2.0 * np.pi * ga.integrate(ga.values * gb.values)
 
 
@@ -210,12 +214,12 @@ def qcs_wigner_gradient(rho: DensityOperator) -> QcsEstimate:
     ∂ₚW_ρ = W_{−i[x̂,ρ]}, with the (traceless) commutators formed one Fock
     level above the cutoff. Numerator and denominator match the direct route."""
     rho = pad_fock_level(rho)
-    axis = default_axes(rho, quadrature_spacing(rho.dim))
-    grid = wigner_eval(rho, axis, axis, norm_tol=1e-5)
+    x_axis, p_axis = default_axes(rho, quadrature_spacing(rho.dim))
+    grid = wigner_eval(rho, x_axis, p_axis, norm_tol=1e-5)
     grad_sq = 0.0
     for r in quadratures(rho.dim):  # i[x̂,ρ] gives −∂ₚW, the same square
         comm = DensityOperator(1j * (r @ rho.matrix - rho.matrix @ r), rho.dims)
-        deriv = wigner_eval(comm, axis, axis, norm_tol=1e-5)
+        deriv = wigner_eval(comm, x_axis, p_axis, norm_tol=1e-5)
         grad_sq += deriv.integrate(deriv.values ** 2)
     numerator = np.pi * grad_sq
     denominator = 2.0 * np.pi * grid.integrate(grid.values ** 2)

@@ -29,7 +29,12 @@ from .fock import DEFAULT_DEFICIT_TOL, DensityOperator, displacement_operator, l
 from .interferometer import PhotonDistribution, thermal_photon_distribution
 
 SCHEMA_VERSION = 1
-CUTOFF_TAIL_TOL = 1e-9  # photon-number tail mass the default two-copy cutoff leaves out
+CUTOFF_TAIL_TOL = 1e-9  # photon-number tail mass the default cutoff leaves out
+# Σ n p_n it leaves out: cutting that tail moves a pure state's C² by about
+# twice it, so the probe's tail and the mass past the probe stay within
+# compare's 1e-6 against the untruncated Gaussian closed form
+CUTOFF_N_TAIL_TOL = 2e-7
+PROBE_MAX_DIM = 1024  # largest state the default-cutoff probe builds
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -41,15 +46,30 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     return np.exp(log_mag) * phase
 
 
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """mat ← (mat + mat†)/2 in place, tile by tile, with the elementwise
+    arithmetic of ``DensityOperator.from_matrix`` but tile-sized temporaries."""
+    tile = 256  # 1 MB of complex128 per tile
+    for i in range(0, len(mat), tile):
+        for j in range(i, len(mat), tile):
+            upper = mat[i:i + tile, j:j + tile].copy()
+            lower = mat[j:j + tile, i:i + tile].copy()
+            mat[i:i + tile, j:j + tile] = 0.5 * (upper + lower.conj().T)
+            mat[j:j + tile, i:i + tile] = 0.5 * (lower + upper.conj().T)
+    return mat
+
+
 def _pure(vec: np.ndarray, *, deficit_tol: float) -> DensityOperator:
+    """|v⟩⟨v| without ``DensityOperator.from_matrix``'s dim × dim temporaries.
+    The outer product still needs its Hermitian part taken: with fused
+    multiply-adds, v_i v̄_j and the conjugate of v_j v̄_i can round apart."""
     deficit = 1.0 - float(np.vdot(vec, vec).real)
     if deficit > deficit_tol:
         raise CutoffError(
             f"state tail mass {deficit:.3e} exceeds deficit tolerance {deficit_tol:.1e}"
         )
-    return DensityOperator.from_matrix(
-        np.outer(vec, vec.conj()), (len(vec),), deficit_tol=deficit_tol
-    )
+    mat = _hermitian_part(np.outer(vec, vec.conj()))
+    return DensityOperator(mat, (len(vec),), max(1.0 - float(np.trace(mat).real), 0.0))
 
 
 def coherent(alpha: complex, cutoff: int,
@@ -478,20 +498,28 @@ def gaussian_covariance(spec: StateSpec) -> CovarianceMatrix:
 
 
 def recommended_cutoff(spec: StateSpec) -> int:
-    """Default cutoff: twice the one-copy rule, which is 2·top + 4 for a kind
-    with a top level and ceil(4(⟨n̂⟩+3)) otherwise. The latter is raised to
-    2s + 4 where a probe build leaves tail mass <= CUTOFF_TAIL_TOL above level
-    s (slow tails, like thermal ones); a kind with a top level has support
-    s <= top, so a probe could not raise its cutoff and none is built. The
-    two-copy kernel is exact at any cutoff; the doubling stays so that no
-    default result moves."""
+    """Default cutoff, the one-copy rule: 2·top + 4 for a kind with a top level,
+    and otherwise max(ceil(4(⟨n̂⟩+3)), s + 2). A probe build leaves at most
+    CUTOFF_TAIL_TOL of probability and CUTOFF_N_TAIL_TOL of ⟨n̂⟩ above level s
+    (slow tails, like thermal and strongly squeezed ones); it doubles, up to
+    PROBE_MAX_DIM levels, while the mass its own truncation cuts off exceeds
+    either. A kind with a top level has support s <= top, so a probe could not
+    raise its cutoff and none is built. The two-copy kernel is exact at any
+    cutoff, so the pair needs no more levels than one copy."""
     top_level = KINDS[spec.kind].top_level
     if top_level is not None:
-        return 2 * (2 * top_level(spec.params) + 4)
+        return 2 * top_level(spec.params) + 4
     base = math.ceil(4.0 * (mean_photon_number(spec) + 3.0))
-    probe_dim = min(max(4 * base, 64), 512)
+    probe_dim = min(max(4 * base, 64), PROBE_MAX_DIM)
     probe = build_state(spec, cutoff=probe_dim, deficit_tol=1.0)
-    return max(2 * base, 2 * probe.effective_support(CUTOFF_TAIL_TOL) + 4)
+    # the mass past the probe sits at levels >= probe_dim
+    while probe.trace_deficit > min(CUTOFF_TAIL_TOL, CUTOFF_N_TAIL_TOL / probe_dim) \
+            and probe_dim < PROBE_MAX_DIM:
+        probe_dim = min(2 * probe_dim, PROBE_MAX_DIM)
+        probe = build_state(spec, cutoff=probe_dim, deficit_tol=1.0)
+    n_tail = np.cumsum((np.arange(probe_dim) * probe.number_marginal())[::-1])[::-1]
+    n_support = int(np.argmax(np.append(n_tail, 0.0) <= CUTOFF_N_TAIL_TOL)) - 1
+    return max(base, probe.effective_support(CUTOFF_TAIL_TOL) + 2, n_support + 2)
 
 
 def build_state(spec: StateSpec, *, cutoff: int | None = None,

@@ -209,13 +209,13 @@ def test_high_fock_level_two_copy(runner, tmp_path):
 
 
 def test_squeezed_two_copy_at_recommended_cutoff(runner, tmp_path):
-    # the recommended cutoff 136 is within the block memory guard
+    # the recommended cutoff 68 is within the block memory guard
     path = write_spec(tmp_path, "sq.json",
                       {"schema": 1, "kind": "squeezed_vacuum", "params": {"r": 1.0}})
     result = runner.invoke(main, ["qcs", "--state", path, "--route", "two-copy"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
-    assert doc["cutoff"] == 136
+    assert doc["cutoff"] == 68
     assert abs(doc["results"]["two-copy"]["c_squared"] - math.cosh(2.0)) < 1e-6
 
 

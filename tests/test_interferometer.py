@@ -182,8 +182,8 @@ def test_multimode_matches_single_mode_pipeline():
     assert single.dims == (15,) and multi.dims == (15, 2)
     assert np.max(np.abs(multi.matrix - tensor(single, fock(0, 2)).matrix)) < 1e-12
     vacuum_d = two_copy_output(fock(0, 4))
-    axis = default_axes(vacuum_d, quadrature_spacing(vacuum_d.dim))
-    assert wigner_eval(vacuum_d, axis, axis, norm_tol=1e-6).values.max() > 0
+    x_axis, p_axis = default_axes(vacuum_d, quadrature_spacing(vacuum_d.dim))
+    assert wigner_eval(vacuum_d, x_axis, p_axis, norm_tol=1e-6).values.max() > 0
 
 
 def test_multimode_product_state_factorizes():

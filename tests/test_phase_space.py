@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from qcslab import (
     GridError,
     MemoryGuardError,
+    StateSpec,
     WignerGrid,
+    build_state,
     coherent,
     fock,
     overlap_wigner,
@@ -40,8 +42,8 @@ from qcslab.phase_space import (
 
 
 def wigner_on_default_axes(rho):
-    axis = default_axes(rho, quadrature_spacing(rho.dim))
-    return wigner_eval(rho, axis, axis, norm_tol=1e-6)
+    x_axis, p_axis = default_axes(rho, quadrature_spacing(rho.dim))
+    return wigner_eval(rho, x_axis, p_axis, norm_tol=1e-6)
 
 
 def wigner_point_oracle(mat, x, p, pad_dim=80):
@@ -152,8 +154,20 @@ def test_grid_error_when_extent_too_small():
 
 def test_default_axes_cover_displaced_states():
     rho = coherent(2.0, 40)
-    axis = default_axes(rho, quadrature_spacing(rho.dim))
-    assert axis[-1] > np.sqrt(2) * 2.0 + 4.0  # mean offset plus several sigma
+    x_axis, _ = default_axes(rho, quadrature_spacing(rho.dim))
+    assert x_axis[-1] > np.sqrt(2) * 2.0 + 4.0  # mean offset plus several sigma
+
+
+def test_squeezed_grid_is_sized_per_axis():
+    # squeezed r = 1 at its default cutoff: x is the anti-squeezed quadrature, so
+    # p needs a shorter axis than x
+    rho = build_state(StateSpec("squeezed_vacuum", {"r": 1.0}))
+    x_axis, p_axis = default_axes(rho, quadrature_spacing(rho.dim))
+    assert len(p_axis) < len(x_axis)
+    norm_tol = 1e-5  # the gradient route's
+    grid = wigner_eval(rho, x_axis, p_axis, norm_tol=norm_tol)
+    assert abs(grid.integrate() - rho.trace()) <= norm_tol
+    assert abs(qcs_wigner_gradient(rho).c_squared - qcs_direct(rho).c_squared) <= 1e-9
 
 
 def test_wigner_grid_past_the_memory_guard_is_refused_before_allocating():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from qcslab import (
     squeezed_vacuum,
     thermal,
 )
+from qcslab import states
+from qcslab.fock import DensityOperator
 from qcslab.states import (
     CovarianceMatrix,
     coherent_amplitudes,
@@ -54,6 +57,31 @@ def test_fock_and_cutoff_errors():
         fock(8, 8)
     with pytest.raises(CutoffError):
         coherent(3.0, 4)
+
+
+def test_pure_states_match_from_matrix_bit_for_bit(monkeypatch):
+    # pure states skip from_matrix; its Hermitian part, taken over the whole
+    # matrix, equals the tiled one to the bit (300 levels span two tiles)
+    vecs = []
+    pure = states._pure
+    monkeypatch.setattr(states, "_pure", lambda vec, **kw: vecs.append(vec) or pure(vec, **kw))
+    for build in (lambda: coherent(0.8 - 0.6j, 300), lambda: squeezed_vacuum(-0.7, 300),
+                  lambda: fock(3, 9)):
+        rho = build()
+        reference = DensityOperator.from_matrix(np.outer(vecs[-1], vecs[-1].conj()))
+        assert np.array_equal(rho.matrix, reference.matrix)
+        assert rho.trace_deficit == reference.trace_deficit
+
+
+def test_fock_state_builds_no_temporaries():
+    tracemalloc.start()
+    try:
+        rho = fock(600, 2408)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho.trace_deficit == 0.0 and rho.matrix[600, 600] == 1.0
+    assert peak < 1.5 * rho.matrix.nbytes
 
 
 def test_thermal_parametrizations():
@@ -220,21 +248,21 @@ def test_mean_photon_number_and_recommended_cutoff():
     assert mean_photon_number(StateSpec("fock", {"n": 4})) == 4.0
     assert mean_photon_number(StateSpec("thermal", {"q": 0.5})) == 1.0
     one_copy = math.ceil(4.0 * (0.7 ** 2 + 3.0))  # the one-copy rule ceil(4(⟨n̂⟩+3))
-    assert recommended_cutoff(StateSpec("coherent", {"alpha": 0.7})) >= 2 * one_copy
+    assert recommended_cutoff(StateSpec("coherent", {"alpha": 0.7})) == one_copy
     # slow thermal tail forces extra headroom beyond the mean-based rule
     th = recommended_cutoff(StateSpec("thermal", {"q": 0.5}))
-    assert 0.5 ** (th // 2) < 1e-8
+    assert 0.5 ** th < 1e-8
 
 
 def test_recommended_cutoff_of_top_level_kinds_builds_no_probe(monkeypatch):
     # the support of these kinds stops at their top level, so a probe cannot
-    # move the doubled rule 4·top + 8, whatever the top
+    # move the rule 2·top + 4, whatever the top
     def no_build(*args, **kwargs):
         raise AssertionError("recommended_cutoff built a state")
 
     monkeypatch.setattr("qcslab.states.build_state", no_build)
     for n in (0, 1, 60, 511, 600):
-        assert recommended_cutoff(StateSpec("fock", {"n": n})) == 4 * n + 8
+        assert recommended_cutoff(StateSpec("fock", {"n": n})) == 2 * n + 4
     for kind in ("rho_2M", "rho_even_M"):
         for m in (1, 24, 300):
-            assert recommended_cutoff(StateSpec(kind, {"M": m})) == 8 * m + 8
+            assert recommended_cutoff(StateSpec(kind, {"M": m})) == 4 * m + 4
