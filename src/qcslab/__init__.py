@@ -36,7 +36,6 @@ from .fock import (
 from .interferometer import (
     PhotonDistribution,
     hom_photon_distribution,
-    multimode_photon_distribution,
     photon_distribution,
     photon_distribution_phase_invariant,
     thermal_photon_distribution,

@@ -305,8 +305,7 @@ def overlap_cmd(state_paths, cutoff, out, config_path):
     if len(opts["state"]) != 2:
         _fail(EXIT_VALIDATION, "overlap needs exactly two --state files")
     spec_a, spec_b = (_load_spec(p) for p in opts["state"])
-    dim = opts["cutoff"] if opts["cutoff"] is not None else max(
-        _resolve_cutoff(spec_a, None), _resolve_cutoff(spec_b, None))
+    dim = max(_resolve_cutoff(spec_a, opts["cutoff"]), _resolve_cutoff(spec_b, opts["cutoff"]))
     rho_a = build_state(spec_a, cutoff=dim)
     rho_b = build_state(spec_b, cutoff=dim)
     trace_route = float(np.trace(rho_a.matrix @ rho_b.matrix).real)

@@ -11,7 +11,8 @@ denominator, so a benchmark sweep can cross-validate them against each other:
 - pure_shortcut: 1 + 2(⟨a†a⟩ - |⟨a⟩|²) for pure states,
 - classical_mixture: closed form for finite coherent mixtures,
 - gaussian: covariance-matrix fast path,
-- multimode: the stacked-beam-splitter version (total parity, 1/N average).
+- multimode: the two-copy formula on the joint p_n of the stacked beam
+  splitters, with the total parity and n averaged over the N modes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateDenominatorError, ValidationError
 from .fock import DensityOperator, pad_fock_level, purity_direct, quadratures
-from .interferometer import PhotonDistribution, multimode_photon_distribution
+from .interferometer import PhotonDistribution, _parity_terms, photon_distribution
 from .states import ClassicalMixture, CovarianceMatrix
 
 METHODS = ("direct", "two_copy", "pure_shortcut", "wigner_gradient",
@@ -80,22 +81,22 @@ def qcs_direct(rho: DensityOperator) -> QcsEstimate:
 
 
 def purity_from_pn(pn: PhotonDistribution) -> float:
-    """Purity as the alternating sum Σ (-1)ⁿ p_n (compensated summation)."""
-    signs = (-1.0) ** np.arange(len(pn.probs))
-    return math.fsum(signs * pn.probs)
+    """Purity as the total-parity sum Σ (-1)ⁿ p_n (compensated summation)."""
+    _, signs, probs = _parity_terms(pn.probs)
+    return math.fsum(signs * probs)
 
 
 def qcs_two_copy(pn: PhotonDistribution) -> QcsEstimate:
-    """Two-copy interferometric formula C² = 1 + 2 Σ n(-1)ⁿp_n / Σ (-1)ⁿp_n."""
-    n = np.arange(len(pn.probs))
-    signs = (-1.0) ** n
-    den = math.fsum(signs * pn.probs)
+    """Two-copy interferometric formula C² = 1 + 2 Σ n̄(-1)ⁿp_n / Σ (-1)ⁿp_n,
+    with n the total count and n̄ = n/N its mean over the N modes."""
+    n, signs, probs = _parity_terms(pn.probs)
+    den = math.fsum(signs * probs)
     if abs(den) < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(
             f"alternating sum {den:.3e} below resolution; purity not resolvable "
             "at this cutoff/statistics")
-    mean_alt = math.fsum(n * signs * pn.probs)
-    numerator = math.fsum((1.0 + 2.0 * n) * signs * pn.probs)
+    mean_alt = math.fsum(n * signs * probs) / pn.probs.ndim
+    numerator = math.fsum((1.0 + 2.0 * n / pn.probs.ndim) * signs * probs)
     return QcsEstimate(c_squared=1.0 + 2.0 * mean_alt / den, method="two_copy",
                        numerator=numerator, denominator=den)
 
@@ -144,22 +145,9 @@ def qcs_classical_mixture(mix: ClassicalMixture) -> QcsEstimate:
 
 
 def qcs_multimode(rho: DensityOperator) -> QcsEstimate:
-    """Stacked-beam-splitter QCS for an N-mode state:
-    C² = (1/N) Σ_k Tr(ρ_d (1+2n̂_{d_k}) (-1)^{Σ_j n̂_{d_j}}) / Tr(ρ_d (-1)^{Σ_j n̂_{d_j}})."""
-    n_modes = rho.n_modes
-    joint = multimode_photon_distribution(rho)
-    diag = joint.reshape(-1)
-    grids = np.meshgrid(*[np.arange(d) for d in joint.shape], indexing="ij")
-    total_n = sum(grids).reshape(-1)
-    parity = (-1.0) ** total_n
-    den = math.fsum(parity * diag)
-    if abs(den) < DENOMINATOR_FLOOR:
-        raise DegenerateDenominatorError(f"total-parity sum {den:.3e} below resolution")
-    num = math.fsum(
-        math.fsum(parity * (1.0 + 2.0 * g.reshape(-1)) * diag) for g in grids
-    ) / n_modes
-    return QcsEstimate(c_squared=num / den, method="two_copy",
-                       numerator=num, denominator=den)
+    """Stacked-beam-splitter QCS of an N-mode state, ``qcs_two_copy`` on the joint p_n:
+    C² = (1/N) Σ_k Tr(ρ_d (1+2n̂_{d_k}) (-1)^n̂) / Tr(ρ_d (-1)^n̂), n̂ = Σ_j n̂_{d_j}."""
+    return qcs_two_copy(photon_distribution(rho, rho))
 
 
 # --- Gaussian fast path (vacuum covariance = I/2) ---

@@ -39,7 +39,7 @@ MEMORY_GUARD_DIM = 4096  # largest input side and full block side (product over 
 
 @dataclass(frozen=True)
 class PhotonDistribution:
-    """Photon-number distribution p_n of the difference mode.
+    """Photon-number distribution p_n of the N difference modes, one axis per mode.
 
     ``deficit`` is 1 - Σ p_n (truncation loss); ``roundoff`` is the negative
     probability mass clipped to zero.
@@ -52,7 +52,8 @@ class PhotonDistribution:
     @classmethod
     def from_values(cls, values: np.ndarray) -> "PhotonDistribution":
         """Clip round-off negatives and check the invariants Σp_n ≤ 1 and
-        0 ≤ Σ(−1)ⁿp_n = Tr(ρ_a ρ_b) ≤ 1, each to within the round-off budget."""
+        0 ≤ Σ(−1)ⁿp_n = Tr(ρ_a ρ_b) ≤ 1 (n the total count over the modes),
+        each to within the round-off budget."""
         values = np.asarray(values, dtype=float)
         roundoff = float(-values[values < 0].sum())
         if roundoff > ROUNDOFF_BUDGET:
@@ -60,8 +61,9 @@ class PhotonDistribution:
                 f"clipped negative probability mass {roundoff:.3e} exceeds budget "
                 f"{ROUNDOFF_BUDGET:.1e}")
         probs = np.clip(values, 0.0, None)
-        total = math.fsum(probs)
-        alternating = math.fsum(probs[::2]) - math.fsum(probs[1::2])
+        _, signs, flat = _parity_terms(probs)
+        total = math.fsum(flat)
+        alternating = math.fsum(signs * flat)
         if total > 1.0 + ROUNDOFF_BUDGET or not (
                 -ROUNDOFF_BUDGET < alternating <= 1.0 + ROUNDOFF_BUDGET):
             raise RoundoffBudgetError(
@@ -74,12 +76,20 @@ class PhotonDistribution:
         return len(self.probs)
 
     def to_csv(self, path) -> None:
-        """CSV schema: columns n, p_n, cumulative (header row mandatory)."""
+        """CSV schema: columns n, p_n, cumulative (header row mandatory); one mode only."""
+        if self.probs.ndim != 1:
+            raise ValidationError(f"to_csv needs a single-mode p_n, got {self.probs.ndim} modes")
         cumulative = np.cumsum(self.probs)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("n,p_n,cumulative\n")
             for n, (p, c) in enumerate(zip(self.probs, cumulative)):
                 fh.write(f"{n},{float(p)!r},{float(c)!r}\n")
+
+
+def _parity_terms(probs: np.ndarray):
+    """Flattened total photon number n = Σ_k n_k, total parity (−1)ⁿ and p_n."""
+    n = np.indices(probs.shape).sum(axis=0).ravel()
+    return n, (-1.0) ** n, probs.ravel()
 
 
 # --- the block kernel ---
@@ -239,17 +249,9 @@ def two_copy_output(rho: DensityOperator) -> DensityOperator:
 
 def photon_distribution(rho_a: DensityOperator,
                         rho_b: DensityOperator) -> PhotonDistribution:
-    """p_n of the difference mode for two (possibly distinct) single-mode
-    inputs, n = 0 … top_a + top_b."""
-    if rho_a.n_modes != 1 or rho_b.n_modes != 1:
-        raise ValidationError("photon_distribution expects single-mode states")
+    """Joint p_n of the N difference modes for two (possibly distinct) N-mode inputs,
+    n_k = 0 … top_a + top_b; for ρ_a = ρ_b = ρ, the diagonal of ``two_copy_output(ρ)``."""
     return PhotonDistribution.from_values(_output_diagonal(rho_a, rho_b))
-
-
-def multimode_photon_distribution(rho: DensityOperator) -> np.ndarray:
-    """Joint photon-number distribution of the N difference modes (the diagonal
-    of ``two_copy_output(rho)``), shaped 2·top + 1 levels per mode."""
-    return _output_diagonal(rho, rho)
 
 
 def photon_distribution_phase_invariant(diag) -> PhotonDistribution:

@@ -3,10 +3,11 @@
 The Wigner function is evaluated from the Fock-basis displaced-parity kernel
 W(α) = (1/π) Tr[ρ D(2α) (-1)^n̂] with the exact displacement matrix elements
 of ``fock.scaled_laguerre`` (the one recurrence that also builds D(β) for
-``states.displace``), never by numerical Fourier transform. The origin value
-is computed analytically from the parity trace, the gradient as the Wigner
-function of the commutators with the quadratures, integrated at a trapezoid
-spacing derived from the cutoff (``quadrature_spacing``). The origin-Laplacian route needs only the
+``states.displace``) on any finite x and p axes, never by numerical Fourier
+transform. The origin value is computed analytically from the parity trace,
+the gradient as the Wigner function of the commutators with the quadratures,
+integrated at a trapezoid spacing derived from the cutoff
+(``quadrature_spacing``). The origin-Laplacian route needs only the
 difference-mode p_n, so it lives with the two-copy route in ``estimators``.
 """
 
@@ -63,7 +64,7 @@ def default_axes(rho: DensityOperator, spacing: float) -> tuple[np.ndarray, np.n
     """Symmetric uniform x and p axes, each wide enough that the state's
     phase-space tail along it (mean offset + EXTENT_SIGMAS standard deviations
     of that quadrature, padded) is negligible. Both are odd-length and
-    origin-symmetric, so ``_wigner_values`` evaluates one quadrant."""
+    origin-symmetric, so ``_wigner_values`` runs its recurrence on one quadrant."""
     def axis(mean, sigma):
         n_half = int(np.ceil(EXTENT_PADDING * (abs(mean) + EXTENT_SIGMAS * sigma + 1.0)
                              / spacing))
@@ -76,12 +77,14 @@ def default_axes(rho: DensityOperator, spacing: float) -> tuple[np.ndarray, np.n
 def wigner_eval(rho: DensityOperator, x_axis: np.ndarray, p_axis: np.ndarray, *,
                 norm_tol: float) -> WignerGrid:
     """Evaluate W on a grid from the Fock kernel and check ∫W = Tr ρ to within
-    norm_tol. Refuses, before allocating it, a grid of more than
-    MEMORY_GUARD_DIM² points."""
+    norm_tol. Refuses axes that are not 1-D and finite and, before allocating
+    it, a grid of more than MEMORY_GUARD_DIM² points."""
     if rho.n_modes != 1:
         raise ValidationError("wigner_eval expects a single-mode state")
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
+    if not all(axis.ndim == 1 and np.isfinite(axis).all() for axis in (x_axis, p_axis)):
+        raise ValidationError("Wigner grid axes must be 1-D arrays of finite numbers")
     if x_axis.size * p_axis.size > MEMORY_GUARD_DIM ** 2:
         raise MemoryGuardError(
             f"Wigner grid of {x_axis.size} x {p_axis.size} points exceeds memory guard "
@@ -89,7 +92,7 @@ def wigner_eval(rho: DensityOperator, x_axis: np.ndarray, p_axis: np.ndarray, *,
     values = _wigner_values(rho.matrix, x_axis, p_axis)
     grid = WignerGrid(values=values, x_axis=x_axis, p_axis=p_axis)
     total = grid.integrate()
-    if abs(total - rho.trace()) > norm_tol:
+    if not abs(total - rho.trace()) <= norm_tol:  # a NaN integral fails too
         raise GridError(
             f"Wigner normalization check failed: integral {total:.8f} vs trace "
             f"{rho.trace():.8f}; grid extent or spacing insufficient")
@@ -113,37 +116,23 @@ def _band_accumulator(coeff, d, babs2):
     return acc
 
 
-def _axis_symmetric(axis):
-    return len(axis) % 2 == 1 and np.allclose(axis, -axis[::-1], atol=1e-12)
-
-
 def _wigner_values(mat: np.ndarray, x_axis: np.ndarray, p_axis: np.ndarray) -> np.ndarray:
     """Displaced-parity kernel, accumulated per co-diagonal of ρ with a scaled
     Laguerre recurrence (the Gaussian envelope is kept inside the recurrence).
 
-    The radial factor G_{m,d} depends on |β|² only, so on origin-symmetric
-    axes the recurrence runs on one quadrant and the full grid is assembled
-    from its real/imaginary parts (β maps to ±β, ±β̄ under axis reflections).
+    The radial factor G_{m,d} depends on |β|² only, and reflecting x or p maps
+    β to −β̄ or β̄, so the recurrence runs once on the distinct |x| × |p| values
+    with one accumulator per sign pattern, and each grid point reads its own.
     """
     dim = mat.shape[0]
-    symmetric = _axis_symmetric(x_axis) and _axis_symmetric(p_axis)
-    if symmetric:
-        xq = x_axis[len(x_axis) // 2:][:, None]
-        pq = p_axis[len(p_axis) // 2:][None, :]
-    else:
-        xq = x_axis[:, None]
-        pq = p_axis[None, :]
-    beta = np.sqrt(2.0) * (xq + 1j * pq)  # D(2α) argument with α = (x+ip)/√2
+    (xa, xi), (pa, pj) = (np.unique(np.abs(axis), return_inverse=True)
+                          for axis in (x_axis, p_axis))
+    beta = np.sqrt(2.0) * (xa[:, None] + 1j * pa[None, :])  # D(2α), α = (x+ip)/√2
     babs2 = np.abs(beta) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         phase = np.where(babs2 > 0, beta / np.sqrt(babs2), 0.0)
     signs = (-1.0) ** np.arange(dim)
-    # per-quadrant accumulators over (sign of x, sign of p); without symmetry
-    # q_pp covers the whole grid and the others stay unused
-    q_pp = np.zeros(babs2.shape)
-    q_pm = np.zeros(babs2.shape)
-    q_mp = np.zeros(babs2.shape)
-    q_mm = np.zeros(babs2.shape)
+    q = np.zeros((2, 2) + babs2.shape)  # q[x < 0, p < 0]
     ph_pow = np.ones_like(phase)
     for d in range(dim):
         if d > 0:
@@ -153,34 +142,19 @@ def _wigner_values(mat: np.ndarray, x_axis: np.ndarray, p_axis: np.ndarray) -> n
         if acc is None:
             continue
         if d == 0:
-            q_pp += acc.real
-            if symmetric:
-                q_pm += acc.real
-                q_mp += acc.real
-                q_mm += acc.real
+            q += acc.real
             continue
         # t(x,p) = 2 Re(acc · phase^d); reflecting p conjugates phase^d and
         # reflecting x additionally multiplies it by (-1)^d
         u = 2.0 * (acc.real * ph_pow.real)
         v = 2.0 * (acc.imag * ph_pow.imag)
-        q_pp += u - v
-        if symmetric:
-            s = signs[d]
-            q_pm += u + v
-            q_mp += s * (u + v)
-            q_mm += s * (u - v)
-    if not symmetric:
-        return q_pp / np.pi
-    ix = np.abs(np.arange(len(x_axis)) - len(x_axis) // 2)
-    jp = np.abs(np.arange(len(p_axis)) - len(p_axis) // 2)
-    neg_x = np.arange(len(x_axis)) < len(x_axis) // 2
-    neg_p = np.arange(len(p_axis)) < len(p_axis) // 2
-    w = np.empty((len(x_axis), len(p_axis)))
-    w[np.ix_(~neg_x, ~neg_p)] = q_pp[np.ix_(ix[~neg_x], jp[~neg_p])]
-    w[np.ix_(~neg_x, neg_p)] = q_pm[np.ix_(ix[~neg_x], jp[neg_p])]
-    w[np.ix_(neg_x, ~neg_p)] = q_mp[np.ix_(ix[neg_x], jp[~neg_p])]
-    w[np.ix_(neg_x, neg_p)] = q_mm[np.ix_(ix[neg_x], jp[neg_p])]
-    return w / np.pi
+        q[0, 0] += u - v
+        q[0, 1] += u + v
+        q[1, 0] += signs[d] * (u + v)
+        q[1, 1] += signs[d] * (u - v)
+    q /= np.pi
+    sx, sp = (np.signbit(axis).astype(int) for axis in (x_axis, p_axis))
+    return q[sx[:, None], sp[None, :], xi[:, None], pj[None, :]]
 
 
 def wigner_origin(rho: DensityOperator) -> float:

@@ -102,7 +102,9 @@ class SampledEstimate:
 
 
 def sample_counts(pn: PhotonDistribution, shots: int, seed: int) -> ShotRecord:
-    """Multinomial draw from p_n (renormalized over its support)."""
+    """Multinomial draw from a single-mode p_n (renormalized over its support)."""
+    if pn.probs.ndim != 1:
+        raise ValidationError(f"sample_counts needs a single-mode p_n, got {pn.probs.ndim} modes")
     shots = _integer(shots, "shots", minimum=1)
     seed = _integer(seed, "seed")
     probs = pn.probs / pn.probs.sum()

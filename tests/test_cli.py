@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from qcslab import interferometer
 from qcslab.cli import main
-from qcslab.states import build_state
+from qcslab.states import StateSpec, build_state, recommended_cutoff
 
 
 @pytest.fixture
@@ -132,6 +132,25 @@ def test_overlap(runner, tmp_path, thermal05):
     assert abs(doc["overlap_trace"] - doc["overlap_wigner"]) < 1e-6
     single = runner.invoke(main, ["overlap", "--state", thermal05])
     assert single.exit_code == 2
+
+
+def test_overlap_cutoff_pinned_in_a_state_file(runner, tmp_path):
+    coh = write_spec(tmp_path, "coh.json",
+                     {"schema": 1, "kind": "coherent", "params": {"alpha": 0.3}})
+    pinned = write_spec(tmp_path, "f.json",
+                        {"schema": 1, "kind": "fock", "params": {"n": 1}, "cutoff": 10})
+    result = runner.invoke(main, ["overlap", "--state", coh, "--state", pinned,
+                                  "--cutoff", "20"])
+    assert result.exit_code == 2
+    assert "ambiguous" in result.output
+    # the flag may repeat the pinned cutoff; without it, the larger cutoff is used
+    agreed = runner.invoke(main, ["overlap", "--state", coh, "--state", pinned,
+                                  "--cutoff", "10"])
+    assert agreed.exit_code == 0 and json.loads(agreed.output)["cutoff"] == 10
+    unpinned = runner.invoke(main, ["overlap", "--state", coh, "--state", pinned])
+    assert unpinned.exit_code == 0
+    assert json.loads(unpinned.output)["cutoff"] == max(
+        10, recommended_cutoff(StateSpec("coherent", {"alpha": 0.3})))
 
 
 def test_compare_fock1_payload(runner, fock1, tmp_path):

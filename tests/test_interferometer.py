@@ -163,6 +163,23 @@ def test_distribution_validation():
     assert ok.roundoff <= 1e-12
 
 
+def test_joint_distribution_validation():
+    # a joint p_n over two modes: Σp_n ≤ 1 over all entries, and the sign of
+    # each entry is the total parity (−1)^(n_1 + n_2), not the first mode's
+    with pytest.raises(RoundoffBudgetError):
+        PhotonDistribution.from_values(np.array([[0.6, 0.0], [0.0, 0.6]]))
+    with pytest.raises(RoundoffBudgetError):
+        PhotonDistribution.from_values(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    ok = PhotonDistribution.from_values(np.array([[0.5, 0.0], [0.0, 0.5]]))
+    assert ok.probs.shape == (2, 2) and ok.deficit == 0.0
+
+
+def test_joint_distribution_refused_where_one_mode_is_meant(tmp_path):
+    pn = photon_distribution(*[tensor(fock(1, 3), fock(0, 2))] * 2)
+    with pytest.raises(ValidationError):
+        pn.to_csv(tmp_path / "pn.csv")
+
+
 def test_distribution_csv(tmp_path):
     pn = PhotonDistribution(probs=np.array([0.5, 0.25, 0.25]))
     path = tmp_path / "pn.csv"
@@ -211,8 +228,12 @@ def test_orthogonal_inputs_give_zero_overlap():
 def test_input_validation():
     with pytest.raises(ValidationError):
         photon_distribution(fock(0, 8), fock(0, 10))
-    with pytest.raises(ValidationError):
-        photon_distribution(tensor(fock(0, 4), fock(0, 4)), tensor(fock(0, 4), fock(0, 4)))
+    # any mode count: two modes give the joint p_n, the diagonal of ρ_d
+    rho = tensor(fock(1, 4), coherent(0.4, 4, deficit_tol=1e-2))
+    pn = photon_distribution(rho, rho)
+    rho_d = two_copy_output(rho)
+    assert pn.probs.shape == rho_d.dims == (3, 7)
+    assert np.max(np.abs(pn.probs.reshape(-1) - rho_d.matrix.diagonal().real)) < 1e-15
     with pytest.raises(ValidationError):
         thermal_photon_distribution(1.0, 10)
     for weights in ([], [0.5, -0.1], [0.7, 0.7]):

@@ -11,6 +11,7 @@ from qcslab import (
     GridError,
     MemoryGuardError,
     StateSpec,
+    ValidationError,
     WignerGrid,
     build_state,
     coherent,
@@ -31,6 +32,7 @@ from qcslab import (
 )
 from scipy.linalg import expm
 
+from qcslab import phase_space
 from qcslab.fock import DensityOperator, annihilation, parity_operator, quadratures
 from qcslab.interferometer import MEMORY_GUARD_DIM
 from qcslab.phase_space import (
@@ -150,6 +152,41 @@ def test_grid_error_when_extent_too_small():
     axis = np.linspace(-1.0, 1.0, 51)
     with pytest.raises(GridError):
         wigner_eval(thermal(0.5, 30), axis, axis, norm_tol=1e-6)
+
+
+def test_wigner_eval_refuses_axes_that_are_not_finite_and_1d():
+    rho = fock(1, 6)
+    x_axis, p_axis = default_axes(rho, quadrature_spacing(rho.dim))
+    nan_x = x_axis.copy()
+    nan_x[3] = np.nan
+    for axes in ((nan_x, p_axis), (x_axis, np.append(p_axis, np.inf)),
+                 (x_axis[None, :], p_axis)):
+        with pytest.raises(ValidationError):
+            wigner_eval(rho, *axes, norm_tol=1e-6)
+
+
+def test_nan_integral_fails_the_normalization_check(monkeypatch):
+    rho = fock(1, 6)
+    x_axis, p_axis = default_axes(rho, quadrature_spacing(rho.dim))
+    nan_grid = np.full((len(x_axis), len(p_axis)), np.nan)
+    monkeypatch.setattr(phase_space, "_wigner_values", lambda *_: nan_grid)
+    with pytest.raises(GridError):
+        wigner_eval(rho, x_axis, p_axis, norm_tol=1e-6)
+
+
+@pytest.mark.parametrize("rho", [squeezed_vacuum(0.5, 30), fock(3, 16),
+                                 coherent(0.6 - 0.3j, 24)])
+def test_asymmetric_window_is_the_block_of_the_full_grid(rho):
+    x_axis, p_axis = default_axes(rho, quadrature_spacing(rho.dim))
+    full = wigner_eval(rho, x_axis, p_axis, norm_tol=1e-6).values
+    mid_x, mid_p = len(x_axis) // 2, len(p_axis) // 2
+    windows = [(slice(5, mid_x + 9), slice(mid_p - 3, None)),  # across both origins
+               (slice(mid_x + 1, None), slice(None, mid_p)),  # x > 0, p < 0 only
+               (slice(None, mid_x - 2), slice(mid_p - 7, mid_p + 1))]
+    for xs, ps in windows:
+        # a window holds only part of W's mass, so its normalization is not checked
+        window = wigner_eval(rho, x_axis[xs], p_axis[ps], norm_tol=np.inf).values
+        assert np.array_equal(window, full[xs, ps])
 
 
 def test_default_axes_cover_displaced_states():

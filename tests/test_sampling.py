@@ -78,6 +78,8 @@ def test_estimate_requires_enough_statistics():
             estimate_qcs(sample_counts(pn, 1_000, seed=0), resamples=resamples)
     with pytest.raises(ValidationError):
         sample_counts(pn, 0, seed=0)
+    with pytest.raises(ValidationError, match="single-mode"):  # a joint p_n of two modes
+        sample_counts(PhotonDistribution(probs=np.full((2, 2), 0.25)), 1_000, seed=0)
     for seed in (-1, 1.5, "7", True):
         with pytest.raises(ValidationError, match="'seed' must be an integer >= 0"):
             sample_counts(pn, 1_000, seed=seed)

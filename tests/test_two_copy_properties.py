@@ -20,8 +20,9 @@ from scipy.linalg import expm
 
 from qcslab import (
     DensityOperator,
-    multimode_photon_distribution,
     photon_distribution,
+    qcs_direct,
+    qcs_multimode,
     tensor,
     two_copy_output,
 )
@@ -118,6 +119,18 @@ def two_mode_states(draw):
     return tensor(draw(states(d1)), draw(states(d2)))
 
 
+@st.composite
+def entangled_two_mode_states(draw):
+    """Random mixed state of rank 1-3 on d1 × d2 levels, generically entangled."""
+    dims = (draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (math.prod(dims), draw(st.integers(1, 3)))
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return DensityOperator(0.5 * (rho + rho.conj().T), dims)
+
+
 @PROPERTY_SETTINGS
 @given(single_mode_pairs())
 def test_photon_distribution_matches_oracle(pair):
@@ -164,5 +177,16 @@ def test_multimode_two_copy_output_matches_oracle(rho):
     rho_d = two_copy_output(rho)
     assert rho_d.dims == tuple(2 * d - 1 for d in rho.dims)
     assert np.max(np.abs(rho_d.matrix - expected)) < TOL
-    joint_pn = multimode_photon_distribution(rho)
+    joint_pn = photon_distribution(rho, rho).probs
     assert np.max(np.abs(joint_pn.reshape(-1) - np.real(np.diag(expected)))) < TOL
+
+
+@PROPERTY_SETTINGS
+@given(entangled_two_mode_states())
+def test_entangled_joint_pn_matches_oracle_and_direct_route(rho):
+    joint_pn = photon_distribution(rho, rho).probs
+    assert joint_pn.shape == tuple(2 * d - 1 for d in rho.dims)
+    expected = np.real(np.diag(oracle_output(rho, rho)))
+    assert np.max(np.abs(joint_pn.reshape(-1) - np.clip(expected, 0.0, None))) < TOL
+    direct = qcs_direct(rho).c_squared
+    assert abs(qcs_multimode(rho).c_squared - direct) <= 1e-9 * abs(direct)
