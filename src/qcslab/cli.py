@@ -60,6 +60,10 @@ from .states import (
 EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
 EXIT_CUTOFF = 4
+# each typed error's exit code; the first matching row wins
+EXIT_CODES = ((CutoffError, EXIT_CUTOFF),
+              ((DegenerateDenominatorError, GridError, RoundoffBudgetError), EXIT_TOLERANCE),
+              (QcslabError, EXIT_VALIDATION))
 
 ROUTES = ("direct", "two-copy", "pure", "wigner-gradient", "wigner-laplacian",
           "gaussian", "classical-mixture")
@@ -82,8 +86,7 @@ def _metadata(opts: dict, cutoff: int, *specs: StateSpec) -> dict:
         inputs["state"] = [spec.to_json() for spec in specs]
     digest = hashlib.sha256(
         json.dumps(inputs, sort_keys=True, default=str).encode()).hexdigest()[:16]
-    return {"tool": "qcslab", "version": __version__, "schema": 1,
-            "config_hash": digest,
+    return {"tool": "qcslab", "version": __version__, "schema": 1, "config_hash": digest,
             "timestamp": datetime.now(timezone.utc).isoformat()}
 
 
@@ -95,38 +98,44 @@ def _write_json(payload: dict, out: str | None):
         click.echo(text)
 
 
-def _load_spec(path: str) -> StateSpec:
-    if not path:
-        _fail(EXIT_VALIDATION, "no state file given (use --state or a config file)")
-    try:
-        return StateSpec.from_json(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        _fail(EXIT_VALIDATION, f"state file not found: {path}")
-    except ValidationError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-
-
-def _merge_config(config_path, flag_values: dict) -> dict:
-    """Apply config-file values; a key set both in the file and by an explicit
-    flag is ambiguous and rejected. A cutoff from either source is held to the
-    state file's rule (an integer >= 2), and shots, seed, resamples and n_max
-    to their integer minimums."""
-    merged = dict(flag_values)
-    if config_path:
+def _config_value(param: click.Parameter, value):
+    """A config value held to its flag's type: a choice must be one of its
+    choices, a path a string (a list of strings for a repeated flag)."""
+    if isinstance(param.type, click.Choice):
         try:
-            doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            return param.type.convert(value, param, None)
+        except click.BadParameter as exc:
+            raise ValidationError(f"config key {param.name!r}: {exc.format_message()}") from None
+    if isinstance(param.type, click.Path):
+        paths = value if param.multiple else [value]
+        if not isinstance(paths, list) or not all(isinstance(v, str) for v in paths):
+            kind = "a list of path strings" if param.multiple else "a path string"
+            raise ValidationError(f"config key {param.name!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _merge_config(config: str | None, flags: dict) -> dict:
+    """Apply config-file values; a key set both in the file and by an explicit
+    flag is ambiguous and rejected, and a value must have its flag's type. A
+    cutoff from either source is held to the state file's rule (an integer
+    >= 2), and shots, seed, resamples and n_max to their integer minimums."""
+    merged = dict(flags)
+    if config:
+        try:
+            doc = json.loads(Path(config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            _fail(EXIT_VALIDATION, f"cannot read config file: {exc}")
+            raise ValidationError(f"cannot read config file: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ValidationError("config file must hold a JSON object")
         ctx = click.get_current_context()
-        param_names = {"state": "state_path", "format": "fmt"}
+        params = {param.name: param for param in ctx.command.params}
         for key, value in doc.items():
-            if key not in flag_values:
-                _fail(EXIT_VALIDATION, f"unknown config key {key!r}")
-            src = ctx.get_parameter_source(param_names.get(key, key))
-            if src is not None and src.name == "COMMANDLINE":
-                _fail(EXIT_VALIDATION,
-                      f"{key!r} given both in config file and as a flag (ambiguous)")
-            merged[key] = value
+            if key not in flags:
+                raise ValidationError(f"unknown config key {key!r}")
+            if ctx.get_parameter_source(key) is click.core.ParameterSource.COMMANDLINE:
+                raise ValidationError(
+                    f"{key!r} given both in config file and as a flag (ambiguous)")
+            merged[key] = _config_value(params[key], value)
     if "cutoff" in merged:
         merged["cutoff"] = parse_cutoff(merged["cutoff"])
     for key, minimum in (("shots", 1), ("seed", 0), ("resamples", 2), ("n_max", 0)):
@@ -135,26 +144,34 @@ def _merge_config(config_path, flag_values: dict) -> dict:
     return merged
 
 
-def _resolve_cutoff(spec: StateSpec, flag_cutoff: int | None) -> int:
-    if flag_cutoff is not None and spec.cutoff is not None and flag_cutoff != spec.cutoff:
-        _fail(EXIT_VALIDATION,
-              f"cutoff given both in state file ({spec.cutoff}) and as a flag "
-              f"({flag_cutoff}) (ambiguous)")
-    pinned = flag_cutoff if flag_cutoff is not None else spec.cutoff
-    if pinned is not None:
-        return pinned
-    if KINDS[spec.kind].build is None:
-        return 0  # covariance-only description: no Fock-space construction, no cutoff
-    return recommended_cutoff(spec)
+def _spec_and_cutoff(path: str | None, cutoff: int | None) -> tuple[StateSpec, int]:
+    """The state file's spec and its cutoff: the flag or config value, else the
+    file's own, else the default rule (0 for a covariance-only kind, which has
+    no Fock-space construction). A flag and a file that disagree are ambiguous."""
+    if not path:
+        raise ValidationError("no state file given (use --state or a config file)")
+    try:
+        spec = StateSpec.from_json(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ValidationError(f"state file not found: {path}") from None
+    if cutoff is not None and spec.cutoff is not None and cutoff != spec.cutoff:
+        raise ValidationError(f"cutoff given both in state file ({spec.cutoff}) and as a "
+                              f"flag ({cutoff}) (ambiguous)")
+    pinned = cutoff if cutoff is not None else spec.cutoff
+    if pinned is None:
+        pinned = recommended_cutoff(spec) if KINDS[spec.kind].build else 0
+    return spec, pinned
+
+
+def _header(opts: dict, cutoff: int, *specs: StateSpec) -> dict:
+    return {"metadata": _metadata(opts, cutoff, *specs), "cutoff": cutoff}
 
 
 def _two_copy_pn(spec: StateSpec, rho: DensityOperator) -> PhotonDistribution:
     """Difference-mode p_n: the kind's closed form if it has one, the block
     kernel otherwise."""
     closed_form = KINDS[spec.kind].two_copy_pn
-    if closed_form is not None:
-        return closed_form(spec.params, rho.dim)
-    return photon_distribution(rho, rho)
+    return closed_form(spec.params, rho.dim) if closed_form else photon_distribution(rho, rho)
 
 
 def _run_route(route: str, spec: StateSpec, state: Callable[[], DensityOperator],
@@ -202,24 +219,8 @@ def _run_routes(spec: StateSpec, cutoff: int, routes) -> tuple[dict, dict]:
         if est is not None:
             values[route] = est.c_squared
     if reasons and not values:
-        _fail(EXIT_CUTOFF, reasons[0])
+        raise CutoffError(reasons[0])
     return results, values
-
-
-def _handle_errors(func):
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except (CutoffError,) as exc:
-            _fail(EXIT_CUTOFF, str(exc))
-        except (DegenerateDenominatorError, GridError, RoundoffBudgetError) as exc:
-            _fail(EXIT_TOLERANCE, str(exc))
-        except QcslabError as exc:
-            _fail(EXIT_VALIDATION, str(exc))
-
-    wrapper.__name__ = func.__name__
-    wrapper.__doc__ = func.__doc__
-    return wrapper
 
 
 @click.group()
@@ -228,113 +229,91 @@ def main():
     """Two-copy interferometric QCS laboratory."""
 
 
-@main.command("qcs")
-@click.option("--state", "state_path", type=click.Path(), default=None)
-@click.option("--route", default="two-copy",
-              type=click.Choice(ROUTES + ("all",)), show_default=True)
-@click.option("--cutoff", type=int, default=None)
-@click.option("--out", "out", type=click.Path(), default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@_handle_errors
-def qcs_cmd(state_path, route, cutoff, out, config_path):
+STATE = click.option("--state", type=click.Path(), default=None)
+CUTOFF = click.option("--cutoff", type=int, default=None)
+OUT = click.option("--out", type=click.Path(), default=None)
+
+
+def _command(name: str, *options):
+    """Register ``body(opts)`` as command ``name`` with ``options`` and
+    ``--config``: click parameters are named as their config keys, ``opts`` is
+    the flags merged with the config file, and a typed error exits 4 (cutoff),
+    3 (tolerance) or 2 (any other)."""
+    def register(body):
+        def run(config, **flags):
+            try:
+                body(_merge_config(config, flags))
+            except QcslabError as exc:
+                _fail(next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds)), str(exc))
+
+        run.__doc__ = body.__doc__
+        config_option = click.option("--config", type=click.Path(), default=None)
+        for option in reversed((*options, config_option)):
+            run = option(run)
+        return main.command(name)(run)
+    return register
+
+
+@_command("qcs", STATE, click.option("--route", default="two-copy", show_default=True,
+                                     type=click.Choice(ROUTES + ("all",))), CUTOFF, OUT)
+def qcs_cmd(opts):
     """Estimate QCS² of a state via one route (or all applicable)."""
-    opts = _merge_config(config_path, {"state": state_path, "route": route,
-                                       "cutoff": cutoff, "out": out})
-    spec = _load_spec(opts["state"])
-    dim = _resolve_cutoff(spec, opts["cutoff"])
+    spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
     routes = ROUTES if opts["route"] == "all" else (opts["route"],)
     results, _ = _run_routes(spec, dim, routes)
-    payload = {"metadata": _metadata(opts, dim, spec), "cutoff": dim, "results": results}
-    _write_json(payload, opts["out"])
+    _write_json({**_header(opts, dim, spec), "results": results}, opts["out"])
 
 
-@main.command("purity")
-@click.option("--state", "state_path", type=click.Path(), default=None)
-@click.option("--cutoff", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@_handle_errors
-def purity_cmd(state_path, cutoff, out, config_path):
+@_command("purity", STATE, CUTOFF, OUT)
+def purity_cmd(opts):
     """Purity via the direct trace and the two-copy alternating sum."""
-    opts = _merge_config(config_path, {"state": state_path, "cutoff": cutoff, "out": out})
-    spec = _load_spec(opts["state"])
-    dim = _resolve_cutoff(spec, opts["cutoff"])
+    spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
     rho = build_state(spec, cutoff=dim)
-    payload = {"metadata": _metadata(opts, dim, spec), "cutoff": dim,
-               "purity_direct": purity_direct(rho),
-               "purity_two_copy": purity_from_pn(_two_copy_pn(spec, rho))}
-    _write_json(payload, opts["out"])
+    _write_json({**_header(opts, dim, spec), "purity_direct": purity_direct(rho),
+                 "purity_two_copy": purity_from_pn(_two_copy_pn(spec, rho))}, opts["out"])
 
 
-@main.command("pn-dist")
-@click.option("--state", "state_path", type=click.Path(), default=None)
-@click.option("--cutoff", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@_handle_errors
-def pn_dist_cmd(state_path, cutoff, out, fmt, config_path):
+@_command("pn-dist", STATE, CUTOFF, OUT,
+          click.option("--format", type=click.Choice(["csv", "json"]), default="csv",
+                       show_default=True))
+def pn_dist_cmd(opts):
     """Difference-mode photon-number distribution p_n."""
-    opts = _merge_config(config_path, {"state": state_path, "cutoff": cutoff,
-                                       "out": out, "format": fmt})
-    spec = _load_spec(opts["state"])
-    dim = _resolve_cutoff(spec, opts["cutoff"])
+    spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
     pn = _two_copy_pn(spec, build_state(spec, cutoff=dim))
     if opts["format"] == "json":
-        _write_json({"metadata": _metadata(opts, dim, spec), "cutoff": dim,
-                     "p_n": pn.probs.tolist(), "deficit": pn.deficit}, opts["out"])
+        _write_json({**_header(opts, dim, spec), "p_n": pn.probs.tolist(),
+                     "deficit": pn.deficit}, opts["out"])
+    elif not opts["out"]:
+        raise ValidationError("--out is required for CSV output")
     else:
-        if not opts["out"]:
-            _fail(EXIT_VALIDATION, "--out is required for CSV output")
         pn.to_csv(opts["out"])
 
 
-@main.command("overlap")
-@click.option("--state", "state_paths", multiple=True,
-              type=click.Path(), help="Give twice: --state a.json --state b.json")
-@click.option("--cutoff", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@_handle_errors
-def overlap_cmd(state_paths, cutoff, out, config_path):
+@_command("overlap", click.option("--state", multiple=True, type=click.Path(),
+                                  help="Give twice: --state a.json --state b.json"),
+          CUTOFF, OUT)
+def overlap_cmd(opts):
     """Overlap Tr(ρ_a ρ_b) by parity of the interferometer output and by the
     Wigner overlap integral."""
-    opts = _merge_config(config_path, {"state": list(state_paths), "cutoff": cutoff,
-                                       "out": out})
     if len(opts["state"]) != 2:
-        _fail(EXIT_VALIDATION, "overlap needs exactly two --state files")
-    spec_a, spec_b = (_load_spec(p) for p in opts["state"])
-    dim = max(_resolve_cutoff(spec_a, opts["cutoff"]), _resolve_cutoff(spec_b, opts["cutoff"]))
-    rho_a = build_state(spec_a, cutoff=dim)
-    rho_b = build_state(spec_b, cutoff=dim)
-    trace_route = float(np.trace(rho_a.matrix @ rho_b.matrix).real)
-    parity_route = purity_from_pn(photon_distribution(rho_a, rho_b))
-    wigner_route = overlap_wigner(rho_a, rho_b)
-    payload = {"metadata": _metadata(opts, dim, spec_a, spec_b), "cutoff": dim,
-               "overlap_trace": trace_route, "overlap_parity": parity_route,
-               "overlap_wigner": wigner_route}
-    _write_json(payload, opts["out"])
+        raise ValidationError("overlap needs exactly two --state files")
+    specs, dims = zip(*(_spec_and_cutoff(path, opts["cutoff"]) for path in opts["state"]))
+    rho_a, rho_b = (build_state(spec, cutoff=max(dims)) for spec in specs)
+    _write_json({**_header(opts, max(dims), *specs),
+                 "overlap_trace": float(np.trace(rho_a.matrix @ rho_b.matrix).real),
+                 "overlap_parity": purity_from_pn(photon_distribution(rho_a, rho_b)),
+                 "overlap_wigner": overlap_wigner(rho_a, rho_b)}, opts["out"])
 
 
-@main.command("compare")
-@click.option("--state", "state_path", type=click.Path(), default=None)
-@click.option("--cutoff", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@_handle_errors
-def compare_cmd(state_path, cutoff, out, config_path):
+@_command("compare", STATE, CUTOFF, OUT)
+def compare_cmd(opts):
     """Cross-validation matrix: run every applicable route and check that every
     pair agrees within 1e-6."""
-    opts = _merge_config(config_path, {"state": state_path, "cutoff": cutoff, "out": out})
-    spec = _load_spec(opts["state"])
-    dim = _resolve_cutoff(spec, opts["cutoff"])
+    spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
     results, values = _run_routes(spec, dim, ROUTES)
-    vals = list(values.values())
-    max_dev = max((abs(a - b) for a in vals for b in vals), default=0.0)
-    payload = {"metadata": _metadata(opts, dim, spec), "cutoff": dim, "results": results,
-               "max_deviation_exact": max_dev}
-    _write_json(payload, opts["out"])
+    max_dev = max(values.values(), default=0.0) - min(values.values(), default=0.0)
+    _write_json({**_header(opts, dim, spec), "results": results,
+                 "max_deviation_exact": max_dev}, opts["out"])
     for route, res in results.items():
         click.echo(f"{route:>18}: {values.get(route, res)}", err=True)
     if max_dev > EXACT_ROUTE_TOL:
@@ -342,19 +321,14 @@ def compare_cmd(state_path, cutoff, out, config_path):
               f"route deviation {max_dev:.3e} exceeds tolerance {EXACT_ROUTE_TOL:.0e}")
 
 
-@main.command("figure2")
-@click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--cutoff", type=int, default=FIGURE2_CUTOFF, show_default=True)
-@click.option("--n-max", type=int, default=24, show_default=True,
-              help="Largest n in the p_n CSV columns")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@_handle_errors
-def figure2_cmd(out_dir, cutoff, n_max, config_path):
+@_command("figure2", click.option("--out", required=True, type=click.Path()),
+          click.option("--cutoff", type=int, default=FIGURE2_CUTOFF, show_default=True),
+          click.option("--n-max", type=int, default=24, show_default=True,
+                       help="Largest n in the p_n CSV columns"))
+def figure2_cmd(opts):
     """Reproduce the benchmark p_n data: CSVs for the mixed Fock families
     rho_10 and rho_even_5 and for the thermal state with q = 0.85, plus a
     summary JSON of their purities and QCS² values."""
-    opts = _merge_config(config_path, {"out": out_dir, "cutoff": cutoff,
-                                       "n_max": n_max})
     out_path = Path(opts["out"])
     out_path.mkdir(parents=True, exist_ok=True)
     q = 0.85
@@ -370,42 +344,28 @@ def figure2_cmd(out_dir, cutoff, n_max, config_path):
     for name, rho in (("rho_10", rho_2m(5, dim)), ("rho_even_5", rho_even_m(5, dim))):
         pn = photon_distribution(rho, rho)
         truncated(pn).to_csv(out_path / f"pn_{name}.csv")
-        summary["states"][name] = {
-            "purity": purity_from_pn(pn),
-            "c_squared": qcs_two_copy(pn).c_squared,
-        }
+        summary["states"][name] = {"purity": purity_from_pn(pn),
+                                   "c_squared": qcs_two_copy(pn).c_squared}
     thermal_pn = thermal_photon_distribution(q, nmax)
     thermal_pn.to_csv(out_path / "pn_thermal_q0.85.csv")
     # alternating geometric sums in closed form: both equal (1-q)/(1+q)
-    summary["states"]["thermal_q0.85"] = {
-        "purity": (1.0 - q) / (1.0 + q),
-        "c_squared": (1.0 - q) / (1.0 + q),
-    }
+    c_squared = (1.0 - q) / (1.0 + q)
+    summary["states"]["thermal_q0.85"] = {"purity": c_squared, "c_squared": c_squared}
     _write_json(summary, out_path / "summary.json")
     click.echo(f"wrote 3 CSV files and summary.json to {out_path}", err=True)
 
 
-@main.command("sample")
-@click.option("--state", "state_path", type=click.Path(), default=None)
-@click.option("--shots", type=int, default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--resamples", type=int, default=1000, show_default=True)
-@click.option("--cutoff", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@_handle_errors
-def sample_cmd(state_path, shots, seed, resamples, cutoff, out, config_path):
+@_command("sample", STATE, click.option("--shots", type=int, default=None),
+          click.option("--seed", type=int, default=0, show_default=True),
+          click.option("--resamples", type=int, default=1000, show_default=True),
+          CUTOFF, OUT)
+def sample_cmd(opts):
     """Simulate a finite-shot run and report the plug-in QCS² with a bootstrap CI."""
-    opts = _merge_config(config_path, {"state": state_path, "shots": shots,
-                                       "seed": seed, "resamples": resamples,
-                                       "cutoff": cutoff, "out": out})
-    spec = _load_spec(opts["state"])
-    dim = _resolve_cutoff(spec, opts["cutoff"])
+    spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
     pn = _two_copy_pn(spec, build_state(spec, cutoff=dim))
-    rec = sample_counts(pn, opts["shots"], opts["seed"])
-    est = estimate_qcs(rec, resamples=opts["resamples"])
-    payload = {"metadata": _metadata(opts, dim, spec), "cutoff": dim, "estimate": est.to_dict()}
-    _write_json(payload, opts["out"])
+    est = estimate_qcs(sample_counts(pn, opts["shots"], opts["seed"]),
+                       resamples=opts["resamples"])
+    _write_json({**_header(opts, dim, spec), "estimate": est.to_dict()}, opts["out"])
 
 
 if __name__ == "__main__":

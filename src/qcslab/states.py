@@ -505,21 +505,29 @@ def recommended_cutoff(spec: StateSpec) -> int:
     PROBE_MAX_DIM levels, while the mass its own truncation cuts off exceeds
     either. A kind with a top level has support s <= top, so a probe could not
     raise its cutoff and none is built. The two-copy kernel is exact at any
-    cutoff, so the pair needs no more levels than one copy."""
+    cutoff, so the pair needs no more levels than one copy. CutoffError when the
+    largest probe still cuts off more than either bound and the cutoff reaches
+    PROBE_MAX_DIM: the probe cannot show where the tail ends."""
     top_level = KINDS[spec.kind].top_level
     if top_level is not None:
         return 2 * top_level(spec.params) + 4
     base = math.ceil(4.0 * (mean_photon_number(spec) + 3.0))
     probe_dim = min(max(4 * base, 64), PROBE_MAX_DIM)
-    probe = build_state(spec, cutoff=probe_dim, deficit_tol=1.0)
-    # the mass past the probe sits at levels >= probe_dim
-    while probe.trace_deficit > min(CUTOFF_TAIL_TOL, CUTOFF_N_TAIL_TOL / probe_dim) \
-            and probe_dim < PROBE_MAX_DIM:
-        probe_dim = min(2 * probe_dim, PROBE_MAX_DIM)
+    while True:
         probe = build_state(spec, cutoff=probe_dim, deficit_tol=1.0)
+        # the mass past the probe sits at levels >= probe_dim
+        tail_cut = probe.trace_deficit > min(CUTOFF_TAIL_TOL, CUTOFF_N_TAIL_TOL / probe_dim)
+        if not tail_cut or probe_dim == PROBE_MAX_DIM:
+            break
+        probe_dim = min(2 * probe_dim, PROBE_MAX_DIM)
     n_tail = np.cumsum((np.arange(probe_dim) * probe.number_marginal())[::-1])[::-1]
     n_support = int(np.argmax(np.append(n_tail, 0.0) <= CUTOFF_N_TAIL_TOL)) - 1
-    return max(base, probe.effective_support(CUTOFF_TAIL_TOL) + 2, n_support + 2)
+    cutoff = max(base, probe.effective_support(CUTOFF_TAIL_TOL) + 2, n_support + 2)
+    if tail_cut and cutoff >= PROBE_MAX_DIM:
+        raise CutoffError(
+            f"default cutoff: {probe.trace_deficit:.1e} of the trace lies past the "
+            f"{PROBE_MAX_DIM} levels the cutoff probe builds; pass --cutoff")
+    return cutoff
 
 
 def build_state(spec: StateSpec, *, cutoff: int | None = None,

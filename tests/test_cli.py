@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -408,3 +409,81 @@ def test_displaced_state_past_cutoff_exits_4(runner, tmp_path, base, beta, cutof
         result = runner.invoke(main, [*cmd, "--state", path, "--cutoff", str(cutoff)])
         assert result.exit_code == 4, result.output
         assert "trace deficit" in result.output
+
+
+# every option of every command, by config key (the click parameter's name)
+OPTIONS = {"qcs": ("state", "route", "cutoff", "out"), "purity": ("state", "cutoff", "out"),
+           "pn-dist": ("state", "cutoff", "out", "format"), "overlap": ("state", "cutoff", "out"),
+           "compare": ("state", "cutoff", "out"), "figure2": ("out", "cutoff", "n_max"),
+           "sample": ("state", "shots", "seed", "resamples", "cutoff", "out")}
+OPTION_CASES = [(command, key) for command, keys in OPTIONS.items() for key in keys]
+
+
+def test_option_cases_cover_every_option():
+    assert set(OPTION_CASES) == {(name, param.name) for name, command in main.commands.items()
+                                 for param in command.params if param.name != "config"}
+
+
+@pytest.mark.parametrize("command, key", OPTION_CASES,
+                         ids=[f"{command}-{key}" for command, key in OPTION_CASES])
+def test_option_in_flag_and_config_is_ambiguous(runner, tmp_path, fock1, command, key):
+    # a config value and a flag for one option, each valid alone: reading
+    # either silently would answer for an input the user did not mean
+    other = write_spec(tmp_path, "coh.json",
+                       {"schema": 1, "kind": "coherent", "params": {"alpha": 0.3}})
+    copies = 2 if command == "overlap" else 1
+    given = {"state": (["--state", fock1] * copies, other if copies == 1 else [other] * 2),
+             "out": (["--out", str(tmp_path / "flag_out")], str(tmp_path / "config_out")),
+             "route": (["--route", "direct"], "direct"), "cutoff": (["--cutoff", "16"], 16),
+             "format": (["--format", "json"], "json"), "shots": (["--shots", "100"], 100),
+             "seed": (["--seed", "1"], 1), "resamples": (["--resamples", "50"], 50),
+             "n_max": (["--n-max", "3"], 3)}
+    needed = "out" if command == "figure2" else "state"
+    flags, value = given[key]
+    config = write_spec(tmp_path, "cfg.json", {key: value})
+    result = runner.invoke(main, [command, *([] if key == needed else given[needed][0]),
+                                  *flags, "--config", config])
+    assert result.exit_code == 2, result.output
+    assert "ambiguous" in result.output
+    assert not (tmp_path / "flag_out").exists() and not (tmp_path / "config_out").exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    (["pn-dist", "--out", "pn.csv"], {"format": "xml"}, "config key 'format'"),
+    (["qcs"], {"state": 5}, "config key 'state'"),
+    (["qcs"], {"out": 7}, "config key 'out'"),
+    (["overlap"], {"state": "a.json"}, "config key 'state'"),
+    (["qcs"], ["route", "direct"], "JSON object"),
+], ids=["format-xml", "state-5", "out-7", "overlap-state-string", "not-an-object"])
+def test_config_value_of_the_wrong_type_exits_2(runner, tmp_path, monkeypatch, fock1,
+                                                command, config, message):
+    monkeypatch.chdir(tmp_path)
+    state = [] if "state" in config else ["--state", fock1]
+    result = runner.invoke(main, [*command, *state, "--config",
+                                  write_spec(tmp_path, "cfg.json", config)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "pn.csv").exists()
+
+
+@pytest.mark.parametrize("params", [{"r": 2.5}, {"q": 0.99}], ids=["squeezed-2.5", "thermal-0.99"])
+def test_default_cutoff_past_the_probe_cap_exits_4(runner, tmp_path, params):
+    # the probe stops at 1,024 levels, where r = 2.5's direct route reads
+    # C² = 74.209630 for cosh 5 = 74.209949
+    kind = "squeezed_vacuum" if "r" in params else "thermal"
+    path = write_spec(tmp_path, "s.json", {"schema": 1, "kind": kind, "params": params})
+    start = time.perf_counter()
+    result = runner.invoke(main, ["qcs", "--state", path, "--route", "direct"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 4, result.output
+    assert "1024 levels the cutoff probe builds; pass --cutoff" in result.output
+
+
+def test_default_cutoff_below_the_probe_cap_runs(runner, tmp_path):
+    path = write_spec(tmp_path, "s.json",
+                      {"schema": 1, "kind": "squeezed_vacuum", "params": {"r": 2.3}})
+    result = runner.invoke(main, ["qcs", "--state", path, "--route", "direct"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert doc["cutoff"] == 982
+    assert abs(doc["results"]["direct"]["c_squared"] - math.cosh(4.6)) < 1e-6
