@@ -25,12 +25,7 @@ from .estimators import (
 )
 from .fock import (
     DensityOperator,
-    annihilation,
-    creation,
-    number_operator,
-    parity_operator,
     purity_direct,
-    quadratures,
     tensor,
 )
 from .interferometer import (

@@ -114,6 +114,15 @@ def _config_value(param: click.Parameter, value):
     return value
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of an input file; one that cannot be read as such is a
+    validation error (exit 2), whatever the reason."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from None
+
+
 def _merge_config(config: str | None, flags: dict) -> dict:
     """Apply config-file values; a key set both in the file and by an explicit
     flag is ambiguous and rejected, and a value must have its flag's type. A
@@ -122,8 +131,8 @@ def _merge_config(config: str | None, flags: dict) -> dict:
     merged = dict(flags)
     if config:
         try:
-            doc = json.loads(Path(config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            doc = json.loads(_read_text(config, "config"))
+        except json.JSONDecodeError as exc:
             raise ValidationError(f"cannot read config file: {exc}") from None
         if not isinstance(doc, dict):
             raise ValidationError("config file must hold a JSON object")
@@ -150,10 +159,7 @@ def _spec_and_cutoff(path: str | None, cutoff: int | None) -> tuple[StateSpec, i
     no Fock-space construction). A flag and a file that disagree are ambiguous."""
     if not path:
         raise ValidationError("no state file given (use --state or a config file)")
-    try:
-        spec = StateSpec.from_json(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ValidationError(f"state file not found: {path}") from None
+    spec = StateSpec.from_json(_read_text(path, "state"))
     if cutoff is not None and spec.cutoff is not None and cutoff != spec.cutoff:
         raise ValidationError(f"cutoff given both in state file ({spec.cutoff}) and as a "
                               f"flag ({cutoff}) (ambiguous)")
@@ -321,7 +327,7 @@ def compare_cmd(opts):
               f"route deviation {max_dev:.3e} exceeds tolerance {EXACT_ROUTE_TOL:.0e}")
 
 
-@_command("figure2", click.option("--out", required=True, type=click.Path()),
+@_command("figure2", OUT,
           click.option("--cutoff", type=int, default=FIGURE2_CUTOFF, show_default=True),
           click.option("--n-max", type=int, default=24, show_default=True,
                        help="Largest n in the p_n CSV columns"))
@@ -329,6 +335,8 @@ def figure2_cmd(opts):
     """Reproduce the benchmark p_n data: CSVs for the mixed Fock families
     rho_10 and rho_even_5 and for the thermal state with q = 0.85, plus a
     summary JSON of their purities and QCS² values."""
+    if not opts["out"]:
+        raise ValidationError("figure2 needs an output directory (--out or a config file)")
     out_path = Path(opts["out"])
     out_path.mkdir(parents=True, exist_ok=True)
     q = 0.85

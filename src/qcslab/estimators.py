@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominatorError, ValidationError
-from .fock import DensityOperator, pad_fock_level, purity_direct, quadratures
+from .fock import DensityOperator, lowering_commutators, purity_direct
 from .interferometer import PhotonDistribution, _parity_terms, photon_distribution
 from .states import ClassicalMixture, CovarianceMatrix
 
@@ -53,29 +53,16 @@ class QcsEstimate:
                 "uncertainty": self.uncertainty}
 
 
-def _embed_single(op: np.ndarray, dims: tuple[int, ...], mode: int) -> np.ndarray:
-    left = int(np.prod(dims[:mode], initial=1))
-    right = int(np.prod(dims[mode + 1:], initial=1))
-    return np.kron(np.kron(np.eye(left), op), np.eye(right))
-
-
 def qcs_direct(rho: DensityOperator) -> QcsEstimate:
-    """Commutator form: C² = Σ_j Tr([ρ, r_j][r_j, ρ]) / (2N Tr ρ²), with the
-    commutators formed one Fock level above the cutoff, where they are exact."""
+    """Commutator form: C² = Σ_k Σ_{r=x,p} Tr([ρ, r_k][r_k, ρ]) / (2N Tr ρ²),
+    with the commutators formed one Fock level above the cutoff, where they are
+    exact. [ρ, r] is anti-Hermitian, so Tr([ρ,r][r,ρ]) = ‖[ρ,r]‖²_F, and with
+    C_k = [ρ, a_k] the x and p terms of mode k sum to 2‖C_k‖²_F."""
     purity = purity_direct(rho)
     if purity < 1e-10:
         raise DegenerateDenominatorError(f"purity {purity:.3e} below resolution")
-    rho = pad_fock_level(rho)
-    n_modes = rho.n_modes
-    num = 0.0
-    for mode in range(n_modes):
-        x, p = quadratures(rho.dims[mode])
-        for quad in (x, p):
-            r = _embed_single(quad, rho.dims, mode) if n_modes > 1 else quad
-            comm = rho.matrix @ r - r @ rho.matrix
-            # Tr([ρ,r][r,ρ]) = -Tr([ρ,r]²) = Σ |[ρ,r]_ij|² for anti-Hermitian [ρ,r]...
-            num += float(np.sum(np.abs(comm) ** 2))
-    numerator = num / (2.0 * n_modes)
+    commutators = lowering_commutators(rho)
+    numerator = sum(float(np.sum(np.abs(c) ** 2)) for c in commutators) / rho.n_modes
     return QcsEstimate(c_squared=numerator / purity, method="direct",
                        numerator=numerator, denominator=purity)
 

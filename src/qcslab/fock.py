@@ -1,12 +1,15 @@
 """Truncated Fock-space linear algebra.
 
-Dense operators on one or more bosonic modes truncated to a finite number of
-Fock levels per mode. Conventions used throughout the package:
+Density operators on one or more bosonic modes truncated to a finite number
+of Fock levels per mode. Conventions used throughout the package:
 
 - quadratures x = (a + a†)/√2 and p = (a - a†)/(i√2), so that [x, p] = i on
   untruncated levels and x² + p² = 1 + 2n̂ (vacuum variance 1/2),
 - tensor products put the first factor on the slow (leftmost) index,
 - density operators carry their truncation trace deficit explicitly.
+
+No ladder or quadrature matrix is built: ``lowering_commutators`` forms the
+commutators [ρ, a_k] from shifted rows and columns of ρ.
 
 One scaled Laguerre recurrence (``scaled_laguerre``) gives the exact matrix
 elements of the displacement operator, both for ``displacement_operator`` and
@@ -29,35 +32,6 @@ DEFAULT_DEFICIT_TOL = 1e-6
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 LOG_TINY = math.log(sys.float_info.min)  # ln G_{0,d} below which scaled_laguerre carries exponents
-
-
-def annihilation(dim: int) -> np.ndarray:
-    """Ladder matrix a with a[n-1, n] = sqrt(n)."""
-    if dim < 2:
-        raise ValidationError(f"Fock cutoff must be >= 2, got {dim}")
-    return np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
-
-
-def creation(dim: int) -> np.ndarray:
-    return annihilation(dim).conj().T
-
-
-def number_operator(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim)).astype(complex)
-
-
-def parity_operator(dim: int) -> np.ndarray:
-    """(-1)^n̂ as a diagonal matrix."""
-    return np.diag((-1.0) ** np.arange(dim)).astype(complex)
-
-
-def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Position and momentum quadratures, vacuum variance 1/2."""
-    a = annihilation(dim)
-    ad = a.conj().T
-    x = (a + ad) / np.sqrt(2.0)
-    p = (a - ad) / (1j * np.sqrt(2.0))
-    return x, p
 
 
 @dataclass(frozen=True)
@@ -155,12 +129,33 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
 
 def pad_fock_level(state: DensityOperator) -> DensityOperator:
     """``state`` with one more empty Fock level per mode, on which commutators
-    with the truncated quadratures are exact."""
+    with the truncated ladder operators are exact."""
     dims = tuple(d + 1 for d in state.dims)
     t = np.zeros(dims * 2, dtype=complex)
     t[tuple(slice(d) for d in state.dims * 2)] = state.matrix.reshape(state.dims * 2)
     d = int(np.prod(dims))
     return DensityOperator(t.reshape(d, d), dims, state.trace_deficit)
+
+
+def lowering_commutators(rho: DensityOperator) -> list[np.ndarray]:
+    """C_k = [ρ, a_k] for every mode k, on ρ padded by one Fock level per mode
+    (``pad_fock_level``), where they are exact. a_k only shifts: ρa_k moves
+    column n_k − 1 to column n_k, scaled by √n_k, and a_kρ moves row m_k + 1 to
+    row m_k, scaled by √(m_k + 1). [ρ, a_k†] = −C_k†, so the C_k give the
+    commutators with both quadratures."""
+    padded = pad_fock_level(rho)
+    n, size = padded.n_modes, padded.dim
+    t = padded.matrix.reshape(padded.dims * 2)
+    out = []
+    for k, d in enumerate(padded.dims):
+        root = np.sqrt(np.arange(1.0, d))
+        c = np.zeros_like(t)
+        # views with mode k's row and column indices last
+        cv, tv = (np.moveaxis(v, (k, n + k), (-2, -1)) for v in (c, t))
+        cv[..., 1:] = tv[..., :-1] * root
+        cv[..., :-1, :] -= root[:, None] * tv[..., 1:, :]
+        out.append(c.reshape(size, size))
+    return out
 
 
 def purity_direct(rho: DensityOperator) -> float:

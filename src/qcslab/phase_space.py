@@ -5,10 +5,11 @@ W(α) = (1/π) Tr[ρ D(2α) (-1)^n̂] with the exact displacement matrix element
 of ``fock.scaled_laguerre`` (the one recurrence that also builds D(β) for
 ``states.displace``) on any finite x and p axes, never by numerical Fourier
 transform. The origin value is computed analytically from the parity trace,
-the gradient as the Wigner function of the commutators with the quadratures,
-integrated at a trapezoid spacing derived from the cutoff
-(``quadrature_spacing``). The origin-Laplacian route needs only the
-difference-mode p_n, so it lives with the two-copy route in ``estimators``.
+the gradient as the Wigner function of the commutators with x̂ and p̂ (both
+read from [ρ, a], ``fock.lowering_commutators``), integrated at a
+trapezoid spacing derived from the cutoff (``quadrature_spacing``). The
+origin-Laplacian route needs only the difference-mode p_n, so it lives with
+the two-copy route in ``estimators``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import GridError, MemoryGuardError, ValidationError
 from .estimators import QcsEstimate
-from .fock import DensityOperator, pad_fock_level, quadratures, scaled_laguerre
+from .fock import DensityOperator, lowering_commutators, pad_fock_level, scaled_laguerre
 from .interferometer import MEMORY_GUARD_DIM
 
 EXTENT_PADDING = 1.2
@@ -186,14 +187,16 @@ def qcs_wigner_gradient(rho: DensityOperator) -> QcsEstimate:
     """Gradient-norm route C² = ‖∇W‖² / (2‖W‖²) from exact derivatives: the
     Moyal bracket of a linear operator is exact, so ∂ₓW_ρ = W_{i[p̂,ρ]} and
     ∂ₚW_ρ = W_{−i[x̂,ρ]}, with the (traceless) commutators formed one Fock
-    level above the cutoff. Numerator and denominator match the direct route."""
-    rho = pad_fock_level(rho)
-    x_axis, p_axis = default_axes(rho, quadrature_spacing(rho.dim))
-    grid = wigner_eval(rho, x_axis, p_axis, norm_tol=1e-5)
+    level above the cutoff from C = [ρ, a]: i[x̂,ρ] = −i(C − C†)/√2 and
+    i[p̂,ρ] = −(C + C†)/√2. Numerator and denominator match the direct route."""
+    padded = pad_fock_level(rho)
+    x_axis, p_axis = default_axes(padded, quadrature_spacing(padded.dim))
+    grid = wigner_eval(padded, x_axis, p_axis, norm_tol=1e-5)  # refuses a multimode ρ
+    (c,) = lowering_commutators(rho)
     grad_sq = 0.0
-    for r in quadratures(rho.dim):  # i[x̂,ρ] gives −∂ₚW, the same square
-        comm = DensityOperator(1j * (r @ rho.matrix - rho.matrix @ r), rho.dims)
-        deriv = wigner_eval(comm, x_axis, p_axis, norm_tol=1e-5)
+    for comm in (-1j * (c - c.conj().T), -(c + c.conj().T)):  # −∂ₚW and ∂ₓW
+        deriv = wigner_eval(DensityOperator(comm / np.sqrt(2.0), padded.dims),
+                            x_axis, p_axis, norm_tol=1e-5)
         grad_sq += deriv.integrate(deriv.values ** 2)
     numerator = np.pi * grad_sq
     denominator = 2.0 * np.pi * grid.integrate(grid.values ** 2)

@@ -1,0 +1,65 @@
+"""Dense reference operators for the tests.
+
+The package builds no ladder, quadrature or parity matrix: it shifts rows and
+columns of ρ instead. These are the textbook dense forms, kept here only to
+check its kernels; scipy's ``expm`` shares no code with the package's
+Laguerre recurrence.
+"""
+
+import math
+
+import numpy as np
+from scipy.linalg import expm
+
+
+def ladder(dim):
+    """Truncated lowering operator a on ``dim`` levels: a[n − 1, n] = √n."""
+    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+
+
+def quadratures(dim):
+    """x = (a + a†)/√2 and p = (a − a†)/(i√2) on ``dim`` levels."""
+    a = ladder(dim)
+    return (a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0))
+
+
+def displacement(beta, pad):
+    """exp(β a† − β* a) of the generator truncated to ``pad`` levels; its leading
+    block holds the exact elements when ``pad`` is well past them."""
+    a = ladder(pad)
+    return expm(beta * a.T - np.conj(beta) * a)
+
+
+def wigner_point_oracle(mat, x, p, pad_dim=80):
+    """W = Tr[ρ D(2α) (−1)^n̂]/π with the displacement from ``displacement`` in
+    a padded space (truncation-safe)."""
+    padded = np.zeros((pad_dim, pad_dim), dtype=complex)
+    padded[: mat.shape[0], : mat.shape[0]] = mat
+    d = displacement(np.sqrt(2.0) * (x + 1j * p), pad_dim)
+    parity = (-1.0) ** np.arange(pad_dim)
+    return float(np.real(np.trace(padded @ d * parity)) / np.pi)
+
+
+def dense_second_moments(rho):
+    """The dense products the grid sizing avoids: Tr ρx, Tr ρp, Tr ρx², Tr ρp²."""
+    x, p = quadratures(rho.dim)
+    mx = float(np.trace(rho.matrix @ x).real)
+    mp = float(np.trace(rho.matrix @ p).real)
+    vx = float(np.trace(rho.matrix @ x @ x).real) - mx ** 2
+    vp = float(np.trace(rho.matrix @ p @ p).real) - mp ** 2
+    return mx, mp, np.sqrt(max(vx, 0.5)), np.sqrt(max(vp, 0.5))
+
+
+def dense_lowering_commutators(rho):
+    """[ρ, a_k] for each mode k: ρ padded by one level per mode, a_k truncated
+    to the padded levels and Kronecker-embedded, and ρa_k − a_kρ."""
+    dims = tuple(d + 1 for d in rho.dims)
+    t = np.pad(rho.matrix.reshape(rho.dims * 2), [(0, 1)] * (2 * len(dims)))
+    size = math.prod(dims)
+    mat = t.reshape(size, size)
+    out = []
+    for k, d in enumerate(dims):
+        a = np.kron(np.kron(np.eye(math.prod(dims[:k])), ladder(d)),
+                    np.eye(math.prod(dims[k + 1:])))
+        out.append(mat @ a - a @ mat)
+    return out

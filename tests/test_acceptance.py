@@ -12,6 +12,7 @@ import numpy as np
 from click.testing import CliRunner
 from scipy.linalg import expm
 
+from oracles import ladder
 from qcslab import (
     ClassicalMixture,
     DensityOperator,
@@ -185,7 +186,7 @@ def test_criterion_06_combinatorial_fast_path():
     # the thermal closed form p_n = (1 − q)qⁿ
     rng = np.random.default_rng(31)
     levels = 25
-    a = np.diag(np.sqrt(np.arange(1.0, levels)), k=1)
+    a = ladder(levels)
     u = expm(0.25 * np.pi * (np.kron(a.T, a) - np.kron(a, a.T)))
     transition = (u ** 2).reshape((levels,) * 4)  # |<m, n|U|k, l>|^2
     ok = True

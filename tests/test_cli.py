@@ -56,6 +56,30 @@ def test_missing_state_file(runner):
     assert result.exit_code == 2
 
 
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+@pytest.mark.parametrize("command", ["qcs", "overlap"])
+@pytest.mark.parametrize("state", ["directory", "not-utf8"])
+def test_unreadable_state_file_exits_2(runner, tmp_path, fock1, command, state):
+    path = tmp_path
+    if state == "not-utf8":
+        path = tmp_path / "latin.json"
+        path.write_bytes(NOT_UTF8)
+    readable = ["--state", fock1] if command == "overlap" else []
+    result = runner.invoke(main, [command, *readable, "--state", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "error: cannot read state file" in result.output
+
+
+def test_config_file_not_utf8_exits_2(runner, tmp_path, fock1):
+    config = tmp_path / "cfg.json"
+    config.write_bytes(NOT_UTF8)
+    result = runner.invoke(main, ["qcs", "--state", fock1, "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert "error: cannot read config file" in result.output
+
+
 def test_invalid_state_document(runner, tmp_path):
     path = write_spec(tmp_path, "bad.json", {"schema": 1, "kind": "wibble"})
     result = runner.invoke(main, ["qcs", "--state", path])
@@ -214,6 +238,22 @@ def test_figure2(runner, tmp_path):
     csv = (out / "pn_thermal_q0.85.csv").read_text().splitlines()
     assert csv[0] == "n,p_n,cumulative"
     assert len(csv) == 26  # header + n = 0..24
+
+
+def test_figure2_out_from_config_file(runner, tmp_path):
+    out = tmp_path / "fig2"
+    config = write_spec(tmp_path, "cfg.json", {"out": str(out), "cutoff": 16, "n_max": 4})
+    result = runner.invoke(main, ["figure2", "--config", config])
+    assert result.exit_code == 0, result.output
+    assert (out / "summary.json").exists()
+
+
+def test_figure2_without_out_exits_2(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["figure2", "--cutoff", "16"])
+    assert result.exit_code == 2, result.output
+    assert "needs an output directory" in result.output
+    assert not any(tmp_path.iterdir())
 
 
 def test_high_fock_level_two_copy(runner, tmp_path):

@@ -130,6 +130,15 @@ def test_multimode_matches_direct_on_correlated_state():
     assert abs(qcs_multimode(rho).c_squared - qcs_direct(rho).c_squared) < 1e-8
 
 
+def test_direct_on_entangled_two_mode_squeezed_vacuum():
+    # Σ_n (−tanh r)ⁿ/cosh r |n, n⟩ is pure with ⟨n̂_k⟩ = sinh² r per mode, so
+    # C² = 1 + 2 sinh² r = cosh 2r; 24 levels leave tanh(r)^48 ≈ 1e-20 behind
+    r, dim = 0.4, 24
+    psi = np.diag((-np.tanh(r)) ** np.arange(dim) / np.cosh(r)).ravel()
+    rho = DensityOperator.from_matrix(np.outer(psi, psi), (dim, dim))
+    assert abs(qcs_direct(rho).c_squared - np.cosh(2 * r)) < 1e-12
+
+
 def test_gaussian_routes():
     vac = CovarianceMatrix(0.5 * np.eye(2))
     assert abs(purity_gaussian(vac) - 1.0) < 1e-14

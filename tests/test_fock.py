@@ -4,49 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_lowering_commutators
 from qcslab import (
     DensityOperator,
     ValidationError,
-    annihilation,
     coherent,
-    creation,
     fock,
-    number_operator,
-    parity_operator,
     purity_direct,
-    quadratures,
     tensor,
     thermal,
 )
-from qcslab.fock import displacement_operator, scaled_laguerre
-
-
-def test_ladder_matrix_elements():
-    a = annihilation(5)
-    assert a[0, 1] == 1.0
-    assert abs(a[2, 3] - np.sqrt(3)) < 1e-12
-    assert np.allclose(creation(5), a.conj().T)
-    assert np.allclose(creation(5) @ a, number_operator(5))
-
-
-def test_quadrature_commutator_on_untruncated_levels():
-    dim = 10
-    x, p = quadratures(dim)
-    comm = x @ p - p @ x
-    # truncation corrupts only the top level
-    assert np.allclose(comm[: dim - 1, : dim - 1], 1j * np.eye(dim - 1))
-
-
-def test_quadrature_sum_of_squares_is_one_plus_two_n():
-    dim = 10
-    x, p = quadratures(dim)
-    expected = np.eye(dim) + 2.0 * number_operator(dim)
-    assert np.allclose((x @ x + p @ p)[: dim - 1, : dim - 1],
-                       expected[: dim - 1, : dim - 1])
-
-
-def test_parity_diagonal():
-    assert np.allclose(np.diag(parity_operator(4)), [1, -1, 1, -1])
+from qcslab.fock import displacement_operator, lowering_commutators, scaled_laguerre
 
 
 def test_density_operator_validation():
@@ -105,6 +73,28 @@ def test_effective_support_of_product_state_is_first_factors(first, second):
     joint = tensor(first, second)
     for tail_tol in (1e-12, 1e-6):
         assert joint.effective_support(tail_tol) == first.effective_support(tail_tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(2, 8), min_size=1, max_size=3), rank=st.integers(1, 3),
+       top=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_lowering_commutators_match_dense_products(dims, rank, top, seed):
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(dims))
+    vecs = rng.normal(size=(rank, size)) + 1j * rng.normal(size=(rank, size))
+    if top:  # weight on each mode's top level, which only the padding keeps exact
+        on_top = np.zeros(tuple(dims), dtype=bool)
+        for k, d in enumerate(dims):
+            on_top[(slice(None),) * k + (d - 1,)] = True
+        vecs[:, on_top.ravel()] *= 10.0
+    weights = rng.dirichlet(np.ones(rank))
+    mat = sum(w * np.outer(v, v.conj()) / np.vdot(v, v).real for w, v in zip(weights, vecs))
+    rho = DensityOperator(mat, tuple(dims))
+    fast, dense = lowering_commutators(rho), dense_lowering_commutators(rho)
+    assert len(fast) == len(dims)
+    for c, oracle in zip(fast, dense):
+        assert c.shape == oracle.shape
+        assert np.abs(c - oracle).max() <= 1e-14
 
 
 def test_purity_direct():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_second_moments, wigner_point_oracle
 from qcslab import (
     GridError,
     MemoryGuardError,
@@ -24,16 +25,15 @@ from qcslab import (
     qcs_wigner_laplacian,
     rho_even_m,
     squeezed_vacuum,
+    tensor,
     thermal,
     thermal_photon_distribution,
     two_copy_output,
     wigner_eval,
     wigner_origin,
 )
-from scipy.linalg import expm
-
 from qcslab import phase_space
-from qcslab.fock import DensityOperator, annihilation, parity_operator, quadratures
+from qcslab.fock import DensityOperator
 from qcslab.interferometer import MEMORY_GUARD_DIM
 from qcslab.phase_space import (
     _second_moments,
@@ -46,18 +46,6 @@ from qcslab.phase_space import (
 def wigner_on_default_axes(rho):
     x_axis, p_axis = default_axes(rho, quadrature_spacing(rho.dim))
     return wigner_eval(rho, x_axis, p_axis, norm_tol=1e-6)
-
-
-def wigner_point_oracle(mat, x, p, pad_dim=80):
-    """Slow reference: W = Tr[rho D(2 alpha) parity]/pi with the displacement
-    built by scipy's matrix exponential in a padded space (truncation-safe),
-    sharing no code with the kernel's Laguerre recurrence."""
-    padded = np.zeros((pad_dim, pad_dim), dtype=complex)
-    padded[: mat.shape[0], : mat.shape[0]] = mat
-    beta = np.sqrt(2.0) * (x + 1j * p)
-    a = annihilation(pad_dim)
-    d = expm(beta * a.conj().T - np.conj(beta) * a)
-    return float(np.real(np.trace(padded @ d @ parity_operator(pad_dim))) / np.pi)
 
 
 def test_vacuum_wigner_is_gaussian():
@@ -148,6 +136,11 @@ def test_gradient_route_exact_where_a_fixed_grid_fails(rho, c2):
     assert abs(qcs_direct(rho).c_squared - c2) < 1e-9 * c2
 
 
+def test_gradient_route_refuses_a_multimode_state():
+    with pytest.raises(ValidationError):
+        qcs_wigner_gradient(tensor(fock(1, 3), fock(0, 3)))
+
+
 def test_grid_error_when_extent_too_small():
     axis = np.linspace(-1.0, 1.0, 51)
     with pytest.raises(GridError):
@@ -234,16 +227,6 @@ def test_gradient_route_refuses_a_large_grid_without_dense_products():
     with pytest.raises(MemoryGuardError):
         qcs_wigner_gradient(rho)
     assert time.perf_counter() - start < 1.0
-
-
-def dense_second_moments(rho):
-    """The dense products the grid sizing avoids: Tr ρx, Tr ρp, Tr ρx², Tr ρp²."""
-    x, p = quadratures(rho.dim)
-    mx = float(np.trace(rho.matrix @ x).real)
-    mp = float(np.trace(rho.matrix @ p).real)
-    vx = float(np.trace(rho.matrix @ x @ x).real) - mx ** 2
-    vp = float(np.trace(rho.matrix @ p @ p).real) - mp ** 2
-    return mx, mp, np.sqrt(max(vx, 0.5)), np.sqrt(max(vp, 0.5))
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,9 +4,10 @@ against the direct commutator route, and the invariants of the two-copy p_n.
 Both routes give the exact C² of the truncated state: the direct route sums
 |[ρ, r]|² with [ρ, r] formed one Fock level above the cutoff, and the gradient
 route integrates the Wigner functions of those commutators at the
-cutoff-derived spacing. They share only the padding and the quadrature
-matrices, so agreement to 1e-9 checks the Laguerre Wigner kernel on ρ and on
-two traceless, non-positive operators, together with the trapezoid quadrature.
+cutoff-derived spacing. They share only the padding and
+``lowering_commutators`` (checked against dense products in ``test_fock.py``),
+so agreement to 1e-9 checks the Laguerre Wigner kernel on ρ and on two
+traceless, non-positive operators, together with the trapezoid quadrature.
 
 The two-copy route gives the exact C² of the truncated pair at any cutoff, so
 it matches the direct route to 1e-12 on states that fill their cutoff. The
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from oracles import ladder
 from qcslab import (
     DensityOperator,
     photon_distribution,
@@ -43,7 +45,7 @@ def states(draw, ranks=st.integers(1, 3)):
     kind = draw(st.sampled_from(["mixed", "displaced", "squeezed"]))
     if kind != "mixed":
         z = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
-        a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+        a = ladder(dim)
         gen = z * a.T - np.conj(z) * a if kind == "displaced" \
             else 0.5 * (np.conj(z) * a @ a - z * a.T @ a.T)
         op = expm(gen)

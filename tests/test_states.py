@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import ladder, quadratures
 from qcslab import (
     ClassicalMixture,
     CutoffError,
@@ -46,7 +47,7 @@ def test_coherent_amplitudes_poisson():
 def test_coherent_state_mean_field():
     alpha = 0.7
     rho = coherent(alpha, 30)
-    a = np.diag(np.sqrt(np.arange(1, 30)), k=1)
+    a = ladder(30)
     assert abs(np.trace(rho.matrix @ a) - alpha) < 1e-10
 
 
@@ -103,8 +104,7 @@ def test_squeezed_vacuum_moments():
     mean_n = float(np.trace(rho.matrix @ n_op).real)
     assert abs(mean_n - np.sinh(r) ** 2) < 1e-9
     # x anti-squeezed for r > 0: var x = e^{2r}/2
-    a = np.diag(np.sqrt(np.arange(1, 40)), k=1)
-    x = (a + a.conj().T) / np.sqrt(2)
+    x, _ = quadratures(40)
     var_x = float(np.trace(rho.matrix @ x @ x).real)
     assert abs(var_x - 0.5 * np.exp(2 * r)) < 1e-9
     # odd photon numbers never populated

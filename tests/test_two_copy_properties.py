@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from oracles import ladder
 from qcslab import (
     DensityOperator,
     photon_distribution,
@@ -31,14 +32,10 @@ TOL = 1e-12
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
-def _ladder(dim):
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
-
-
 def pair_unitary(levels):
     """exp((π/4)(a†b − ab†)) on one pair of modes at ``levels`` each, copy a
     slow, as a (levels,) * 4 array: out_a, out_b, in_a, in_b."""
-    a = _ladder(levels)
+    a = ladder(levels)
     u = expm(0.25 * np.pi * (np.kron(a.T, a) - np.kron(a, a.T)))
     return u.reshape((levels,) * 4)
 
@@ -81,7 +78,7 @@ def states(draw, dim):
     kind = draw(st.sampled_from(["mixed", "displaced", "squeezed"]))
     if kind != "mixed":
         z = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
-        a = _ladder(dim)
+        a = ladder(dim)
         if kind == "displaced":
             op = expm(z * a.T - np.conj(z) * a)
         else:
