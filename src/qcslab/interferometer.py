@@ -13,12 +13,24 @@ read-only (0.75 MB), so a window with T ≤ 64 is a view of its block; windows
 above T = 64 stream from U_64 for the first mode. Each window keeps all T+1
 output rows, so the result is exact for the truncated pair ρ_a⊗ρ_b at any
 cutoff. T stops at top_a + top_b per mode, so the difference mode has
-top_a + top_b + 1 levels (at least 2). With X_T[k, k′] = ρ_a[k, k′]
-ρ_b[T−k, T−k′], the output diagonal is diag(U_T X_T U_Tᵀ) summed over the
+top_a + top_b + 1 levels (at least 2). With X_T[k, k′] = Re(ρ_a[k, k′]
+ρ_b[T−k, T−k′]), the output diagonal is diag(U_T X_T U_Tᵀ) summed over the
 traced mode, so p_n costs O(top⁴), the full difference-mode state costs
-O(top⁵), and no dim²×dim² matrix is built. For several modes the sectors are tuples of per-mode totals,
-the block is the Kronecker product of the per-mode ones, and every index is a
-per-mode slice. Identical thermal inputs also have a closed form.
+O(top⁵), and no dim²×dim² matrix is built. For several modes the sectors are
+tuples of per-mode totals, the block is the Kronecker product of the per-mode
+ones, and every index is a per-mode slice. Identical thermal inputs also have
+a closed form.
+
+The p_n kernel runs on a plan built once per pair of top levels. The plan
+cuts the sectors into groups: a run of first-mode totals with one total per
+later mode. All X_T of a group come from one product of ρ_a's box of levels
+with a strided view of ρ_b (no index arrays), one reduction finds the exactly
+zero ones, each live sector takes one matmul and one row sum, and one
+``bincount`` adds the rows to their levels T − m. A group's box and its
+streamed windows stay within fixed entry budgets, so large tops stream in
+bounded memory. Plans of pairs whose windows are all held blocks are cached,
+least recently used first, within 1 MB; the others are built group by group
+as their windows stream.
 """
 
 from __future__ import annotations
@@ -26,7 +38,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,7 +161,8 @@ def _check_two_copy(rho_a: DensityOperator, rho_b: DensityOperator):
     if rho_a.dim > MEMORY_GUARD_DIM:
         raise MemoryGuardError(
             f"input side {rho_a.dim} exceeds memory guard {MEMORY_GUARD_DIM}")
-    tops_a, tops_b = _tops(rho_a), _tops(rho_b)
+    tops_a = _tops(rho_a)
+    tops_b = tops_a if rho_b is rho_a else _tops(rho_b)
     levels = tuple(max(2, ta + tb + 1) for ta, tb in zip(tops_a, tops_b))
     side = math.prod(levels)
     if side > MEMORY_GUARD_DIM:
@@ -160,26 +176,27 @@ def _downto(top: int, bottom: int = 0) -> slice:
     return slice(top, bottom - 1 if bottom else None, -1)
 
 
-def _modes(top_a: int, top_b: int):
-    """Per total T = 0 … top_a + top_b of one mode of two copies: T, the slices
-    of the copy-a levels k it reads (lo = max(0, T − top_b) ≤ k ≤ min(T, top_a)
-    = hi) and of the copy-b levels T−k in the same order, the output levels
-    T … 0, and the read-only window on those columns of the block U_T of
-    exp((π/4)(a†b − ab†)) on |k, T−k⟩, all T+1 rows. Up to T = 64 the window is
-    a view of the held U_T; above it, each window streams from the previous one
-    by ``_step``, starting from the held U_64, and equals that block's columns
-    bit for bit."""
+def _blocks(top_a: int, top_b: int):
+    """Per total T = 0 … top_a + top_b of one mode of two copies, the read-only
+    window on the columns k it reads (lo = max(0, T − top_b) ≤ k ≤ min(T, top_a)
+    = hi) of the block U_T of exp((π/4)(a†b − ab†)) on |k, T−k⟩, all T+1 rows.
+    Up to T = 64 the window is a view of the held U_T; above it, each window
+    streams from the previous one by ``_step``, starting from the held U_64, and
+    equals that block's columns bit for bit."""
     root = np.sqrt(np.arange(top_a + top_b + 1.0))
     for t in range(top_a + top_b + 1):
         lo, hi = max(0, t - top_b), min(t, top_a)
         u = _held_block(t)[:, lo:hi + 1] if t <= _HELD_TOTAL else _step(u, t, lo, hi, root)
-        yield t, slice(lo, hi + 1), _downto(t - lo, t - hi), _downto(t), u
-
-
-def _blocks(top_a: int, top_b: int):
-    """The windows of ``_modes``: for each T, columns lo … hi of U_T."""
-    for *_, u in _modes(top_a, top_b):
         yield u
+
+
+def _modes(top_a: int, top_b: int):
+    """The windows of ``_blocks`` with T, the slices of the copy-a levels
+    lo … hi and of the copy-b levels T − lo … T − hi, and the output levels
+    T … 0."""
+    for t, u in enumerate(_blocks(top_a, top_b)):
+        lo, hi = max(0, t - top_b), min(t, top_a)
+        yield t, slice(lo, hi + 1), _downto(t - lo, t - hi), _downto(t), u
 
 
 def _sectors(tops_a, tops_b):
@@ -201,21 +218,193 @@ def _kron(windows) -> np.ndarray:
     return u
 
 
+# --- the p_n kernel on per-shape plans ---
+
+_BOX_ENTRIES = 1 << 13  # X box entries of one group: bounds its product's temporaries
+_STREAM_ENTRIES = 1 << 14  # streamed-window entries one group holds
+_PLAN_BYTES = 1 << 20  # plan cache budget, next to the 0.75 MB of held blocks
+# Python objects a plan holds, as traced by tracemalloc (500-660 bytes a sector
+# with its group's share): per sector its tuples, slices and window views, per
+# group its own tuples
+_SECTOR_BYTES = 512
+_GROUP_BYTES = 1536
+
+
+class _Sector(NamedTuple):
+    box: tuple  # index of X_T⃗ (rows k⃗, columns k⃗′) in its group's box
+    windows: tuple  # per mode, columns lo … hi of U_T, all T + 1 rows
+    rows: slice  # its output rows m⃗ in the group's row buffer
+
+
+class _Group(NamedTuple):
+    """Sectors T⃗ with a run of first-mode totals t0 … t0 + count − 1 and one
+    total per later mode. Their X_T⃗ share one box of copy-a levels: lo … hi
+    of the run for the first mode, exactly the window for a later one."""
+    a: tuple  # the box's slices of ρ_a, rows then columns
+    shape: tuple  # (count, box widths, box widths)
+    origin: tuple  # levels T − lo of ρ_b at the box's first entry, rows then columns
+    bounds: tuple | None  # lowest and highest ρ_b levels per mode, if they leave 0 … top_b
+    sectors: tuple[_Sector, ...]
+    dest: np.ndarray  # int32 flat difference-mode level T⃗ − m⃗ of each output row
+
+
+def _chunks(top_a: int, top_b: int, budget: int):
+    """One mode's totals 0 … top_a + top_b cut into runs t0 … t1, as
+    (t0, t1, lo(t0), hi(t1)): a run's box of X entries
+    (t1 − t0 + 1)·(hi(t1) − lo(t0) + 1)² stays within ``budget`` and its
+    streamed windows, (T + 1)·(hi − lo + 1) entries each above T = 64,
+    within _STREAM_ENTRIES (a run has one total at least)."""
+    chunks, t0, streamed = [], 0, 0
+    for t in range(1, top_a + top_b + 2):
+        window = (t + 1) * (min(t, top_a) - max(0, t - top_b) + 1) if t > _HELD_TOTAL else 0
+        grown = (t - t0 + 1) * (min(t, top_a) - max(0, t0 - top_b) + 1) ** 2
+        if t > top_a + top_b or grown > budget or streamed + window > _STREAM_ENTRIES:
+            chunks.append((t0, t - 1, max(0, t0 - top_b), min(t - 1, top_a)))
+            t0, streamed = t, window
+        else:
+            streamed += window
+    return chunks
+
+
+def _group(chunk, windows, later, tops_a, tops_b, stride) -> _Group:
+    """The sectors of one run of first-mode totals (t0, t1, lo, hi), given its
+    windows, and one total per later mode, (T, lo, hi, window) each. ``stride``:
+    the flat stride of each mode's difference-mode level."""
+    t0, t1, lo, hi = chunk
+    totals = (t0,) + tuple(t for t, *_ in later)
+    los = (lo,) + tuple(low for _, low, _, _ in later)
+    widths = (hi - lo + 1,) + tuple(high - low + 1 for _, low, high, _ in later)
+    lows = [t - low - w + 1 for t, low, w in zip(totals, los, widths)]
+    highs = [t1 - lo] + [t - low for t, low, *_ in later]
+    inside = min(lows) >= 0 and all(h <= tb for h, tb in zip(highs, tops_b))
+    rest = tuple(u for *_, u in later)
+    height = math.prod(t + 1 for t in totals[1:])
+    full = (slice(None),) * len(later)
+    sectors, rows = [], 0
+    for i, (t, window) in enumerate(zip(range(t0, t1 + 1), windows)):
+        ks = (slice(max(0, t - tops_b[0]) - lo, min(t, tops_a[0]) - lo + 1),) + full
+        sectors.append(_Sector((i,) + ks + ks, (window,) + rest,
+                               slice(rows, rows + (t + 1) * height)))
+        rows += (t + 1) * height
+    # row (m_1, m⃗) of sector T⃗ lands on level Σ (T_i − m_i)·stride_i
+    first = np.arange(t0, t1 + 1)[:, None] - np.arange(t1 + 1)
+    later_levels = functools.reduce(np.add.outer, [
+        np.arange(t, -1, -1) * s for (t, *_), s in zip(later, stride[1:])], 0)
+    dest = np.add.outer(first[first >= 0] * stride[0], later_levels).ravel().astype(np.int32)
+    return _Group(tuple(slice(low, low + w) for low, w in zip(los, widths)) * 2,
+                  (t1 - t0 + 1,) + widths * 2, tuple(t - low for t, low in zip(totals, los)) * 2,
+                  None if inside else (tuple(lows), tuple(highs)), tuple(sectors), dest)
+
+
+def _groups(tops_a, tops_b):
+    """The sector groups of two copies, first mode slowest: runs of first-mode
+    totals, each with one total per later mode, so that each later mode's box
+    is its window and every X_T⃗ is a plain matrix view of the group's box. The
+    first mode's windows stream, so a group is built only when it is reached."""
+    levels = tuple(max(2, ta + tb + 1) for ta, tb in zip(tops_a, tops_b))
+    stride = tuple(math.prod(levels[i + 1:]) for i in range(len(levels)))
+    later = [[(t, max(0, t - tb), min(t, ta), u) for t, u in enumerate(_blocks(ta, tb))]
+             for ta, tb in zip(tops_a[1:], tops_b[1:])]
+    largest = math.prod(min(ta, tb) + 1 for ta, tb in zip(tops_a[1:], tops_b[1:])) ** 2
+    first = _blocks(tops_a[0], tops_b[0])
+    for chunk in _chunks(tops_a[0], tops_b[0], max(1, _BOX_ENTRIES // largest)):
+        windows = list(itertools.islice(first, chunk[1] - chunk[0] + 1))
+        for totals in itertools.product(*later):
+            yield _group(chunk, windows, totals, tops_a, tops_b, stride)
+
+
+def _mirror(b: np.ndarray, group: _Group) -> np.ndarray:
+    """ρ_b[T⃗ − k⃗, T⃗ − k⃗′] on the group's box, axes (T_1 − t0, k⃗ − lo⃗,
+    k⃗′ − lo⃗): a read-only strided view of ρ_b (C-contiguous), or of a
+    zero-padded copy of the levels the box reaches where they leave
+    0 … top_b."""
+    src, origin = b, group.origin
+    if group.bounds is not None:
+        lows, highs = group.bounds
+        keep = tuple(slice(max(low, 0), min(high, dim - 1) + 1)
+                     for low, high, dim in zip(lows, highs, b.shape))
+        src = np.zeros(tuple(high - low + 1 for low, high in zip(lows, highs)) * 2, b.dtype)
+        src[tuple(slice(k.start - low, k.stop - low) for k, low in zip(keep, lows)) * 2] = (
+            b[keep * 2])
+        origin = tuple(o - low for o, low in zip(origin, lows * 2))
+    n = len(origin) // 2
+    rows, cols = src.strides[:n], src.strides[n:]
+    view = np.ndarray(group.shape, src.dtype, src,
+                      sum(o * s for o, s in zip(origin, src.strides)),
+                      (rows[0] + cols[0],) + tuple(-r for r in rows) + tuple(-c for c in cols))
+    view.flags.writeable = False
+    return view
+
+
+def _add_group(diag: np.ndarray, a: np.ndarray, b: np.ndarray, group: _Group) -> None:
+    """Adds the group's sectors to the flat diagonal: one product gives all
+    their X_T⃗ and one reduction the exactly-zero ones (skipped); each live
+    sector takes one matmul and one row sum, diag(U_T⃗ X_T⃗ U_T⃗ᵀ), and one
+    scatter adds the rows to their levels T⃗ − m⃗."""
+    x = a[group.a] * _mirror(b, group)
+    live = x.reshape(len(group.sectors), -1).any(axis=1)
+    x = x.real
+    rows = np.zeros(len(group.dest))
+    for index, windows, out in itertools.compress(group.sectors, live):
+        u = _kron(windows)
+        np.vecdot(u @ x[index].reshape(u.shape[1], -1), u, out=rows[out])
+    diag += np.bincount(group.dest, rows, len(diag))
+
+
 def _output_diagonal(rho_a: DensityOperator, rho_b: DensityOperator) -> np.ndarray:
     """Diagonal of the difference-mode state Tr_a U(ρ_a⊗ρ_b)U†, shaped
-    top_a + top_b + 1 levels per mode, from the (T⃗, T⃗) blocks only; output row
-    m⃗ adds to level T⃗ − m⃗. Blocks whose X_T is exactly zero are skipped; only
-    the real part of the Hermitian X_T reaches the diagonal."""
+    top_a + top_b + 1 levels per mode, from the (T⃗, T⃗) blocks only, run on
+    the plan of the pair's top levels."""
     tops_a, tops_b, levels = _check_two_copy(rho_a, rho_b)
-    a, b = rho_a.matrix.reshape(rho_a.dims * 2), rho_b.matrix.reshape(rho_b.dims * 2)
-    diag = np.zeros(levels)
-    for _, ka, kb, dest, windows in _sectors(tops_a, tops_b):
-        x = (a[ka + ka] * b[kb + kb]).real
-        if x.any():
-            u = _kron(windows)
-            view = diag[dest]
-            view += np.einsum("ij,ij->i", u @ x.reshape(u.shape[1], -1), u).reshape(view.shape)
-    return diag
+    a, b = (np.ascontiguousarray(rho.matrix).reshape(rho.dims * 2) for rho in (rho_a, rho_b))
+    diag = np.zeros(math.prod(levels))
+    for group in _plan(tops_a, tops_b):
+        _add_group(diag, a, b, group)
+    return diag.reshape(levels)
+
+
+class _PlanCache:
+    """Plans of shapes whose windows are all held, least recently used first,
+    within a byte budget. A plan is read-only, so threads share it; the lock
+    guards the order and the byte count."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._plans: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        with self._lock:
+            if key in self._plans:
+                self._plans.move_to_end(key)
+                return self._plans[key][0]
+        plan = build()
+        size = sum(_GROUP_BYTES + _SECTOR_BYTES * len(group.sectors) + group.dest.nbytes
+                   for group in plan)
+        with self._lock:
+            if size <= self.budget and key not in self._plans:
+                self._plans[key] = plan, size
+                self.nbytes += size
+                while self.nbytes > self.budget:
+                    self.nbytes -= self._plans.popitem(last=False)[1][1]
+        return plan
+
+    def clear(self) -> None:
+        with self._lock:
+            self._plans.clear()
+            self.nbytes = 0
+
+
+_plans = _PlanCache(_PLAN_BYTES)
+
+
+def _plan(tops_a, tops_b):
+    """The sector groups of a pair of top levels: cached when every window is a
+    held block, else streamed group by group."""
+    if max(ta + tb for ta, tb in zip(tops_a, tops_b)) > _HELD_TOTAL:
+        return _groups(tops_a, tops_b)
+    return _plans.get((tops_a, tops_b), lambda: tuple(_groups(tops_a, tops_b)))
 
 
 # --- public two-copy paths ---

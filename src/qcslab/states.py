@@ -25,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CutoffError, ValidationError
-from .fock import DEFAULT_DEFICIT_TOL, DensityOperator, displacement_operator, log_factorial
+from .fock import (DEFAULT_DEFICIT_TOL, DensityOperator, displacement_operator, log_factorial,
+                   purity_direct)
 from .interferometer import PhotonDistribution, thermal_photon_distribution
 
 SCHEMA_VERSION = 1
@@ -35,6 +36,7 @@ CUTOFF_TAIL_TOL = 1e-9  # photon-number tail mass the default cutoff leaves out
 # compare's 1e-6 against the untruncated Gaussian closed form
 CUTOFF_N_TAIL_TOL = 2e-7
 PROBE_MAX_DIM = 1024  # largest state the default-cutoff probe builds
+PURE_TOL = 1e-9  # Tr ρ² this close to (1 − deficit)² marks a pure probe
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -507,7 +509,8 @@ def recommended_cutoff(spec: StateSpec) -> int:
     raise its cutoff and none is built. The two-copy kernel is exact at any
     cutoff, so the pair needs no more levels than one copy. CutoffError when the
     largest probe still cuts off more than either bound and the cutoff reaches
-    PROBE_MAX_DIM: the probe cannot show where the tail ends."""
+    PROBE_MAX_DIM, or the probe is pure (Tr ρ² = (1 − deficit)² within
+    PURE_TOL): the probe cannot show where the tail ends."""
     top_level = KINDS[spec.kind].top_level
     if top_level is not None:
         return 2 * top_level(spec.params) + 4
@@ -523,7 +526,10 @@ def recommended_cutoff(spec: StateSpec) -> int:
     n_tail = np.cumsum((np.arange(probe_dim) * probe.number_marginal())[::-1])[::-1]
     n_support = int(np.argmax(np.append(n_tail, 0.0) <= CUTOFF_N_TAIL_TOL)) - 1
     cutoff = max(base, probe.effective_support(CUTOFF_TAIL_TOL) + 2, n_support + 2)
-    if tail_cut and cutoff >= PROBE_MAX_DIM:
+    # a pure state's C² reads its own tail, not the tail of ρ², so no cutoff
+    # inside a probe that cuts too much is safe for it
+    if tail_cut and (cutoff >= PROBE_MAX_DIM or purity_direct(probe)
+                     >= (1.0 - probe.trace_deficit) ** 2 - PURE_TOL):
         raise CutoffError(
             f"default cutoff: {probe.trace_deficit:.1e} of the trace lies past the "
             f"{PROBE_MAX_DIM} levels the cutoff probe builds; pass --cutoff")

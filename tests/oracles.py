@@ -1,15 +1,18 @@
-"""Dense reference operators for the tests.
+"""Reference implementations for the tests.
 
 The package builds no ladder, quadrature or parity matrix: it shifts rows and
 columns of ρ instead. These are the textbook dense forms, kept here only to
 check its kernels; scipy's ``expm`` shares no code with the package's
-Laguerre recurrence.
+Laguerre recurrence. ``sector_loop_diagonal`` is the two-copy p_n kernel as a
+plain loop over sectors, the reference for the planned kernel.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import expm
+
+from qcslab.interferometer import _check_two_copy, _kron, _sectors
 
 
 def ladder(dim):
@@ -63,3 +66,19 @@ def dense_lowering_commutators(rho):
                     np.eye(math.prod(dims[k + 1:])))
         out.append(mat @ a - a @ mat)
     return out
+
+
+def sector_loop_diagonal(rho_a, rho_b):
+    """Diagonal of Tr_a U(ρ_a⊗ρ_b)U† one sector T⃗ at a time: slice
+    X_T⃗ = Re(ρ_a[k⃗, k⃗′] ρ_b[T⃗ − k⃗, T⃗ − k⃗′]) out of the inputs, skip it when
+    it is exactly zero, and add diag(U_T⃗ X_T⃗ U_T⃗ᵀ) to the levels T⃗ − m⃗."""
+    tops_a, tops_b, levels = _check_two_copy(rho_a, rho_b)
+    a, b = rho_a.matrix.reshape(rho_a.dims * 2), rho_b.matrix.reshape(rho_b.dims * 2)
+    diag = np.zeros(levels)
+    for _, ka, kb, dest, windows in _sectors(tops_a, tops_b):
+        x = (a[ka + ka] * b[kb + kb]).real
+        if x.any():
+            u = _kron(windows)
+            view = diag[dest]
+            view += np.einsum("ij,ij->i", u @ x.reshape(u.shape[1], -1), u).reshape(view.shape)
+    return diag

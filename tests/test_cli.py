@@ -506,7 +506,8 @@ def test_config_value_of_the_wrong_type_exits_2(runner, tmp_path, monkeypatch, f
     assert not (tmp_path / "pn.csv").exists()
 
 
-@pytest.mark.parametrize("params", [{"r": 2.5}, {"q": 0.99}], ids=["squeezed-2.5", "thermal-0.99"])
+@pytest.mark.parametrize("params", [{"r": 2.5}, {"r": 2.35}, {"q": 0.99}],
+                         ids=["squeezed-2.5", "squeezed-2.35", "thermal-0.99"])
 def test_default_cutoff_past_the_probe_cap_exits_4(runner, tmp_path, params):
     # the probe stops at 1,024 levels, where r = 2.5's direct route reads
     # C² = 74.209630 for cosh 5 = 74.209949

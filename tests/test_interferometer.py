@@ -25,7 +25,7 @@ from qcslab import (
     wigner_eval,
 )
 from qcslab.errors import RoundoffBudgetError
-from qcslab.interferometer import MEMORY_GUARD_DIM, _blocks, _held_block
+from qcslab.interferometer import MEMORY_GUARD_DIM, _blocks, _held_block, _plans
 from qcslab.phase_space import default_axes, quadrature_spacing
 
 
@@ -280,9 +280,12 @@ def test_first_mode_windows_stream():
 
 
 def test_cold_threads_match_a_single_thread():
+    # streamed pairs, and two pairs of one held shape that race for the plan cache
     inputs = [(coherent(0.9, 40), thermal(0.6, 40, deficit_tol=1e-6)),
               (fock(63, 64), fock(2, 64)), (thermal(0.8, 80), coherent(1.5, 80)),
-              (fock(20, 90), coherent(2.0, 90))]
+              (fock(20, 90), coherent(2.0, 90)),
+              (coherent(0.5, 24), thermal(0.4, 24, deficit_tol=1e-2)),
+              (thermal(0.3, 24), coherent(0.7, 24))]
     expected = [photon_distribution(a, b).probs for a, b in inputs]
     results = [None] * len(inputs)
     start = threading.Barrier(len(inputs))
@@ -295,6 +298,7 @@ def test_cold_threads_match_a_single_thread():
     sys.setswitchinterval(1e-6)
     try:
         _held_block.cache_clear()
+        _plans.clear()
         threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
         for t in threads:
             t.start()
@@ -305,3 +309,4 @@ def test_cold_threads_match_a_single_thread():
         sys.setswitchinterval(switch)
     for got, want in zip(results, expected):
         assert np.array_equal(got, want)
+    assert _plans.nbytes == sum(size for _, size in _plans._plans.values()) > 0

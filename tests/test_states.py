@@ -266,3 +266,23 @@ def test_recommended_cutoff_of_top_level_kinds_builds_no_probe(monkeypatch):
     for kind in ("rho_2M", "rho_even_M"):
         for m in (1, 24, 300):
             assert recommended_cutoff(StateSpec(kind, {"M": m})) == 4 * m + 4
+
+
+@pytest.mark.parametrize("spec", [
+    StateSpec("squeezed_vacuum", {"r": 2.35}),
+    StateSpec("displaced", {"base": {"kind": "squeezed_vacuum", "params": {"r": 2.35}},
+                            "beta": [0.5, 0.3]}),
+], ids=["squeezed-2.35", "displaced-squeezed-2.35"])
+def test_pure_probe_that_still_cuts_at_the_cap_is_refused(spec):
+    # at r = 2.35 the 1,024-level probe cuts 1.0e-9 of the trace, so the
+    # cutoff 1,016 it gives left C² 2.5e-6 below cosh 4.7; the smallest
+    # refused r is 2.308 (2.307 gets cutoff 990, inside its probe)
+    with pytest.raises(CutoffError, match="pass --cutoff"):
+        recommended_cutoff(spec)
+
+
+def test_mixed_probe_that_still_cuts_at_the_cap_runs():
+    # thermal q = 0.98 cuts just over 1e-9 too, but its C² reads the tail of
+    # ρ², which is squared: the cutoff inside the probe stays exact
+    assert recommended_cutoff(StateSpec("thermal", {"q": 0.98})) == 1017
+    assert recommended_cutoff(StateSpec("squeezed_vacuum", {"r": 2.307})) == 990
