@@ -13,7 +13,6 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
 
 import click
 import numpy as np
@@ -49,7 +48,6 @@ from .states import (
     StateSpec,
     _integer,
     build_state,
-    gaussian_covariance,
     parse_cutoff,
     pure_state_vector,
     recommended_cutoff,
@@ -65,8 +63,16 @@ EXIT_CODES = ((CutoffError, EXIT_CUTOFF),
               ((DegenerateDenominatorError, GridError, RoundoffBudgetError), EXIT_TOLERANCE),
               (QcslabError, EXIT_VALIDATION))
 
-ROUTES = ("direct", "two-copy", "pure", "wigner-gradient", "wigner-laplacian",
-          "gaussian", "classical-mixture")
+# each route: the input it reads, and its estimator on that input
+ROUTES = {
+    "direct": ("state", qcs_direct),
+    "two-copy": ("pn", qcs_two_copy),
+    "pure": ("pure", qcs_pure_shortcut),
+    "wigner-gradient": ("state", qcs_wigner_gradient),
+    "wigner-laplacian": ("pn", qcs_wigner_laplacian),
+    "gaussian": ("covariance", qcs_gaussian),
+    "classical-mixture": ("mixture", qcs_classical_mixture),
+}
 
 EXACT_ROUTE_TOL = 1e-6
 FIGURE2_CUTOFF = 48
@@ -180,50 +186,36 @@ def _two_copy_pn(spec: StateSpec, rho: DensityOperator) -> PhotonDistribution:
     return closed_form(spec.params, rho.dim) if closed_form else photon_distribution(rho, rho)
 
 
-def _run_route(route: str, spec: StateSpec, state: Callable[[], DensityOperator],
-               pn: Callable[[], PhotonDistribution]):
-    """One route's estimate, or None when it does not apply; ``state()`` builds ρ
-    and ``pn()`` its two-copy p_n."""
-    row = KINDS[spec.kind]
-    if route == "gaussian":
-        return qcs_gaussian(gaussian_covariance(spec)) if row.covariance else None
-    if route == "classical-mixture":
-        return qcs_classical_mixture(row.mixture(spec.params)) if row.mixture else None
-    if row.build is None or (route == "pure" and not row.pure):
-        return None  # e.g. a covariance-only spec has no Fock-space routes
-    rho = state()
-    if route == "direct":
-        return qcs_direct(rho)
-    if route == "two-copy":
-        return qcs_two_copy(pn())
-    if route == "pure":
-        return qcs_pure_shortcut(pure_state_vector(rho) / np.sqrt(1 - rho.trace_deficit))
-    if route == "wigner-gradient":
-        return qcs_wigner_gradient(rho)
-    if route == "wigner-laplacian":
-        return qcs_wigner_laplacian(pn())
-    raise ValidationError(f"unknown route {route!r}")
-
-
 def _run_routes(spec: StateSpec, cutoff: int, routes) -> tuple[dict, dict]:
-    """Each route's estimate, "not applicable", or {"infeasible": reason} when it
-    does not fit the cutoff, plus the C² of the routes that ran. Exits 4 when
-    some route was infeasible and none ran. The state and its p_n are built at
-    most once each; a build that raises is not cached, so every route that
-    needs it reports the error."""
-    results, values, reasons = {}, {}, []
+    """Each route's estimate, "not applicable" when the spec's kind lacks the
+    input the route reads, or {"infeasible": reason} when it does not fit the
+    cutoff, plus the C² of the routes that ran. Exits 4 when some route was
+    infeasible and none ran. The state and its p_n are built at most once each;
+    a build that raises is not cached, so every route that needs it reports the
+    error."""
+    row = KINDS[spec.kind]
     state = functools.cache(functools.partial(build_state, spec, cutoff=cutoff))
-    pn = functools.cache(lambda: _two_copy_pn(spec, state()))
+    # one lazy getter per input, falsy where the kind lacks it
+    inputs = {"state": row.build and state,
+              "pn": row.build and functools.cache(lambda: _two_copy_pn(spec, state())),
+              "pure": row.build and row.pure and (
+                  lambda: pure_state_vector(state()) / np.sqrt(1 - state().trace_deficit)),
+              "covariance": row.covariance and functools.partial(row.covariance, spec.params),
+              "mixture": row.mixture and functools.partial(row.mixture, spec.params)}
+    results, values, reasons = {}, {}, []
     for route in routes:
+        source, estimator = ROUTES[route]
+        if not inputs[source]:
+            results[route] = "not applicable"  # e.g. a covariance-only spec's Fock routes
+            continue
         try:
-            est = _run_route(route, spec, state, pn)
+            est = estimator(inputs[source]())
         except CutoffError as exc:
             results[route] = {"infeasible": str(exc)}
             reasons.append(str(exc))
             continue
-        results[route] = "not applicable" if est is None else est.to_dict()
-        if est is not None:
-            values[route] = est.c_squared
+        results[route] = est.to_dict()
+        values[route] = est.c_squared
     if reasons and not values:
         raise CutoffError(reasons[0])
     return results, values
@@ -261,7 +253,7 @@ def _command(name: str, *options):
 
 
 @_command("qcs", STATE, click.option("--route", default="two-copy", show_default=True,
-                                     type=click.Choice(ROUTES + ("all",))), CUTOFF, OUT)
+                                     type=click.Choice([*ROUTES, "all"])), CUTOFF, OUT)
 def qcs_cmd(opts):
     """Estimate QCS² of a state via one route (or all applicable)."""
     spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
@@ -299,14 +291,14 @@ def pn_dist_cmd(opts):
                                   help="Give twice: --state a.json --state b.json"),
           CUTOFF, OUT)
 def overlap_cmd(opts):
-    """Overlap Tr(ρ_a ρ_b) by parity of the interferometer output and by the
-    Wigner overlap integral."""
+    """Overlap Tr(ρ_a ρ_b) directly (elementwise, as ρ_b is Hermitian), by parity
+    of the interferometer output and by the Wigner overlap integral."""
     if len(opts["state"]) != 2:
         raise ValidationError("overlap needs exactly two --state files")
     specs, dims = zip(*(_spec_and_cutoff(path, opts["cutoff"]) for path in opts["state"]))
     rho_a, rho_b = (build_state(spec, cutoff=max(dims)) for spec in specs)
     _write_json({**_header(opts, max(dims), *specs),
-                 "overlap_trace": float(np.trace(rho_a.matrix @ rho_b.matrix).real),
+                 "overlap_trace": float(np.vdot(rho_b.matrix, rho_a.matrix).real),
                  "overlap_parity": purity_from_pn(photon_distribution(rho_a, rho_b)),
                  "overlap_wigner": overlap_wigner(rho_a, rho_b)}, opts["out"])
 

@@ -350,10 +350,6 @@ def _parse_gaussian(p: dict) -> dict:
     return parsed
 
 
-def _thermal(p: dict) -> tuple[float, float]:
-    return thermal_parameters(p.get("q"), p.get("mean_n"))
-
-
 # --- the state-kind table ---
 
 @dataclass(frozen=True)
@@ -387,10 +383,11 @@ KINDS = {
         top_level=lambda p: p["n"], pure=True),
     "thermal": Kind(
         _parse_thermal,
-        lambda p, dim, tol: thermal(p.get("q"), dim, mean_n=p.get("mean_n"), deficit_tol=tol),
-        lambda p: _thermal(p)[1],
-        covariance=lambda p: CovarianceMatrix(0.5 * (1.0 + 2.0 * _thermal(p)[1]) * np.eye(2)),
-        two_copy_pn=lambda p, dim: thermal_photon_distribution(_thermal(p)[0], 2 * dim)),
+        lambda p, dim, tol: thermal(**p, cutoff=dim, deficit_tol=tol),
+        lambda p: thermal_parameters(**p)[1],
+        covariance=lambda p: CovarianceMatrix((0.5 + thermal_parameters(**p)[1]) * np.eye(2)),
+        two_copy_pn=lambda p, dim: thermal_photon_distribution(
+            thermal_parameters(**p)[0], 2 * dim)),
     "squeezed_vacuum": Kind(
         _fields(r=_real),
         lambda p, dim, tol: squeezed_vacuum(p["r"], dim, tol),

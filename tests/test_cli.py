@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
 import time
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qcslab import interferometer
+from qcslab import cli, interferometer
 from qcslab.cli import main
 from qcslab.states import StateSpec, build_state, recommended_cutoff
 
@@ -159,6 +161,23 @@ def test_overlap(runner, tmp_path, thermal05):
     assert single.exit_code == 2
 
 
+def test_overlap_trace_is_the_trace_of_the_dense_product(runner, tmp_path):
+    rng = np.random.default_rng(5)
+    amplitudes = (rng.normal(size=(3, 2)) * 0.4).tolist()
+    docs = [{"kind": "mixture", "params": {"weights": rng.dirichlet(np.ones(3)).tolist(),
+                                           "amplitudes": amplitudes}},
+            {"kind": "displaced", "params": {"base": {"kind": "thermal", "params": {"q": 0.2}},
+                                             "beta": (rng.normal(size=2) * 0.4).tolist()}}]
+    paths = [write_spec(tmp_path, f"{i}.json", {"schema": 1, **doc}) for i, doc in enumerate(docs)]
+    result = runner.invoke(main, ["overlap", "--state", paths[0], "--state", paths[1],
+                                  "--cutoff", "16"])
+    assert result.exit_code == 0, result.output
+    rho_a, rho_b = (build_state(StateSpec(doc["kind"], doc["params"]), cutoff=16).matrix
+                    for doc in docs)
+    dense = np.trace(rho_a @ rho_b).real
+    assert abs(json.loads(result.output)["overlap_trace"] - dense) <= 1e-15 * dense
+
+
 def test_overlap_cutoff_pinned_in_a_state_file(runner, tmp_path):
     coh = write_spec(tmp_path, "coh.json",
                      {"schema": 1, "kind": "coherent", "params": {"alpha": 0.3}})
@@ -185,6 +204,35 @@ def test_compare_fock1_payload(runner, fock1, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["max_deviation_exact"] < 1e-6
     assert abs(doc["results"]["direct"]["c_squared"] - 3.0) < 1e-9
+
+
+def test_compare_exits_3_when_routes_disagree(runner, fock1, monkeypatch):
+    source, estimator = cli.ROUTES["direct"]
+
+    def off_by_1e_3(value):
+        est = estimator(value)
+        return dataclasses.replace(est, c_squared=est.c_squared + 1e-3)
+
+    monkeypatch.setitem(cli.ROUTES, "direct", (source, off_by_1e_3))
+    result = runner.invoke(main, ["compare", "--state", fock1])
+    assert result.exit_code == 3, result.output
+    assert "error: route deviation 1.000e-03 exceeds tolerance 1e-06" in result.output
+
+
+@pytest.mark.parametrize("command, state, config, message", [
+    ("qcs", True, '{"bogus": 1}', "unknown config key 'bogus'"),
+    ("qcs", True, "{", "cannot read config file"),
+    ("qcs", False, None, "no state file given"),
+    ("pn-dist", True, None, "--out is required for CSV output"),
+], ids=["unknown-config-key", "config-not-json", "no-state", "csv-without-out"])
+def test_unusable_invocation_exits_2(runner, tmp_path, fock1, command, state, config, message):
+    flags = ["--state", fock1] if state else []
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        flags += ["--config", str(tmp_path / "cfg.json")]
+    result = runner.invoke(main, [command, *flags])
+    assert result.exit_code == 2, result.output
+    assert f"error: {message}" in result.output
 
 
 def test_sample_deterministic_apart_from_timestamp(runner, thermal05, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from qcslab import StateSpec
-from qcslab.cli import main
+from qcslab.cli import ROUTES, main
 from qcslab.states import KINDS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -34,6 +34,11 @@ def test_kinds_line_names_the_table_kinds():
     sentence = README.split("\nKinds: ")[1].split(".")[0]
     named = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", sentence))
     assert sorted(named) == sorted(KINDS)
+
+
+def test_routes_line_names_the_table_routes():
+    sentence = README.split("\nRoutes: ")[1].split(".")[0]
+    assert sorted(re.findall(r"`([\w-]+)`", sentence)) == sorted(ROUTES)
 
 
 def test_cli_lines_cover_every_command():
