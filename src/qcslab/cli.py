@@ -8,7 +8,6 @@ artifacts with a reproducibility metadata block. Exit codes: 0 success,
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import sys
 from datetime import datetime, timezone
@@ -49,11 +48,20 @@ from .states import (
     _integer,
     build_state,
     parse_cutoff,
-    pure_state_vector,
     recommended_cutoff,
     rho_2m,
     rho_even_m,
 )
+
+# CPython's own SHA-256 (_sha2 from 3.12, _sha256 before) gives hashlib's
+# digest without loading OpenSSL's libcrypto into every CLI process
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
@@ -85,12 +93,14 @@ def _fail(code: int, message: str):
 
 def _metadata(opts: dict, cutoff: int, *specs: StateSpec) -> dict:
     """Provenance block. The hash covers the options with the state files
-    replaced by their canonical specs, the resolved cutoff and the numpy
-    version, so it identifies the input, not the path it was read from."""
+    replaced by their canonical specs and the output path left out, the
+    resolved cutoff and the numpy version, so it identifies the input, not the
+    paths it was read from or written to."""
     inputs = {**opts, "cutoff": cutoff, "numpy": np.__version__}
+    del inputs["out"]
     if specs:
         inputs["state"] = [spec.to_json() for spec in specs]
-    digest = hashlib.sha256(
+    digest = sha256(
         json.dumps(inputs, sort_keys=True, default=str).encode()).hexdigest()[:16]
     return {"tool": "qcslab", "version": __version__, "schema": 1, "config_hash": digest,
             "timestamp": datetime.now(timezone.utc).isoformat()}
@@ -195,11 +205,16 @@ def _run_routes(spec: StateSpec, cutoff: int, routes) -> tuple[dict, dict]:
     error."""
     row = KINDS[spec.kind]
     state = functools.cache(functools.partial(build_state, spec, cutoff=cutoff))
+
+    def pure():
+        state()  # the build's deficit check first: a cutoff that cuts too much is infeasible
+        amps = row.amplitudes(spec.params, cutoff)
+        return amps / np.linalg.norm(amps)
+
     # one lazy getter per input, falsy where the kind lacks it
     inputs = {"state": row.build and state,
               "pn": row.build and functools.cache(lambda: _two_copy_pn(spec, state())),
-              "pure": row.build and row.pure and (
-                  lambda: pure_state_vector(state()) / np.sqrt(1 - state().trace_deficit)),
+              "pure": row.amplitudes and pure,
               "covariance": row.covariance and functools.partial(row.covariance, spec.params),
               "mixture": row.mixture and functools.partial(row.mixture, spec.params)}
     results, values, reasons = {}, {}, []

@@ -8,8 +8,9 @@ deficit too and no accuracy domain in |β|. Gaussian covariance parametrizations
 
 ``KINDS`` is the one place that knows what a state kind is: each row parses
 and validates the kind's parameters and gives its Fock-space constructor, ⟨n̂⟩,
-covariance, top Fock level and purity. A :class:`StateSpec` is parsed once,
-when it is made; everything downstream reads the row.
+covariance, top Fock level and, for a pure kind, Fock amplitudes. A
+:class:`StateSpec` is parsed once, when it is made; everything downstream reads
+the row.
 """
 
 from __future__ import annotations
@@ -117,19 +118,25 @@ def thermal(q: float | None = None, cutoff: int = 2, *,
     return DensityOperator(np.diag(diag).astype(complex), (cutoff,), trace_deficit=deficit)
 
 
-def squeezed_vacuum(r: float, cutoff: int,
-                    deficit_tol: float = DEFAULT_DEFICIT_TOL) -> DensityOperator:
-    """Squeezed vacuum with ⟨n̂⟩ = sinh²r; x is the anti-squeezed quadrature for r > 0,
-    matching the covariance diag(e^{2r}, e^{-2r})/2."""
-    k = np.arange((cutoff + 1) // 2)
+def squeezed_amplitudes(r: float, dim: int) -> np.ndarray:
+    """Fock amplitudes of the squeezed vacuum: (tanh r)^k √((2k)!) / (2^k k! √cosh r)
+    at n = 2k, zero at odd n."""
+    k = np.arange((dim + 1) // 2)
     log_c = 0.5 * log_factorial(2 * k) - k * np.log(2.0) - log_factorial(k) \
         + k * np.log(np.tanh(abs(r))) if r != 0 else np.where(k == 0, 0.0, -np.inf)
     amps = np.exp(log_c) / np.sqrt(np.cosh(r))
     if r < 0:
         amps = amps * (-1.0) ** k
-    vec = np.zeros(cutoff, dtype=complex)
+    vec = np.zeros(dim, dtype=complex)
     vec[2 * k] = amps
-    return _pure(vec, deficit_tol=deficit_tol)
+    return vec
+
+
+def squeezed_vacuum(r: float, cutoff: int,
+                    deficit_tol: float = DEFAULT_DEFICIT_TOL) -> DensityOperator:
+    """Squeezed vacuum with ⟨n̂⟩ = sinh²r; x is the anti-squeezed quadrature for r > 0,
+    matching the covariance diag(e^{2r}, e^{-2r})/2."""
+    return _pure(squeezed_amplitudes(r, cutoff), deficit_tol=deficit_tol)
 
 
 def rho_2m(m: int, cutoff: int) -> DensityOperator:
@@ -211,14 +218,6 @@ def phase_rotate(rho: DensityOperator, theta: float) -> DensityOperator:
     n = np.arange(rho.dim)
     return DensityOperator(rho.matrix * np.exp(1j * theta * (n[:, None] - n)), rho.dims,
                            rho.trace_deficit)
-
-
-def pure_state_vector(rho: DensityOperator, tol: float = 1e-9) -> np.ndarray:
-    """Extract the state vector of a (numerically) pure density operator."""
-    evals, evecs = np.linalg.eigh(rho.matrix)
-    if evals[:-1].max(initial=0.0) > tol:
-        raise ValidationError("state is not pure")
-    return evecs[:, -1] * np.sqrt(evals[-1])
 
 
 # --- Gaussian covariance parametrizations (vacuum = I/2) ---
@@ -362,7 +361,8 @@ class Kind:
     mean_n: Callable[[dict], float] | None
     covariance: Callable[[dict], CovarianceMatrix] | None = None
     top_level: Callable[[dict], int] | None = None  # highest occupied Fock level
-    pure: bool = False
+    # Fock amplitudes ψ_0 … ψ_{dim−1} of a pure kind, at (params, dim)
+    amplitudes: Callable[[dict, int], np.ndarray] | None = None
     mixture: Callable[[dict], ClassicalMixture] | None = None
     # closed-form two-copy difference-mode p_n at cutoff dim, in place of the kernel
     two_copy_pn: Callable[[dict, int], PhotonDistribution] | None = None
@@ -375,12 +375,12 @@ KINDS = {
         lambda p: abs(p["alpha"]) ** 2,
         covariance=lambda p: CovarianceMatrix(
             0.5 * np.eye(2), np.sqrt(2.0) * np.array([p["alpha"].real, p["alpha"].imag])),
-        pure=True),
+        amplitudes=lambda p, dim: coherent_amplitudes(p["alpha"], dim)),
     "fock": Kind(
         _fields(n=_integer),
         lambda p, dim, tol: fock(p["n"], dim),
         lambda p: float(p["n"]),
-        top_level=lambda p: p["n"], pure=True),
+        top_level=lambda p: p["n"], amplitudes=lambda p, dim: np.eye(1, dim, p["n"])[0]),
     "thermal": Kind(
         _parse_thermal,
         lambda p, dim, tol: thermal(**p, cutoff=dim, deficit_tol=tol),
@@ -394,7 +394,7 @@ KINDS = {
         lambda p: float(np.sinh(p["r"]) ** 2),
         covariance=lambda p: CovarianceMatrix(
             0.5 * np.diag([np.exp(2 * p["r"]), np.exp(-2 * p["r"])])),
-        pure=True),
+        amplitudes=lambda p, dim: squeezed_amplitudes(p["r"], dim)),
     "rho_2M": Kind(
         _fields(M=partial(_integer, minimum=1)),
         lambda p, dim, tol: rho_2m(p["M"], dim),
@@ -496,39 +496,52 @@ def gaussian_covariance(spec: StateSpec) -> CovarianceMatrix:
     return covariance(spec.params)
 
 
+def _support(weights: np.ndarray, tail_tol: float) -> int:
+    """Smallest s with Σ_{n > s} weights_n <= tail_tol."""
+    above = np.append(np.cumsum(weights[::-1])[::-1][1:], 0.0)
+    return int(np.argmax(above <= tail_tol))
+
+
 def recommended_cutoff(spec: StateSpec) -> int:
     """Default cutoff, the one-copy rule: 2·top + 4 for a kind with a top level,
-    and otherwise max(ceil(4(⟨n̂⟩+3)), s + 2). A probe build leaves at most
+    and otherwise max(ceil(4(⟨n̂⟩+3)), s + 2). A probe leaves at most
     CUTOFF_TAIL_TOL of probability and CUTOFF_N_TAIL_TOL of ⟨n̂⟩ above level s
     (slow tails, like thermal and strongly squeezed ones); it doubles, up to
     PROBE_MAX_DIM levels, while the mass its own truncation cuts off exceeds
-    either. A kind with a top level has support s <= top, so a probe could not
-    raise its cutoff and none is built. The two-copy kernel is exact at any
-    cutoff, so the pair needs no more levels than one copy. CutoffError when the
-    largest probe still cuts off more than either bound and the cutoff reaches
-    PROBE_MAX_DIM, or the probe is pure (Tr ρ² = (1 − deficit)² within
-    PURE_TOL): the probe cannot show where the tail ends."""
-    top_level = KINDS[spec.kind].top_level
-    if top_level is not None:
-        return 2 * top_level(spec.params) + 4
+    either. A pure kind's probe is |ψ_n|² of its amplitudes; any other kind's
+    is the diagonal of a state built at the probe's size. A kind with a top
+    level has support s <= top, so a probe could not raise its cutoff and none
+    is built. The two-copy kernel is exact at any cutoff, so the pair needs no
+    more levels than one copy. CutoffError when the largest probe still cuts
+    off more than either bound and the cutoff reaches PROBE_MAX_DIM, or the
+    probe is pure (a pure kind, or Tr ρ² = (1 − deficit)² within PURE_TOL):
+    the probe cannot show where the tail ends."""
+    row = KINDS[spec.kind]
+    if row.top_level is not None:
+        return 2 * row.top_level(spec.params) + 4
     base = math.ceil(4.0 * (mean_photon_number(spec) + 3.0))
     probe_dim = min(max(4 * base, 64), PROBE_MAX_DIM)
     while True:
-        probe = build_state(spec, cutoff=probe_dim, deficit_tol=1.0)
+        if row.amplitudes:
+            amps = row.amplitudes(spec.params, probe_dim)
+            probs = (amps * amps.conj()).real
+            deficit = max(1.0 - float(np.sum(probs)), 0.0)
+        else:
+            probe = build_state(spec, cutoff=probe_dim, deficit_tol=1.0)
+            probs, deficit = probe.number_marginal(), probe.trace_deficit
         # the mass past the probe sits at levels >= probe_dim
-        tail_cut = probe.trace_deficit > min(CUTOFF_TAIL_TOL, CUTOFF_N_TAIL_TOL / probe_dim)
+        tail_cut = deficit > min(CUTOFF_TAIL_TOL, CUTOFF_N_TAIL_TOL / probe_dim)
         if not tail_cut or probe_dim == PROBE_MAX_DIM:
             break
         probe_dim = min(2 * probe_dim, PROBE_MAX_DIM)
-    n_tail = np.cumsum((np.arange(probe_dim) * probe.number_marginal())[::-1])[::-1]
-    n_support = int(np.argmax(np.append(n_tail, 0.0) <= CUTOFF_N_TAIL_TOL)) - 1
-    cutoff = max(base, probe.effective_support(CUTOFF_TAIL_TOL) + 2, n_support + 2)
+    cutoff = max(base, _support(probs, CUTOFF_TAIL_TOL) + 2,
+                 _support(np.arange(probe_dim) * probs, CUTOFF_N_TAIL_TOL) + 2)
     # a pure state's C² reads its own tail, not the tail of ρ², so no cutoff
     # inside a probe that cuts too much is safe for it
-    if tail_cut and (cutoff >= PROBE_MAX_DIM or purity_direct(probe)
-                     >= (1.0 - probe.trace_deficit) ** 2 - PURE_TOL):
+    if tail_cut and (cutoff >= PROBE_MAX_DIM or row.amplitudes
+                     or purity_direct(probe) >= (1.0 - deficit) ** 2 - PURE_TOL):
         raise CutoffError(
-            f"default cutoff: {probe.trace_deficit:.1e} of the trace lies past the "
+            f"default cutoff: {deficit:.1e} of the trace lies past the "
             f"{PROBE_MAX_DIM} levels the cutoff probe builds; pass --cutoff")
     return cutoff
 

@@ -5,6 +5,8 @@ columns of ρ instead. These are the textbook dense forms, kept here only to
 check its kernels; scipy's ``expm`` shares no code with the package's
 Laguerre recurrence. ``sector_loop_diagonal`` is the two-copy p_n kernel as a
 plain loop over sectors, the reference for the planned kernel.
+``pure_state_vector`` takes ψ back from a built pure state by ``eigh``, the
+reference for the amplitudes a pure kind gives the ``pure`` route.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from qcslab.errors import ValidationError
 from qcslab.interferometer import _check_two_copy, _kron, _sectors
 
 
@@ -82,3 +85,12 @@ def sector_loop_diagonal(rho_a, rho_b):
             view = diag[dest]
             view += np.einsum("ij,ij->i", u @ x.reshape(u.shape[1], -1), u).reshape(view.shape)
     return diag
+
+
+def pure_state_vector(rho, tol=1e-9):
+    """The state vector of a (numerically) pure density operator, scaled by the
+    square root of its trace: the top eigenvector of ``eigh``."""
+    evals, evecs = np.linalg.eigh(rho.matrix)
+    if evals[:-1].max(initial=0.0) > tol:
+        raise ValidationError("state is not pure")
+    return evecs[:, -1] * np.sqrt(evals[-1])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import time
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qcslab import cli, interferometer
+from oracles import pure_state_vector
+from qcslab import cli, interferometer, qcs_pure_shortcut
 from qcslab.cli import main
 from qcslab.states import StateSpec, build_state, recommended_cutoff
 
@@ -375,6 +377,40 @@ def test_config_hash_identifies_state_content(runner, tmp_path):
     assert len(hashes) == 2
 
 
+def test_config_hash_leaves_out_the_output_path(runner, tmp_path):
+    coh = write_spec(tmp_path, "coh.json",
+                     {"schema": 1, "kind": "coherent", "params": {"alpha": 0.7}})
+    fock3 = write_spec(tmp_path, "fock3.json", {"schema": 1, "kind": "fock", "params": {"n": 3}})
+
+    def config_hash(out, *args):
+        result = runner.invoke(main, [*args, "--cutoff", "16", "--out", str(tmp_path / out)])
+        assert result.exit_code == 0, result.output
+        return json.loads((tmp_path / out).read_text())["metadata"]["config_hash"]
+
+    first = config_hash("o1.json", "qcs", "--state", coh)
+    assert config_hash("o2.json", "qcs", "--state", coh) == first
+    assert config_hash("o3.json", "qcs", "--state", coh, "--route", "direct") != first
+    assert config_hash("o4.json", "qcs", "--state", fock3) != first
+    # figure2's --out is its output directory
+    summaries = []
+    for name in ("fig_a", "fig_b"):
+        result = runner.invoke(main, ["figure2", "--out", str(tmp_path / name),
+                                      "--cutoff", "12", "--n-max", "4"])
+        assert result.exit_code == 0, result.output
+        summaries.append(json.loads((tmp_path / name / "summary.json").read_text()))
+    assert summaries[0]["metadata"]["config_hash"] == summaries[1]["metadata"]["config_hash"]
+
+
+def test_config_hash_is_the_sha256_of_hashlib(runner, fock1, monkeypatch):
+    hashes = set()
+    for sha256 in (cli.sha256, hashlib.sha256):
+        monkeypatch.setattr(cli, "sha256", sha256)
+        result = runner.invoke(main, ["qcs", "--state", fock1, "--cutoff", "8"])
+        assert result.exit_code == 0, result.output
+        hashes.add(json.loads(result.output)["metadata"]["config_hash"])
+    assert len(hashes) == 1
+
+
 def test_infeasible_route_reported_and_others_kept(runner, tmp_path):
     # thermal(0.5) leaves 0.5**12 of its trace above cutoff 12, so every Fock
     # route is infeasible there; the Gaussian route still runs
@@ -407,6 +443,39 @@ def test_wigner_grid_past_the_memory_guard_is_infeasible(runner, tmp_path):
     assert "exceeds memory guard" in doc["results"]["wigner-gradient"]["infeasible"]
     for route in ("direct", "two-copy", "pure"):
         assert abs(doc["results"][route]["c_squared"] - 601.0) < 1e-9
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("coherent", {"alpha": 0.9}), ("coherent", {"alpha": [3.0, -2.0]}),
+    ("coherent", {"alpha": 8.0}), ("fock", {"n": 0}), ("fock", {"n": 3}), ("fock", {"n": 40}),
+    ("squeezed_vacuum", {"r": 0.4}), ("squeezed_vacuum", {"r": -1.0}),
+    ("squeezed_vacuum", {"r": 2.0}),
+])
+def test_pure_route_on_the_amplitudes_matches_the_eigh_vector(kind, params):
+    # at the default cutoff: the amplitudes against ψ taken back from the
+    # built state by eigh, and against the direct route on that state
+    spec = StateSpec(kind, params)
+    cutoff = recommended_cutoff(spec)
+    results, _ = cli._run_routes(spec, cutoff, ("pure", "direct"))
+    rho = build_state(spec, cutoff=cutoff)
+    eigh = qcs_pure_shortcut(pure_state_vector(rho) / math.sqrt(1 - rho.trace_deficit))
+    pure = results["pure"]["c_squared"]
+    for other in (eigh.c_squared, results["direct"]["c_squared"]):
+        assert abs(pure - other) <= 1e-10 * abs(other)
+
+
+def test_pure_route_calls_no_eigh(runner, tmp_path, monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    path = write_spec(tmp_path, "sq.json",
+                      {"schema": 1, "kind": "squeezed_vacuum", "params": {"r": 2.0}})
+    result = runner.invoke(main, ["qcs", "--state", path, "--route", "pure"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert doc["cutoff"] == 538
+    assert abs(doc["results"]["pure"]["c_squared"] - math.cosh(4.0)) < 1e-6
 
 
 def test_two_copy_route_exact_at_tight_cutoff(runner, tmp_path):

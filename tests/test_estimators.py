@@ -28,7 +28,8 @@ from qcslab import (
     thermal,
     thermal_photon_distribution,
 )
-from qcslab.states import CovarianceMatrix, StateSpec, gaussian_covariance, pure_state_vector
+from qcslab.states import (CovarianceMatrix, StateSpec, coherent_amplitudes, gaussian_covariance,
+                           squeezed_amplitudes)
 
 
 def fast_pn(rho):
@@ -82,9 +83,9 @@ def test_degenerate_denominator():
 
 
 def test_pure_shortcut():
-    vec = pure_state_vector(coherent(0.9, 30))
+    vec = coherent_amplitudes(0.9, 30)
     assert abs(qcs_pure_shortcut(vec).c_squared - 1.0) < 1e-9
-    vec = pure_state_vector(squeezed_vacuum(0.4, 30))
+    vec = squeezed_amplitudes(0.4, 30)
     assert abs(qcs_pure_shortcut(vec).c_squared - np.cosh(0.8)) < 1e-9
     vec = np.zeros(8)
     vec[2] = 1.0

@@ -2,7 +2,9 @@
 
 scipy is a test-only dependency (the oracles in other test files use its
 ``expm``). Each check runs in a fresh interpreter, so modules that the test
-session itself has imported do not hide an import from the package.
+session itself has imported do not hide an import from the package. The CLI
+does not load OpenSSL's libcrypto either: its metadata hash is CPython's
+built-in SHA-256.
 """
 
 import json
@@ -28,6 +30,11 @@ def test_import_loads_no_scipy(tmp_path):
         tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_libcrypto(tmp_path):
+    result = _run("import sys, qcslab.cli\nsys.exit('_hashlib' in sys.modules)", tmp_path)
+    assert result.returncode == 0, result.stderr
 
 
 SPECS = {

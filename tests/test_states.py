@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import ladder, quadratures
+from oracles import ladder, pure_state_vector, quadratures
 from qcslab import (
     ClassicalMixture,
     CutoffError,
@@ -29,7 +29,6 @@ from qcslab.states import (
     CovarianceMatrix,
     coherent_amplitudes,
     mean_photon_number,
-    pure_state_vector,
     random_classical_mixture,
     recommended_cutoff,
 )
@@ -266,6 +265,32 @@ def test_recommended_cutoff_of_top_level_kinds_builds_no_probe(monkeypatch):
     for kind in ("rho_2M", "rho_even_M"):
         for m in (1, 24, 300):
             assert recommended_cutoff(StateSpec(kind, {"M": m})) == 4 * m + 4
+
+
+def test_recommended_cutoff_of_pure_kinds_reads_their_amplitudes(monkeypatch):
+    # |ψ_n|² is the probe: no dim × dim state and no Tr ρ², and the cutoffs of
+    # the 64- to 1,024-level matrix probes they replace
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("recommended_cutoff built a state")
+
+    monkeypatch.setattr("qcslab.states.build_state", no_matrix)
+    monkeypatch.setattr("qcslab.states.purity_direct", no_matrix)
+    cases = [(StateSpec("coherent", {"alpha": 8.0}), 268),
+             (StateSpec("coherent", {"alpha": [0.0, -8.0]}), 268),
+             (StateSpec("coherent", {"alpha": 0.0}), 12),
+             (StateSpec("squeezed_vacuum", {"r": 2.0}), 538),
+             (StateSpec("squeezed_vacuum", {"r": -2.0}), 538),
+             (StateSpec("squeezed_vacuum", {"r": 0.0}), 12)]
+    for spec, cutoff in cases:
+        tracemalloc.start()
+        try:
+            assert recommended_cutoff(spec) == cutoff
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+    with pytest.raises(CutoffError, match="pass --cutoff"):
+        recommended_cutoff(StateSpec("squeezed_vacuum", {"r": 2.35}))
 
 
 @pytest.mark.parametrize("spec", [

@@ -187,3 +187,48 @@ def test_entangled_joint_pn_matches_oracle_and_direct_route(rho):
     assert np.max(np.abs(joint_pn.reshape(-1) - np.clip(expected, 0.0, None))) < TOL
     direct = qcs_direct(rho).c_squared
     assert abs(qcs_multimode(rho).c_squared - direct) <= 1e-9 * abs(direct)
+
+
+@st.composite
+def sub_normalized_pairs(draw):
+    """Two independent random states of rank 1-3 on one set of 1-3 modes, each
+    scaled to a trace in [0.2, 1], as a truncated state's trace falls short of 1."""
+    n_modes = draw(st.integers(1, 3))
+    dims = tuple(draw(st.lists(st.integers(2, (8, 4, 3)[n_modes - 1]),
+                               min_size=n_modes, max_size=n_modes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pair = []
+    for rank in (draw(st.integers(1, 3)), draw(st.integers(1, 3))):
+        shape = (math.prod(dims), rank)
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rho = g @ g.conj().T
+        rho *= rng.uniform(0.2, 1.0) / np.trace(rho).real
+        rho = 0.5 * (rho + rho.conj().T)
+        pair.append(DensityOperator(rho, dims, 1.0 - np.trace(rho).real))
+    return pair
+
+
+@PROPERTY_SETTINGS
+@given(sub_normalized_pairs())
+def test_photon_distribution_moment_identities(pair):
+    """Moments of the joint p_n that follow from the inputs alone: Σp_n =
+    Tr ρ_a · Tr ρ_b; the parity of the total count, Σ(−1)ⁿp_n = Tr ρ_aρ_b; and
+    for each mode k, with the difference mode (a_k − b_k)/√2 and moments of the
+    unnormalized inputs, Σn_k·p_n = ½(⟨n̂_k⟩_a Tr ρ_b + Tr ρ_a ⟨n̂_k⟩_b) −
+    Re(⟨â_k⟩_a* ⟨â_k⟩_b)."""
+    rho_a, rho_b = pair
+    probs = photon_distribution(rho_a, rho_b).probs
+    levels = np.indices(probs.shape)
+    mass = rho_a.trace() * rho_b.trace()
+    assert abs(probs.sum() - mass) <= TOL * mass
+    overlap = np.trace(rho_a.matrix @ rho_b.matrix).real
+    assert abs(((-1.0) ** levels.sum(axis=0) * probs).sum() - overlap) <= TOL * mass
+    dims = rho_a.dims
+    for k, d in enumerate(dims):
+        a_k = np.kron(np.kron(np.eye(math.prod(dims[:k])), ladder(d)),
+                      np.eye(math.prod(dims[k + 1:])))
+        (n_a, a_a), (n_b, a_b) = ((np.trace(rho.matrix @ a_k.T @ a_k).real,
+                                   np.trace(rho.matrix @ a_k)) for rho in pair)
+        mean = 0.5 * (n_a * rho_b.trace() + rho_a.trace() * n_b)
+        expected = mean - (np.conj(a_a) * a_b).real
+        assert abs((levels[k] * probs).sum() - expected) <= TOL * (mean + abs(a_a * a_b))
