@@ -1,15 +1,15 @@
-"""Wigner-function evaluation on grids: the gradient QCS route and overlaps.
+"""Wigner-function evaluation on grids, overlaps, and the gradient QCS route.
 
 The Wigner function is evaluated from the Fock-basis displaced-parity kernel
 W(α) = (1/π) Tr[ρ D(2α) (-1)^n̂] with the exact displacement matrix elements
 of ``fock.scaled_laguerre`` (the one recurrence that also builds D(β) for
 ``states.displace``) on any finite x and p axes, never by numerical Fourier
-transform. The origin value is computed analytically from the parity trace,
-the gradient as the Wigner function of the commutators with x̂ and p̂ (both
-read from [ρ, a], ``fock.lowering_commutators``), integrated at a
-trapezoid spacing derived from the cutoff (``quadrature_spacing``). The
-origin-Laplacian route needs only the difference-mode p_n, so it lives with
-the two-copy route in ``estimators``.
+transform. The origin value is computed analytically from the parity trace.
+The gradient route needs no Wigner grid: by the Plancherel relation it is a
+trapezoid sum over the position kernel ⟨u|ρ|v⟩, built from Hermite functions
+(``hermite_functions``), and it shares no code with the direct route's
+commutators. The origin-Laplacian route needs only the difference-mode p_n, so
+it lives with the two-copy route in ``estimators``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GridError, MemoryGuardError, ValidationError
 from .estimators import QcsEstimate
-from .fock import DensityOperator, lowering_commutators, pad_fock_level, scaled_laguerre
+from .fock import DensityOperator, purity_direct, scaled_laguerre
 from .interferometer import MEMORY_GUARD_DIM
 
 EXTENT_PADDING = 1.2
@@ -167,8 +167,7 @@ def wigner_origin(rho: DensityOperator) -> float:
 def quadrature_spacing(dim: int) -> float:
     """Trapezoid spacing for products of Wigner functions of operators on
     ``dim`` Fock levels: Gaussians times polynomials of degree growing with dim,
-    on which the rule is spectrally exact once h·√(2·dim + 1) is small enough
-    (at 1.2 the gradient route is off by 7e-7; a fixed h = 0.2, by 4.4)."""
+    on which the rule is spectrally exact once h·√(2·dim + 1) is small enough."""
     return 0.8 / math.sqrt(2 * dim + 1)
 
 
@@ -183,22 +182,77 @@ def overlap_wigner(rho_a: DensityOperator, rho_b: DensityOperator) -> float:
     return 2.0 * np.pi * ga.integrate(ga.values * gb.values)
 
 
+def hermite_functions(u: np.ndarray, count: int) -> np.ndarray:
+    """Rows φ_0 … φ_{count−1} of the Hermite functions
+    φ_n(u) = H_n(u) e^{−u²/2} / √(2ⁿ n! √π) at the points u, by the three-term
+    recurrence. φ_0 underflows past |u| ≈ 37.6 where later φ_n are O(1), so the
+    recurrence runs on mantissas with a binary exponent per point, rescaled at
+    every step; the recurrence is linear, so the rescaling is exact."""
+    u = np.asarray(u, dtype=float)
+    log2_phi0 = (-0.5 * u ** 2 - 0.25 * math.log(math.pi)) / math.log(2.0)
+    exponent = np.floor(log2_phi0).astype(int)
+    cur, prev = np.exp2(log2_phi0 - exponent), np.zeros_like(u)
+    out = np.empty((count, u.size))
+    out[0] = np.ldexp(cur, exponent)
+    for n in range(count - 1):
+        prev, cur = cur, math.sqrt(2.0 / (n + 1)) * u * cur - math.sqrt(n / (n + 1)) * prev
+        shift = np.maximum(np.frexp(cur)[1], np.frexp(prev)[1])
+        cur, prev = np.ldexp(cur, -shift), np.ldexp(prev, -shift)
+        exponent += shift
+        out[n + 1] = np.ldexp(cur, exponent)
+    return out
+
+
+KERNEL_SPACING_CAP = 0.3  # 0.4π/√(2·dim + 1) costs digits below 9 levels
+KERNEL_TOL = 1e-9  # relative miss of Tr ρ or Tr ρ² that flags a grid too narrow or coarse
+BLOCK_ENTRIES = 2 ** 17  # kernel entries per row block
+
+
 def qcs_wigner_gradient(rho: DensityOperator) -> QcsEstimate:
-    """Gradient-norm route C² = ‖∇W‖² / (2‖W‖²) from exact derivatives: the
-    Moyal bracket of a linear operator is exact, so ∂ₓW_ρ = W_{i[p̂,ρ]} and
-    ∂ₚW_ρ = W_{−i[x̂,ρ]}, with the (traceless) commutators formed one Fock
-    level above the cutoff from C = [ρ, a]: i[x̂,ρ] = −i(C − C†)/√2 and
-    i[p̂,ρ] = −(C + C†)/√2. Numerator and denominator match the direct route."""
-    padded = pad_fock_level(rho)
-    x_axis, p_axis = default_axes(padded, quadrature_spacing(padded.dim))
-    grid = wigner_eval(padded, x_axis, p_axis, norm_tol=1e-5)  # refuses a multimode ρ
-    (c,) = lowering_commutators(rho)
-    grad_sq = 0.0
-    for comm in (-1j * (c - c.conj().T), -(c + c.conj().T)):  # −∂ₚW and ∂ₓW
-        deriv = wigner_eval(DensityOperator(comm / np.sqrt(2.0), padded.dims),
-                            x_axis, p_axis, norm_tol=1e-5)
-        grad_sq += deriv.integrate(deriv.values ** 2)
-    numerator = np.pi * grad_sq
-    denominator = 2.0 * np.pi * grid.integrate(grid.values ** 2)
-    return QcsEstimate(c_squared=numerator / denominator, method="wigner_gradient",
-                       numerator=numerator, denominator=denominator)
+    """Gradient-norm route C² = ∫|∇W|² / (2∫W²) as a position-kernel quadrature.
+    By the Plancherel relation ∫∫W_A W_B = Tr(AB†)/2π it is a ratio of
+    Hilbert–Schmidt norms. (u−v)K and −i(∂ᵤ+∂ᵥ)K are the kernels of [x̂, ρ] and
+    [p̂, ρ] for K(u, v) = ⟨u|ρ|v⟩, so C² = ∫∫[(u−v)²|K|² + |(∂ᵤ+∂ᵥ)K|²] / (2∫∫|K|²),
+    with K = ΦρΦᵀ and (∂ᵤ+∂ᵥ)K = Φ′ρΦᵀ + ΦρΦ′ᵀ on a uniform grid, where
+    φ_n′ = √(n/2)φ_{n−1} − √((n+1)/2)φ_{n+1} reads one level above the cutoff.
+    Numerator and denominator are C²·Tr ρ² and Tr ρ², as in the direct route."""
+    if rho.n_modes != 1:
+        raise ValidationError("the gradient route expects a single-mode state")
+    dim = rho.dim
+    h = min(KERNEL_SPACING_CAP, 0.4 * math.pi / math.sqrt(2 * dim + 1))
+    u = default_axes(rho, h)[0]
+    size = u.size
+    if size > MEMORY_GUARD_DIM:
+        raise MemoryGuardError(
+            f"position kernel of {size} x {size} points exceeds memory guard "
+            f"{MEMORY_GUARD_DIM}^2")
+    phi = hermite_functions(u, dim + 1)
+    n = np.arange(dim)[:, None]
+    dphi = -np.sqrt((n + 1) / 2.0) * phi[1:]
+    dphi[1:] += np.sqrt(n[1:] / 2.0) * phi[:-2]
+    # Re ρ and Im ρ on a leading axis keep every product real: rows s:e of K are
+    # lk[:, s:e] @ phi, of (∂ᵤ+∂ᵥ)K ld[:, s:e] @ phi + lk[:, s:e] @ dphi
+    parts = np.stack([rho.matrix.real, rho.matrix.imag])
+    phi = phi[:dim]
+    lk, ld = phi.T @ parts, dphi.T @ parts
+    trace = h * float(np.sum(lk[0] * phi.T))
+    rows = max(1, BLOCK_ENTRIES // size)
+    purity = grad_sq = 0.0
+    for s in range(0, size, rows):
+        e = min(s + rows, size)
+        k_sq = np.sum((lk[:, s:e] @ phi[:, s:]) ** 2, axis=0)
+        d_sq = np.sum((ld[:, s:e] @ phi[:, s:] + lk[:, s:e] @ dphi[:, s:]) ** 2, axis=0)
+        f = (u[s:e, None] - u[None, s:]) ** 2 * k_sq + d_sq
+        # the kernels are Hermitian: entries right of the block's own square
+        # stand for their mirror images below the diagonal too
+        purity += 2.0 * float(np.sum(k_sq)) - float(np.sum(k_sq[:, :e - s]))
+        grad_sq += 2.0 * float(np.sum(f)) - float(np.sum(f[:, :e - s]))
+    purity, grad_sq = h * h * purity, h * h * grad_sq
+    for name, got, want in (("Tr ρ", trace, rho.trace()), ("Tr ρ²", purity, purity_direct(rho))):
+        if not abs(got - want) <= KERNEL_TOL * abs(want):  # a NaN sum fails too
+            raise GridError(
+                f"position-kernel check failed: {name} {got:.12g} vs {want:.12g}; "
+                "grid extent or spacing insufficient")
+    numerator = 0.5 * grad_sq
+    return QcsEstimate(c_squared=numerator / purity, method="wigner_gradient",
+                       numerator=numerator, denominator=purity)

@@ -16,6 +16,7 @@ tests on D are exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,22 @@ def sample_counts(pn: PhotonDistribution, shots: int, seed: int) -> ShotRecord:
     return ShotRecord(counts=counts, shots=shots, seed=seed)
 
 
+def _percentiles(values: np.ndarray, qs) -> list[float]:
+    """``np.percentile(values, qs)`` (its default linear rule, bit for bit) from
+    one sort, for at least two values and 0 ≤ q < 100; ``np.percentile`` itself
+    imports ``numpy.ma`` through ``np.unique``. Between neighbours a ≤ b at
+    v = (n − 1)·q/100 with t = v − ⌊v⌋ the value is a + (b − a)t, or
+    b − (b − a)(1 − t) when t ≥ ½, as numpy's ``_lerp`` computes it."""
+    ordered = np.sort(values)
+    out = []
+    for q in qs:
+        v = (len(ordered) - 1) * (q / 100)
+        i = math.floor(v)
+        a, b, t = float(ordered[i]), float(ordered[i + 1]), v - i
+        out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return out
+
+
 def estimate_qcs(rec: ShotRecord, resamples: int = DEFAULT_RESAMPLES) -> SampledEstimate:
     """Plug-in QCS² on the empirical frequencies with a seeded bootstrap CI."""
     if rec.shots < 100:
@@ -140,9 +157,9 @@ def estimate_qcs(rec: ShotRecord, resamples: int = DEFAULT_RESAMPLES) -> Sampled
     finite = boots[np.isfinite(boots)]
     if len(finite) < 2:
         raise DegenerateDenominatorError("bootstrap denominators collapsed to zero")
-    ci_low, ci_high = np.percentile(finite, [2.5, 97.5])
+    ci_low, ci_high = _percentiles(finite, (2.5, 97.5))
     return SampledEstimate(
         c_squared=point.c_squared, std_error=float(finite.std(ddof=1)),
-        ci_low=float(ci_low), ci_high=float(ci_high), shots=rec.shots,
+        ci_low=ci_low, ci_high=ci_high, shots=rec.shots,
         resamples=resamples, seed=rec.seed, denominator_unstable=unstable)
 

@@ -433,7 +433,8 @@ def test_infeasible_route_reported_and_others_kept(runner, tmp_path):
 
 
 def test_wigner_grid_past_the_memory_guard_is_infeasible(runner, tmp_path):
-    # fock(300) at 302 levels: the gradient route's grid has 7,881² points
+    # fock(300) at 302 levels: the gradient route's position grid has 5,017
+    # points per axis
     path = write_spec(tmp_path, "f300.json", {"schema": 1, "kind": "fock", "params": {"n": 300}})
     out = tmp_path / "out.json"
     result = runner.invoke(main, ["qcs", "--route", "all", "--state", path, "--cutoff", "302",

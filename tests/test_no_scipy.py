@@ -4,7 +4,8 @@ scipy is a test-only dependency (the oracles in other test files use its
 ``expm``). Each check runs in a fresh interpreter, so modules that the test
 session itself has imported do not hide an import from the package. The CLI
 does not load OpenSSL's libcrypto either: its metadata hash is CPython's
-built-in SHA-256.
+built-in SHA-256. ``sample`` does not import ``numpy.ma``, which
+``np.percentile`` would load for its bootstrap interval.
 """
 
 import json
@@ -34,6 +35,19 @@ def test_import_loads_no_scipy(tmp_path):
 
 def test_cli_import_loads_no_libcrypto(tmp_path):
     result = _run("import sys, qcslab.cli\nsys.exit('_hashlib' in sys.modules)", tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
+def test_sample_loads_no_numpy_ma(tmp_path):
+    (tmp_path / "th.json").write_text(json.dumps(
+        {"schema": 1, "kind": "thermal", "params": {"q": 0.3}}))
+    result = _run(
+        "import sys\n"
+        "from click.testing import CliRunner\n"
+        "from qcslab.cli import main\n"
+        "r = CliRunner().invoke(main, ['sample', '--state', 'th.json', '--shots', '2000'])\n"
+        "assert r.exit_code == 0, r.output\n"
+        "sys.exit('numpy.ma' in sys.modules)", tmp_path)
     assert result.returncode == 0, result.stderr
 
 

@@ -131,7 +131,8 @@ def test_gradient_route_examples():
 
 @pytest.mark.parametrize("rho, c2", [(fock(30, 64), 61.0), (rho_even_m(15, 64), 33.0)])
 def test_gradient_route_exact_where_a_fixed_grid_fails(rho, c2):
-    # a fixed spacing of 0.2 is off by 4.4 and 0.57 here and still normalizes
+    # a Wigner grid at a fixed spacing of 0.2 is off by 4.4 and 0.57 here and
+    # still normalizes
     assert abs(qcs_wigner_gradient(rho).c_squared - c2) < 1e-9 * c2
     assert abs(qcs_direct(rho).c_squared - c2) < 1e-9 * c2
 
@@ -194,10 +195,37 @@ def test_squeezed_grid_is_sized_per_axis():
     rho = build_state(StateSpec("squeezed_vacuum", {"r": 1.0}))
     x_axis, p_axis = default_axes(rho, quadrature_spacing(rho.dim))
     assert len(p_axis) < len(x_axis)
-    norm_tol = 1e-5  # the gradient route's
+    norm_tol = 1e-5  # overlap_wigner's
     grid = wigner_eval(rho, x_axis, p_axis, norm_tol=norm_tol)
     assert abs(grid.integrate() - rho.trace()) <= norm_tol
     assert abs(qcs_wigner_gradient(rho).c_squared - qcs_direct(rho).c_squared) <= 1e-9
+
+
+@pytest.mark.parametrize("rho", [squeezed_vacuum(1.0, 68), thermal(0.5, 62)])
+def test_gradient_route_refuses_a_grid_too_narrow(rho, monkeypatch):
+    monkeypatch.setattr(phase_space, "EXTENT_SIGMAS", 1.0)
+    with pytest.raises(GridError):
+        qcs_wigner_gradient(rho)
+
+
+def test_hermite_functions_match_mpmath():
+    # past |u| ≈ 37.6 φ_0 underflows while φ_n near its turning point √(2n+1)
+    # does not; where the exact value is subnormal or zero, so is ours
+    points = np.array([0.0, 5.0, 20.0, 37.0, 38.0, 45.0])
+    points = np.concatenate([points, -points[1:]])
+    count = 121
+    phi = phase_space.hermite_functions(points, count)
+    assert phi.shape == (count, points.size)
+    with mpmath.workdps(50):
+        for j, u in enumerate(points.tolist()):
+            for n in range(count):
+                exact = float(mpmath.hermite(n, u) * mpmath.exp(-mpmath.mpf(u) ** 2 / 2)
+                              / mpmath.sqrt(2 ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi)))
+                if abs(exact) >= np.finfo(float).tiny:
+                    assert abs(phi[n, j] - exact) <= 1e-12 * abs(exact), (u, n)
+                else:
+                    assert abs(phi[n, j]) < np.finfo(float).tiny, (u, n)
+    assert np.count_nonzero(phi[:, points == 38.0]) > 0  # φ_0(38) alone underflows
 
 
 def test_wigner_grid_past_the_memory_guard_is_refused_before_allocating():
@@ -214,14 +242,15 @@ def test_wigner_grid_past_the_memory_guard_is_refused_before_allocating():
 
 
 def test_gradient_route_refuses_a_grid_past_the_memory_guard():
-    # the default grid of fock(300) at 302 levels has 7,881² points
+    # the position grid of fock(300) at 302 levels has 5,017 points per axis
     with pytest.raises(MemoryGuardError):
         qcs_wigner_gradient(fock(300, 302))
 
 
 def test_gradient_route_refuses_a_large_grid_without_dense_products():
-    # padded to 2,409 levels the grid needs 31,341² points; sizing it from ρ's
-    # diagonals at offsets 0-2 costs O(dim), where dense products took seconds
+    # at 2,408 levels the position grid needs 19,949 points per axis; sizing it
+    # from ρ's diagonals at offsets 0-2 costs O(dim), where dense products took
+    # seconds
     rho = fock(600, 2408)
     start = time.perf_counter()
     with pytest.raises(MemoryGuardError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qcslab import (
     DegenerateDenominatorError,
@@ -17,7 +18,7 @@ from qcslab import (
     thermal_photon_distribution,
 )
 from qcslab.estimators import DENOMINATOR_FLOOR
-from qcslab.sampling import _BLOCK_ROWS
+from qcslab.sampling import _BLOCK_ROWS, _percentiles
 
 
 def test_sampling_is_deterministic():
@@ -238,3 +239,11 @@ def test_bootstrap_memory_is_bounded_by_row_blocks():
         tracemalloc.stop()
     # one unblocked draw would hold every resample's counts at once
     assert peak < 0.5 * resamples * top * 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(2, 4096),
+                  elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
+def test_percentiles_equal_numpy_bit_for_bit(values):
+    ours = np.array(_percentiles(values, (2.5, 97.5)))
+    assert np.array_equal(ours.view(np.uint64), np.percentile(values, [2.5, 97.5]).view(np.uint64))
