@@ -34,7 +34,7 @@ from .estimators import (
     qcs_two_copy,
     qcs_wigner_laplacian,
 )
-from .fock import DensityOperator, purity_direct
+from .fock import purity_direct
 from .interferometer import (
     PhotonDistribution,
     photon_distribution,
@@ -47,10 +47,13 @@ from .states import (
     StateSpec,
     _integer,
     build_state,
+    check_tail_mass,
     parse_cutoff,
     recommended_cutoff,
     rho_2m,
     rho_even_m,
+    spec_amplitudes,
+    two_copy_pn,
 )
 
 # CPython's own SHA-256 (_sha2 from 3.12, _sha256 before) gives hashlib's
@@ -189,32 +192,29 @@ def _header(opts: dict, cutoff: int, *specs: StateSpec) -> dict:
     return {"metadata": _metadata(opts, cutoff, *specs), "cutoff": cutoff}
 
 
-def _two_copy_pn(spec: StateSpec, rho: DensityOperator) -> PhotonDistribution:
-    """Difference-mode p_n: the kind's closed form if it has one, the block
-    kernel otherwise."""
-    closed_form = KINDS[spec.kind].two_copy_pn
-    return closed_form(spec.params, rho.dim) if closed_form else photon_distribution(rho, rho)
-
-
 def _run_routes(spec: StateSpec, cutoff: int, routes) -> tuple[dict, dict]:
     """Each route's estimate, "not applicable" when the spec's kind lacks the
     input the route reads, or {"infeasible": reason} when it does not fit the
     cutoff, plus the C² of the routes that ran. Exits 4 when some route was
     infeasible and none ran. The state and its p_n are built at most once each;
     a build that raises is not cached, so every route that needs it reports the
-    error."""
+    error. The ``pure`` route reads the amplitudes alone, held to the build's
+    deficit check."""
     row = KINDS[spec.kind]
     state = functools.cache(functools.partial(build_state, spec, cutoff=cutoff))
+    amplitudes = spec_amplitudes(spec)
 
     def pure():
-        state()  # the build's deficit check first: a cutoff that cuts too much is infeasible
-        amps = row.amplitudes(spec.params, cutoff)
+        amps = amplitudes(cutoff)
+        check_tail_mass(amps)  # a cutoff that cuts too much is infeasible
         return amps / np.linalg.norm(amps)
 
-    # one lazy getter per input, falsy where the kind lacks it
+    # one lazy getter per input, falsy where the spec lacks it; the p_n getter
+    # builds the state first for its deficit check
     inputs = {"state": row.build and state,
-              "pn": row.build and functools.cache(lambda: _two_copy_pn(spec, state())),
-              "pure": row.amplitudes and pure,
+              "pn": row.build and functools.cache(
+                  lambda: two_copy_pn(spec, cutoff, state())),
+              "pure": amplitudes and pure,
               "covariance": row.covariance and functools.partial(row.covariance, spec.params),
               "mixture": row.mixture and functools.partial(row.mixture, spec.params)}
     results, values, reasons = {}, {}, []
@@ -283,7 +283,7 @@ def purity_cmd(opts):
     spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
     rho = build_state(spec, cutoff=dim)
     _write_json({**_header(opts, dim, spec), "purity_direct": purity_direct(rho),
-                 "purity_two_copy": purity_from_pn(_two_copy_pn(spec, rho))}, opts["out"])
+                 "purity_two_copy": purity_from_pn(two_copy_pn(spec, dim, rho))}, opts["out"])
 
 
 @_command("pn-dist", STATE, CUTOFF, OUT,
@@ -292,7 +292,7 @@ def purity_cmd(opts):
 def pn_dist_cmd(opts):
     """Difference-mode photon-number distribution p_n."""
     spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
-    pn = _two_copy_pn(spec, build_state(spec, cutoff=dim))
+    pn = two_copy_pn(spec, dim, build_state(spec, cutoff=dim))
     if opts["format"] == "json":
         _write_json({**_header(opts, dim, spec), "p_n": pn.probs.tolist(),
                      "deficit": pn.deficit}, opts["out"])
@@ -377,7 +377,7 @@ def figure2_cmd(opts):
 def sample_cmd(opts):
     """Simulate a finite-shot run and report the plug-in QCS² with a bootstrap CI."""
     spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
-    pn = _two_copy_pn(spec, build_state(spec, cutoff=dim))
+    pn = two_copy_pn(spec, dim, build_state(spec, cutoff=dim))
     est = estimate_qcs(sample_counts(pn, opts["shots"], opts["seed"]),
                        resamples=opts["resamples"])
     _write_json({**_header(opts, dim, spec), "estimate": est.to_dict()}, opts["out"])

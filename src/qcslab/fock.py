@@ -32,6 +32,9 @@ DEFAULT_DEFICIT_TOL = 1e-6
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 LOG_TINY = math.log(sys.float_info.min)  # ln G_{0,d} below which scaled_laguerre carries exponents
+# ln of a quarter of the least subnormal: a value below it rounds to 0, with
+# room to spare for the rounding of the recurrence that computes it
+LOG_ZERO = -1076 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -169,10 +172,10 @@ def log_factorial(n) -> np.ndarray:
     return np.array([math.lgamma(k + 1.0) for k in n.ravel().tolist()]).reshape(n.shape)
 
 
-def _laguerre_step(g, g_prev, m: int, d, x):
-    """G_{m+1,d}(x) from G_{m,d} and G_{m−1,d}."""
-    return ((2 * m + d + 1 - x) * g
-            - np.sqrt(m * (m + d)) * g_prev) / np.sqrt((m + 1) * (m + 1 + d))
+def _laguerre_step(g, g_prev, m: int, d, x, root, root_next):
+    """G_{m+1,d}(x) from G_{m,d} and G_{m−1,d}, given root = √(m(m+d)) and
+    root_next = √((m+1)(m+1+d))."""
+    return ((2 * m + d + 1 - x) * g - root * g_prev) / root_next
 
 
 def scaled_laguerre(x, d, count: int):
@@ -187,7 +190,8 @@ def scaled_laguerre(x, d, count: int):
     underflows (e^{−x/2} alone does once x ≳ 1,417), the same recurrence also
     runs on mantissas near 1 with their binary exponents carried apart, and
     those entries of G are the mantissas scaled back; the recurrence is linear,
-    so scaling by powers of two is exact.
+    so scaling by powers of two is exact. Each step takes one new square root,
+    √((m+1)(m+1+d)), and carries it to the next as √(m(m+d)).
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d)
@@ -196,6 +200,7 @@ def scaled_laguerre(x, d, count: int):
     log_g = 0.5 * (log_power - log_factorial(d)) - 0.5 * x
     g = np.exp(log_g)
     g_prev = np.zeros_like(g)
+    root = root_low = 0.0  # √(m(m+d)) at m = 0
     low = np.flatnonzero(np.isfinite(log_g) & (log_g < LOG_TINY))
     if low.size:
         xs, ds = (v if v.ndim == 0 else np.broadcast_to(v, g.shape).flat[low] for v in (x, d))
@@ -207,24 +212,38 @@ def scaled_laguerre(x, d, count: int):
             g.flat[low] = np.ldexp(gs, exponent)
         yield g
         if m + 1 < count:
-            g_prev, g = g, _laguerre_step(g, g_prev, m, d, x)
+            root_next = np.sqrt((m + 1) * (m + 1 + d))
+            g_prev, g = g, _laguerre_step(g, g_prev, m, d, x, root, root_next)
+            root = root_next
             if low.size:
-                gs_prev, gs = gs, _laguerre_step(gs, gs_prev, m, ds, xs)
-                shift = np.maximum(np.frexp(gs)[1], np.frexp(gs_prev)[1])
-                gs, gs_prev = np.ldexp(gs, -shift), np.ldexp(gs_prev, -shift)
-                exponent = exponent + shift
+                # rescale both mantissas by the new one's binary exponent
+                root_next = np.sqrt((m + 1) * (m + 1 + ds))
+                gs_next, shift = np.frexp(_laguerre_step(gs, gs_prev, m, ds, xs, root_low,
+                                                         root_next))
+                gs, gs_prev, exponent = gs_next, np.ldexp(gs, -shift), exponent + shift
+                root_low = root_next
 
 
 def displacement_operator(beta: complex, rows: int, cols: int) -> np.ndarray:
     """The exact elements ⟨m|D(β)|n⟩ of D(β) = exp(β a† − β* a) for m < rows and
     n < cols: G_{n,m−n}(|β|²) e^{i(m−n)φ} on and below the diagonal and
-    G_{m,n−m}(|β|²) (−e^{−iφ})^{n−m} above it, with φ = arg β."""
-    size = max(rows, cols)
+    G_{m,n−m}(|β|²) (−e^{−iφ})^{n−m} above it, with φ = arg β. Since
+    |L_m^{(d)}(x)| <= C(m+d, m) e^{x/2}, |G_{m,d}| <= x^{d/2} √((m+d)!/m!)/d!;
+    the bands where that bound stays below e^LOG_ZERO for every m < min(rows, cols)
+    round to zero and are not run."""
+    size, count = max(rows, cols), min(rows, cols)
+    x, phi = abs(beta) ** 2, np.angle(beta)
     bands = np.arange(size)
-    g = np.array(list(scaled_laguerre(abs(beta) ** 2, bands, min(rows, cols))))
-    phi = np.angle(beta)
-    down = np.exp(1j * bands * phi)
-    up = (-1.0) ** bands * np.exp(-1j * bands * phi)
-    m, n = np.ogrid[:rows, :cols]
-    band = np.abs(m - n)
-    return g[np.minimum(m, n), band] * np.where(m >= n, down[band], up[band])
+    log_bound = (0.5 * bands * math.log(x) if x else np.where(bands > 0, -np.inf, 0.0)) \
+        + 0.5 * (log_factorial(count - 1 + bands) - log_factorial(count - 1)) \
+        - log_factorial(bands)
+    live = 1 + int(np.flatnonzero(log_bound > LOG_ZERO)[-1])
+    g = np.array(list(scaled_laguerre(x, bands[:live], count)))  # g[n, d] = G_{n,d}
+    down = np.exp(1j * bands[:live] * phi)
+    up = (-1.0) ** bands[:live] * down.conj()
+    out = np.zeros((rows, cols), dtype=complex)
+    for n in range(count):  # column n on and below the diagonal, row n above it
+        below, above = min(live, rows - n), min(live, cols - n)
+        out[n:n + below, n] = g[n, :below] * down[:below]
+        out[n, n + 1:n + above] = g[n, 1:above] * up[1:above]
+    return out

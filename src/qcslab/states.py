@@ -8,9 +8,9 @@ deficit too and no accuracy domain in |β|. Gaussian covariance parametrizations
 
 ``KINDS`` is the one place that knows what a state kind is: each row parses
 and validates the kind's parameters and gives its Fock-space constructor, ⟨n̂⟩,
-covariance, top Fock level and, for a pure kind, Fock amplitudes. A
-:class:`StateSpec` is parsed once, when it is made; everything downstream reads
-the row.
+covariance, top Fock level, Fock amplitudes when the spec is pure and a
+closed-form two-copy p_n. A :class:`StateSpec` is parsed once, when it is
+made; everything downstream reads the row.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import numpy as np
 from .errors import CutoffError, ValidationError
 from .fock import (DEFAULT_DEFICIT_TOL, DensityOperator, displacement_operator, log_factorial,
                    purity_direct)
-from .interferometer import PhotonDistribution, thermal_photon_distribution
+from .interferometer import (PhotonDistribution, photon_distribution,
+                             thermal_photon_distribution)
 
 SCHEMA_VERSION = 1
 CUTOFF_TAIL_TOL = 1e-9  # photon-number tail mass the default cutoff leaves out
@@ -62,15 +63,21 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _pure(vec: np.ndarray, *, deficit_tol: float) -> DensityOperator:
-    """|v⟩⟨v| without ``DensityOperator.from_matrix``'s dim × dim temporaries.
-    The outer product still needs its Hermitian part taken: with fused
-    multiply-adds, v_i v̄_j and the conjugate of v_j v̄_i can round apart."""
+def check_tail_mass(vec: np.ndarray, deficit_tol: float = DEFAULT_DEFICIT_TOL) -> None:
+    """CutoffError when the amplitudes ``vec`` leave more than deficit_tol of
+    the norm, 1 − ‖v‖², past the cutoff."""
     deficit = 1.0 - float(np.vdot(vec, vec).real)
     if deficit > deficit_tol:
         raise CutoffError(
             f"state tail mass {deficit:.3e} exceeds deficit tolerance {deficit_tol:.1e}"
         )
+
+
+def _pure(vec: np.ndarray, *, deficit_tol: float) -> DensityOperator:
+    """|v⟩⟨v| without ``DensityOperator.from_matrix``'s dim × dim temporaries.
+    The outer product still needs its Hermitian part taken: with fused
+    multiply-adds, v_i v̄_j and the conjugate of v_j v̄_i can round apart."""
+    check_tail_mass(vec, deficit_tol)
     mat = _hermitian_part(np.outer(vec, vec.conj()))
     return DensityOperator(mat, (len(vec),), max(1.0 - float(np.trace(mat).real), 0.0))
 
@@ -211,6 +218,13 @@ def displace(rho: DensityOperator, beta: complex,
     return DensityOperator.from_matrix(moved, rho.dims, deficit_tol=deficit_tol)
 
 
+def displace_amplitudes(vec: np.ndarray, beta: complex) -> np.ndarray:
+    """D(β)ψ on ψ's cutoff, from the exact elements of D(β) in the columns up
+    to ψ's highest occupied level: the amplitudes of ``displace`` on |ψ⟩⟨ψ|."""
+    top = max(np.flatnonzero(vec), default=0)
+    return displacement_operator(beta, len(vec), top + 1) @ vec[:top + 1]
+
+
 def phase_rotate(rho: DensityOperator, theta: float) -> DensityOperator:
     """e^{iθn̂} ρ e^{-iθn̂}: ρ_mn e^{iθ(m−n)}."""
     if rho.n_modes != 1:
@@ -221,6 +235,14 @@ def phase_rotate(rho: DensityOperator, theta: float) -> DensityOperator:
 
 
 # --- Gaussian covariance parametrizations (vacuum = I/2) ---
+
+def _cholesky(mat: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of a positive-definite mat, None for any other."""
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return None
+
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
@@ -249,16 +271,22 @@ class CovarianceMatrix:
         omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
         # uncertainty relation ν_k >= 1/2 on γ scaled to unit size, so neither a
         # determinant nor an absolute tolerance depends on its scale: with γ/s =
-        # L Lᵀ, i L⁻¹ Ω L⁻ᵀ has eigenvalues ±s/ν_k. The tolerance admits the rounding
-        # of γ's entries times its componentwise condition number ‖|γ⁻¹||γ|‖
+        # L Lᵀ, the real antisymmetric A = L⁻¹ Ω L⁻ᵀ / s has singular values 1/ν_k,
+        # so every ν_k >= 1/b, b = 2(1 + tol), iff b² I − AᵀA is positive definite:
+        # a real Cholesky factorization decides it, with no complex eigensolve.
+        # An entry of A above b puts its largest singular value above b too, so
+        # the AᵀA that is formed has entries at most 2n b² and cannot overflow. The
+        # tolerance admits the rounding of γ's entries times its componentwise
+        # condition number ‖|γ⁻¹||γ|‖
         scale = np.max(np.abs(g)) or 1.0
-        try:
-            inv = np.linalg.inv(np.linalg.cholesky(g / scale))
-        except np.linalg.LinAlgError:
-            raise ValidationError("covariance matrix must be positive definite") from None
+        low = _cholesky(g / scale)
+        if low is None:
+            raise ValidationError("covariance matrix must be positive definite")
+        inv = np.linalg.inv(low)
         skeel = np.linalg.norm(np.abs(inv.T @ inv) @ np.abs(g / scale), np.inf)
-        tol = 1e-9 + np.finfo(float).eps * skeel
-        if np.max(np.abs(np.linalg.eigvalsh(1j * inv @ omega @ inv.T))) / scale > 2 * (1 + tol):
+        bound = 2 * (1 + 1e-9 + np.finfo(float).eps * skeel)
+        a = inv @ omega @ inv.T / scale
+        if np.max(np.abs(a)) > bound or _cholesky(bound ** 2 * np.eye(2 * n) - a.T @ a) is None:
             raise ValidationError("covariance matrix violates the uncertainty relation")
 
     @property
@@ -349,6 +377,12 @@ def _parse_gaussian(p: dict) -> dict:
     return parsed
 
 
+def _displaced_amplitudes(p: dict) -> Callable[[int], np.ndarray] | None:
+    """D(β)ψ of a displaced spec whose base has amplitudes ψ at the same cutoff."""
+    base = spec_amplitudes(p["base"])
+    return base and (lambda dim: displace_amplitudes(base(dim), p["beta"]))
+
+
 # --- the state-kind table ---
 
 @dataclass(frozen=True)
@@ -361,8 +395,9 @@ class Kind:
     mean_n: Callable[[dict], float] | None
     covariance: Callable[[dict], CovarianceMatrix] | None = None
     top_level: Callable[[dict], int] | None = None  # highest occupied Fock level
-    # Fock amplitudes ψ_0 … ψ_{dim−1} of a pure kind, at (params, dim)
-    amplitudes: Callable[[dict, int], np.ndarray] | None = None
+    # for a spec that may be pure: its Fock amplitudes ψ_0 … ψ_{dim−1} as a
+    # function of dim, or None when these params give a mixed state
+    amplitudes: Callable[[dict], Callable[[int], np.ndarray] | None] | None = None
     mixture: Callable[[dict], ClassicalMixture] | None = None
     # closed-form two-copy difference-mode p_n at cutoff dim, in place of the kernel
     two_copy_pn: Callable[[dict, int], PhotonDistribution] | None = None
@@ -375,12 +410,12 @@ KINDS = {
         lambda p: abs(p["alpha"]) ** 2,
         covariance=lambda p: CovarianceMatrix(
             0.5 * np.eye(2), np.sqrt(2.0) * np.array([p["alpha"].real, p["alpha"].imag])),
-        amplitudes=lambda p, dim: coherent_amplitudes(p["alpha"], dim)),
+        amplitudes=lambda p: partial(coherent_amplitudes, p["alpha"])),
     "fock": Kind(
         _fields(n=_integer),
         lambda p, dim, tol: fock(p["n"], dim),
         lambda p: float(p["n"]),
-        top_level=lambda p: p["n"], amplitudes=lambda p, dim: np.eye(1, dim, p["n"])[0]),
+        top_level=lambda p: p["n"], amplitudes=lambda p: lambda dim: np.eye(1, dim, p["n"])[0]),
     "thermal": Kind(
         _parse_thermal,
         lambda p, dim, tol: thermal(**p, cutoff=dim, deficit_tol=tol),
@@ -394,7 +429,7 @@ KINDS = {
         lambda p: float(np.sinh(p["r"]) ** 2),
         covariance=lambda p: CovarianceMatrix(
             0.5 * np.diag([np.exp(2 * p["r"]), np.exp(-2 * p["r"])])),
-        amplitudes=lambda p, dim: squeezed_amplitudes(p["r"], dim)),
+        amplitudes=lambda p: partial(squeezed_amplitudes, p["r"])),
     "rho_2M": Kind(
         _fields(M=partial(_integer, minimum=1)),
         lambda p, dim, tol: rho_2m(p["M"], dim),
@@ -414,7 +449,11 @@ KINDS = {
         _fields(base=_base_state, beta=_complex),
         lambda p, dim, tol: displace(build_state(p["base"], cutoff=dim, deficit_tol=tol),
                                      p["beta"], tol),
-        lambda p: mean_photon_number(p["base"]) + abs(p["beta"]) ** 2),
+        lambda p: mean_photon_number(p["base"]) + abs(p["beta"]) ** 2,
+        amplitudes=_displaced_amplitudes,
+        # two copies displaced alike leave the difference mode undisplaced,
+        # (μ − μ)/√2 = 0, so the pair's p_n is the base's at the same cutoff
+        two_copy_pn=lambda p, dim: two_copy_pn(p["base"], dim)),
     "gaussian": Kind(_parse_gaussian, None, None, covariance=lambda p: CovarianceMatrix(**p)),
 }
 
@@ -496,6 +535,24 @@ def gaussian_covariance(spec: StateSpec) -> CovarianceMatrix:
     return covariance(spec.params)
 
 
+def spec_amplitudes(spec: StateSpec) -> Callable[[int], np.ndarray] | None:
+    """The Fock amplitudes ψ_0 … ψ_{dim−1} of a pure spec as a function of dim:
+    a pure kind's, or D(β)ψ of a displaced pure base. None for any other spec."""
+    amplitudes = KINDS[spec.kind].amplitudes
+    return amplitudes and amplitudes(spec.params)
+
+
+def two_copy_pn(spec: StateSpec, dim: int,
+                state: DensityOperator | None = None) -> PhotonDistribution:
+    """Difference-mode p_n at cutoff dim: the kind's closed form if it has one,
+    the block kernel on the state otherwise (``state`` if given, else built)."""
+    closed_form = KINDS[spec.kind].two_copy_pn
+    if closed_form:
+        return closed_form(spec.params, dim)
+    rho = build_state(spec, cutoff=dim) if state is None else state
+    return photon_distribution(rho, rho)
+
+
 def _support(weights: np.ndarray, tail_tol: float) -> int:
     """Smallest s with Σ_{n > s} weights_n <= tail_tol."""
     above = np.append(np.cumsum(weights[::-1])[::-1][1:], 0.0)
@@ -508,22 +565,24 @@ def recommended_cutoff(spec: StateSpec) -> int:
     CUTOFF_TAIL_TOL of probability and CUTOFF_N_TAIL_TOL of ⟨n̂⟩ above level s
     (slow tails, like thermal and strongly squeezed ones); it doubles, up to
     PROBE_MAX_DIM levels, while the mass its own truncation cuts off exceeds
-    either. A pure kind's probe is |ψ_n|² of its amplitudes; any other kind's
-    is the diagonal of a state built at the probe's size. A kind with a top
+    either. A pure spec's probe is |ψ_n|² of its amplitudes (``spec_amplitudes``:
+    a pure kind or a displaced pure base); any other spec's is the diagonal of
+    a state built at the probe's size. A kind with a top
     level has support s <= top, so a probe could not raise its cutoff and none
     is built. The two-copy kernel is exact at any cutoff, so the pair needs no
     more levels than one copy. CutoffError when the largest probe still cuts
     off more than either bound and the cutoff reaches PROBE_MAX_DIM, or the
-    probe is pure (a pure kind, or Tr ρ² = (1 − deficit)² within PURE_TOL):
+    probe is pure (a pure spec, or Tr ρ² = (1 − deficit)² within PURE_TOL):
     the probe cannot show where the tail ends."""
     row = KINDS[spec.kind]
     if row.top_level is not None:
         return 2 * row.top_level(spec.params) + 4
+    amplitudes = spec_amplitudes(spec)
     base = math.ceil(4.0 * (mean_photon_number(spec) + 3.0))
     probe_dim = min(max(4 * base, 64), PROBE_MAX_DIM)
     while True:
-        if row.amplitudes:
-            amps = row.amplitudes(spec.params, probe_dim)
+        if amplitudes:
+            amps = amplitudes(probe_dim)
             probs = (amps * amps.conj()).real
             deficit = max(1.0 - float(np.sum(probs)), 0.0)
         else:
@@ -538,7 +597,7 @@ def recommended_cutoff(spec: StateSpec) -> int:
                  _support(np.arange(probe_dim) * probs, CUTOFF_N_TAIL_TOL) + 2)
     # a pure state's C² reads its own tail, not the tail of ρ², so no cutoff
     # inside a probe that cuts too much is safe for it
-    if tail_cut and (cutoff >= PROBE_MAX_DIM or row.amplitudes
+    if tail_cut and (cutoff >= PROBE_MAX_DIM or amplitudes
                      or purity_direct(probe) >= (1.0 - deficit) ** 2 - PURE_TOL):
         raise CutoffError(
             f"default cutoff: {deficit:.1e} of the trace lies past the "

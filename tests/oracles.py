@@ -7,6 +7,8 @@ Laguerre recurrence. ``sector_loop_diagonal`` is the two-copy p_n kernel as a
 plain loop over sectors, the reference for the planned kernel.
 ``pure_state_vector`` takes ψ back from a built pure state by ``eigh``, the
 reference for the amplitudes a pure kind gives the ``pure`` route.
+``uncertainty_violated`` is the covariance check as a complex Hermitian
+eigensolve, the reference for the real Cholesky test ``CovarianceMatrix`` makes.
 """
 
 import math
@@ -94,3 +96,19 @@ def pure_state_vector(rho, tol=1e-9):
     if evals[:-1].max(initial=0.0) > tol:
         raise ValidationError("state is not pure")
     return evecs[:, -1] * np.sqrt(evals[-1])
+
+
+def uncertainty_violated(gamma):
+    """Whether γ breaks ν_k >= 1/2, by the complex eigensolve: with γ/s = L Lᵀ
+    (s the largest |γ_ij|), i L⁻¹ Ω L⁻ᵀ has eigenvalues ±s/ν_k, so some ν_k is
+    below 1/(2(1 + tol)) iff their largest modulus over s exceeds 2(1 + tol).
+    tol is the package's: 1e-9 plus the rounding of γ's entries times its
+    componentwise condition number ‖|γ⁻¹||γ|‖."""
+    g = np.asarray(gamma, dtype=float)
+    omega = np.kron(np.eye(len(g) // 2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    scale = np.max(np.abs(g))
+    inv = np.linalg.inv(np.linalg.cholesky(g / scale))
+    skeel = np.linalg.norm(np.abs(inv.T @ inv) @ np.abs(g / scale), np.inf)
+    tol = 1e-9 + np.finfo(float).eps * skeel
+    return bool(np.max(np.abs(np.linalg.eigvalsh(1j * inv @ omega @ inv.T))) / scale
+                > 2 * (1 + tol))

@@ -451,6 +451,10 @@ def test_wigner_grid_past_the_memory_guard_is_infeasible(runner, tmp_path):
     ("coherent", {"alpha": 8.0}), ("fock", {"n": 0}), ("fock", {"n": 3}), ("fock", {"n": 40}),
     ("squeezed_vacuum", {"r": 0.4}), ("squeezed_vacuum", {"r": -1.0}),
     ("squeezed_vacuum", {"r": 2.0}),
+    ("displaced", {"base": {"kind": "squeezed_vacuum", "params": {"r": 1.0}}, "beta": [0.5, 0.3]}),
+    ("displaced", {"base": {"kind": "fock", "params": {"n": 3}}, "beta": [1.5, -0.5]}),
+    ("displaced", {"base": {"kind": "displaced", "params": {
+        "base": {"kind": "coherent", "params": {"alpha": 0.4}}, "beta": -0.7}}, "beta": 0.2}),
 ])
 def test_pure_route_on_the_amplitudes_matches_the_eigh_vector(kind, params):
     # at the default cutoff: the amplitudes against ψ taken back from the
@@ -553,6 +557,72 @@ def test_singular_covariance_exits_2_at_any_scale(runner, tmp_path, scale):
     result = runner.invoke(main, ["qcs", "--state", path, "--route", "gaussian"])
     assert result.exit_code == 2, result.output
     assert "positive definite" in result.output
+
+
+def test_pure_route_on_a_displaced_pure_base_builds_no_state(runner, tmp_path, monkeypatch):
+    # the default-cutoff probe and the route read D(β)ψ; C² is
+    # displacement-invariant, so it is the base's cosh 2r
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_state called")
+
+    monkeypatch.setattr("qcslab.states.build_state", no_build)
+    monkeypatch.setattr("qcslab.cli.build_state", no_build)
+    path = write_spec(tmp_path, "dsq.json", {"schema": 1, "kind": "displaced", "params": {
+        "base": {"kind": "squeezed_vacuum", "params": {"r": 2.0}}, "beta": [0.5, 0.3]}})
+    result = runner.invoke(main, ["qcs", "--state", path, "--route", "pure"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert doc["cutoff"] == 548
+    assert abs(doc["results"]["pure"]["c_squared"] - math.cosh(4.0)) < 1e-6
+
+
+def test_pure_route_holds_the_amplitudes_to_the_deficit_check(runner, tmp_path):
+    # displaced vacuum at β = 2 leaves 5.1e-2 of its norm past 8 levels
+    path = write_spec(tmp_path, "disp.json", {"schema": 1, "kind": "displaced", "params": {
+        "base": {"kind": "fock", "params": {"n": 0}}, "beta": 2.0}})
+    result = runner.invoke(main, ["qcs", "--state", path, "--route", "pure", "--cutoff", "8"])
+    assert result.exit_code == 4, result.output
+    assert "exceeds deficit tolerance" in result.output
+
+
+def test_pure_route_on_a_displaced_mixed_base_is_not_applicable(runner, tmp_path):
+    path = write_spec(tmp_path, "dth.json", {"schema": 1, "kind": "displaced", "params": {
+        "base": {"kind": "thermal", "params": {"q": 0.2}}, "beta": 0.5}})
+    result = runner.invoke(main, ["qcs", "--state", path, "--route", "all"])
+    assert result.exit_code == 0, result.output
+    results = json.loads(result.output)["results"]
+    assert results["pure"] == "not applicable"
+    # the base's closed form: C² = 1/(1 + 2⟨n̂⟩) with ⟨n̂⟩ = q/(1 − q) = 1/4
+    assert abs(results["two-copy"]["c_squared"] - 1.0 / 1.5) < 1e-9
+
+
+def test_displaced_pn_dist_is_its_base(runner, tmp_path, fock1):
+    # README disp.json, D(0.5)|1⟩: the same p_n as |1⟩ at the same cutoff
+    path = write_spec(tmp_path, "disp.json", {"schema": 1, "kind": "displaced", "params": {
+        "base": {"kind": "fock", "params": {"n": 1}}, "beta": [0.5, 0.0]}})
+    docs = []
+    for state in (path, fock1):
+        result = runner.invoke(main, ["pn-dist", "--state", state, "--format", "json",
+                                      "--cutoff", "17"])
+        assert result.exit_code == 0, result.output
+        docs.append(json.loads(result.output))
+    assert docs[0]["p_n"] == docs[1]["p_n"]
+    assert abs(docs[0]["p_n"][0] - 0.5) < 1e-15 and abs(docs[0]["p_n"][2] - 0.5) < 1e-15
+
+
+def test_compare_reads_the_truncation_of_a_displaced_state(runner, tmp_path):
+    # displaced vacuum at β = 2 leaves 2.5e-7 of its trace past 18 levels,
+    # within the deficit tolerance, but the truncation moves the displaced
+    # state's C² to 1 + 7.1e-6; the two-copy routes read the base's exact 1
+    path = write_spec(tmp_path, "disp.json", {"schema": 1, "kind": "displaced", "params": {
+        "base": {"kind": "fock", "params": {"n": 0}}, "beta": 2.0}})
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, ["compare", "--state", path, "--cutoff", "18", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    doc = json.loads(out.read_text())
+    assert doc["results"]["two-copy"]["c_squared"] == 1.0
+    assert 7e-6 < doc["results"]["direct"]["c_squared"] - 1.0 < 7.2e-6
+    assert runner.invoke(main, ["compare", "--state", path, "--cutoff", "24"]).exit_code == 0
 
 
 @pytest.mark.parametrize("base, beta, cutoff", [(0, 2.0, 8), (3, 1.0, 10)],

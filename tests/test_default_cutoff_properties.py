@@ -5,7 +5,8 @@ The default is the one-copy rule, not twice it: the two-copy kernel is exact
 for the truncated pair at any cutoff, so a second copy's headroom buys no
 accuracy. At the default, the state builds without CutoffError, leaves a trace
 deficit of at most 1e-6, and the direct and two-copy routes give the C² they
-give at the doubled cutoff the previous rule chose, within 1e-6·max(1, |C²|).
+give at the doubled cutoff the previous rule chose, within 1e-6·max(1, |C²|),
+and agree with each other within compare's tolerance.
 """
 
 import numpy as np
@@ -17,12 +18,12 @@ from qcslab import (
     StateSpec,
     build_state,
     gaussian_covariance,
-    photon_distribution,
     qcs_direct,
     qcs_gaussian,
     qcs_two_copy,
 )
-from qcslab.states import KINDS, recommended_cutoff
+from qcslab.cli import EXACT_ROUTE_TOL
+from qcslab.states import KINDS, recommended_cutoff, two_copy_pn
 
 amplitude = st.builds(complex, st.floats(-1.4, 1.4), st.floats(-1.4, 1.4))
 
@@ -63,9 +64,7 @@ def routes(spec, cutoff):
     """(direct C², two-copy C²) at a pinned cutoff, the two-copy p_n as the CLI
     takes it: the kind's closed form if it has one, the kernel otherwise."""
     rho = build_state(spec, cutoff=cutoff)
-    closed_form = KINDS[spec.kind].two_copy_pn
-    pn = closed_form(spec.params, cutoff) if closed_form else photon_distribution(rho, rho)
-    return rho, qcs_direct(rho).c_squared, qcs_two_copy(pn).c_squared
+    return rho, qcs_direct(rho).c_squared, qcs_two_copy(two_copy_pn(spec, cutoff, rho)).c_squared
 
 
 @settings(max_examples=40, deadline=None)
@@ -74,6 +73,9 @@ def test_default_cutoff_matches_the_doubled_one(spec):
     cutoff = recommended_cutoff(spec)
     rho, direct, two_copy = routes(spec, cutoff)  # raises CutoffError if too tight
     assert rho.trace_deficit <= 1e-6
+    # compare's exit code: a displaced spec's two-copy route reads its base, so
+    # this also bounds what the displaced state's truncation moves its C²
+    assert abs(direct - two_copy) <= EXACT_ROUTE_TOL
     _, direct_doubled, two_copy_doubled = routes(spec, 2 * cutoff)
     assert abs(direct - direct_doubled) <= 1e-6 * max(1.0, abs(direct_doubled))
     assert abs(two_copy - two_copy_doubled) <= 1e-6 * max(1.0, abs(two_copy_doubled))

@@ -241,6 +241,22 @@ def test_wigner_grid_past_the_memory_guard_is_refused_before_allocating():
     assert peak < 1_000_000  # a float grid of 5,000² points is 200 MB
 
 
+def test_wigner_memory_does_not_grow_with_the_levels_past_the_underflow():
+    # most of this grid lies past |β|² ≈ 1,417, where scaled_laguerre carries
+    # exponents; that path must stay O(points), as the rest of the kernel is,
+    # so Fock 40 (41 recurrence steps) peaks within a quarter of the vacuum (one)
+    axis = np.linspace(-60.0, 60.0, 601)
+    peaks = []
+    for n in (0, 40):
+        tracemalloc.start()
+        try:
+            _wigner_values(fock(n, 84).matrix, axis, axis)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 def test_gradient_route_refuses_a_grid_past_the_memory_guard():
     # the position grid of fock(300) at 302 levels has 5,017 points per axis
     with pytest.raises(MemoryGuardError):

@@ -269,26 +269,34 @@ def test_recommended_cutoff_of_top_level_kinds_builds_no_probe(monkeypatch):
 
 def test_recommended_cutoff_of_pure_kinds_reads_their_amplitudes(monkeypatch):
     # |ψ_n|² is the probe: no dim × dim state and no Tr ρ², and the cutoffs of
-    # the 64- to 1,024-level matrix probes they replace
+    # the 64- to 1,024-level matrix probes they replace. A displaced pure base's
+    # amplitudes D(β)ψ take the exact elements of D(β) on the base's occupied
+    # columns, O(dim²): a third of the 98 MB traced by the matrix probes of
+    # displaced squeezed r = 2
     def no_matrix(*args, **kwargs):
         raise AssertionError("recommended_cutoff built a state")
 
     monkeypatch.setattr("qcslab.states.build_state", no_matrix)
     monkeypatch.setattr("qcslab.states.purity_direct", no_matrix)
-    cases = [(StateSpec("coherent", {"alpha": 8.0}), 268),
-             (StateSpec("coherent", {"alpha": [0.0, -8.0]}), 268),
-             (StateSpec("coherent", {"alpha": 0.0}), 12),
-             (StateSpec("squeezed_vacuum", {"r": 2.0}), 538),
-             (StateSpec("squeezed_vacuum", {"r": -2.0}), 538),
-             (StateSpec("squeezed_vacuum", {"r": 0.0}), 12)]
-    for spec, cutoff in cases:
+    cases = [(StateSpec("coherent", {"alpha": 8.0}), 268, 1e6),
+             (StateSpec("coherent", {"alpha": [0.0, -8.0]}), 268, 1e6),
+             (StateSpec("coherent", {"alpha": 0.0}), 12, 1e6),
+             (StateSpec("squeezed_vacuum", {"r": 2.0}), 538, 1e6),
+             (StateSpec("squeezed_vacuum", {"r": -2.0}), 538, 1e6),
+             (StateSpec("squeezed_vacuum", {"r": 0.0}), 12, 1e6)]
+    cases += [(StateSpec("displaced", {"base": {"kind": "squeezed_vacuum", "params": {"r": r}},
+                                       "beta": [0.5, 0.3]}), cutoff, 33e6)
+              for r, cutoff in ((1.0, 74), (2.0, 548))]
+    cases.append((StateSpec("displaced", {"base": {"kind": "fock", "params": {"n": 3}},
+                                          "beta": [1.5, -0.5]}), 34, 33e6))
+    for spec, cutoff, peak_bound in cases:
         tracemalloc.start()
         try:
             assert recommended_cutoff(spec) == cutoff
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1e6
+        assert peak < peak_bound
     with pytest.raises(CutoffError, match="pass --cutoff"):
         recommended_cutoff(StateSpec("squeezed_vacuum", {"r": 2.35}))
 
