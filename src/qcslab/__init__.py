@@ -34,15 +34,8 @@ from .interferometer import (
     photon_distribution,
     photon_distribution_phase_invariant,
     thermal_photon_distribution,
-    two_copy_output,
 )
-from .phase_space import (
-    WignerGrid,
-    overlap_wigner,
-    qcs_wigner_gradient,
-    wigner_eval,
-    wigner_origin,
-)
+from .phase_space import overlap_kernel, qcs_wigner_gradient, wigner_origin
 from .sampling import SampledEstimate, ShotRecord, estimate_qcs, sample_counts
 from .states import (
     ClassicalMixture,

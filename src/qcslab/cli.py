@@ -40,7 +40,7 @@ from .interferometer import (
     photon_distribution,
     thermal_photon_distribution,
 )
-from .phase_space import overlap_wigner, qcs_wigner_gradient
+from .phase_space import overlap_kernel, qcs_wigner_gradient
 from .sampling import estimate_qcs, sample_counts
 from .states import (
     KINDS,
@@ -307,7 +307,8 @@ def pn_dist_cmd(opts):
           CUTOFF, OUT)
 def overlap_cmd(opts):
     """Overlap Tr(ρ_a ρ_b) directly (elementwise, as ρ_b is Hermitian), by parity
-    of the interferometer output and by the Wigner overlap integral."""
+    of the interferometer output and by the position-kernel quadrature of
+    2π∫W_aW_b."""
     if len(opts["state"]) != 2:
         raise ValidationError("overlap needs exactly two --state files")
     specs, dims = zip(*(_spec_and_cutoff(path, opts["cutoff"]) for path in opts["state"]))
@@ -315,7 +316,7 @@ def overlap_cmd(opts):
     _write_json({**_header(opts, max(dims), *specs),
                  "overlap_trace": float(np.vdot(rho_b.matrix, rho_a.matrix).real),
                  "overlap_parity": purity_from_pn(photon_distribution(rho_a, rho_b)),
-                 "overlap_wigner": overlap_wigner(rho_a, rho_b)}, opts["out"])
+                 "overlap_kernel": overlap_kernel(rho_a, rho_b)}, opts["out"])
 
 
 @_command("compare", STATE, CUTOFF, OUT)

@@ -11,11 +11,12 @@ of Fock levels per mode. Conventions used throughout the package:
 No ladder or quadrature matrix is built: ``lowering_commutators`` forms the
 commutators [ρ, a_k] from shifted rows and columns of ρ.
 
-One scaled Laguerre recurrence (``scaled_laguerre``) gives the exact matrix
-elements of the displacement operator, both for ``displacement_operator`` and
-for the Wigner kernel in ``phase_space``. The elements are exact at any
-cutoff, so there is no headroom rule: what a displacement moves past the
-cutoff shows up as trace deficit.
+One scaled Laguerre recurrence (``scaled_laguerre``) gives the matrix
+elements of the displacement operator for ``displacement_operator``. They are
+the elements of D(β) itself, not of the exponential of a truncated generator,
+so there is no headroom rule: what a displacement moves past the cutoff shows
+up as trace deficit. Their rounding error grows with the level, to about
+1.5e-11 at level 1,023 for small |β| (see ``scaled_laguerre``).
 """
 
 from __future__ import annotations
@@ -113,15 +114,6 @@ class DensityOperator:
         diag = np.diagonal(self.matrix).real.reshape(self.dims[0], -1)
         return np.clip(diag.sum(axis=1), 0.0, None)
 
-    def effective_support(self, tail_tol: float = 1e-12) -> int:
-        """Smallest s such that the first mode's photon-number tail mass above
-        s is <= tail_tol."""
-        probs = self.number_marginal()
-        tail = np.cumsum(probs[::-1])[::-1]
-        above = np.concatenate([tail[1:], [0.0]])
-        ok = np.nonzero(above <= tail_tol)[0]
-        return int(ok[0]) if ok.size else len(probs) - 1
-
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product ρ_a ⊗ ρ_b; the first factor is the slow index."""
@@ -192,6 +184,11 @@ def scaled_laguerre(x, d, count: int):
     those entries of G are the mantissas scaled back; the recurrence is linear,
     so scaling by powers of two is exact. Each step takes one new square root,
     √((m+1)(m+1+d)), and carries it to the next as √(m(m+d)).
+
+    Rounding errors build up over the steps, fastest at small x, where the
+    recurrence is close to one with a double root. Against mpmath, at 1,024
+    levels and bands 0, 1 and 5, G_{1023,0}(10⁻⁴) ≈ 0.90 is off by 1.5e-11
+    (about 5 digits lost) and no G_{m,d}(13) by more than 1.5e-15.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d)
@@ -225,8 +222,10 @@ def scaled_laguerre(x, d, count: int):
 
 
 def displacement_operator(beta: complex, rows: int, cols: int) -> np.ndarray:
-    """The exact elements ⟨m|D(β)|n⟩ of D(β) = exp(β a† − β* a) for m < rows and
-    n < cols: G_{n,m−n}(|β|²) e^{i(m−n)φ} on and below the diagonal and
+    """The elements ⟨m|D(β)|n⟩ of D(β) = exp(β a† − β* a) for m < rows and
+    n < cols, untruncated and accurate to ``scaled_laguerre``'s rounding (about
+    1.5e-11 near level 1,000 for small |β|):
+    G_{n,m−n}(|β|²) e^{i(m−n)φ} on and below the diagonal and
     G_{m,n−m}(|β|²) (−e^{−iφ})^{n−m} above it, with φ = arg β. Since
     |L_m^{(d)}(x)| <= C(m+d, m) e^{x/2}, |G_{m,d}| <= x^{d/2} √((m+d)!/m!)/d!;
     the bands where that bound stays below e^LOG_ZERO for every m < min(rows, cols)

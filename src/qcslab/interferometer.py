@@ -15,11 +15,10 @@ output rows, so the result is exact for the truncated pair ρ_a⊗ρ_b at any
 cutoff. T stops at top_a + top_b per mode, so the difference mode has
 top_a + top_b + 1 levels (at least 2). With X_T[k, k′] = Re(ρ_a[k, k′]
 ρ_b[T−k, T−k′]), the output diagonal is diag(U_T X_T U_Tᵀ) summed over the
-traced mode, so p_n costs O(top⁴), the full difference-mode state costs
-O(top⁵), and no dim²×dim² matrix is built. For several modes the sectors are
-tuples of per-mode totals, the block is the Kronecker product of the per-mode
-ones, and every index is a per-mode slice. Identical thermal inputs also have
-a closed form.
+traced mode, so p_n costs O(top⁴) and no dim²×dim² matrix is built. For
+several modes the sectors are tuples of per-mode totals, the block is the
+Kronecker product of the per-mode ones, and every index is a per-mode slice.
+Identical thermal inputs also have a closed form.
 
 The p_n kernel runs on a plan built once per pair of top levels. The plan
 cuts the sectors into groups: a run of first-mode totals with one total per
@@ -171,11 +170,6 @@ def _check_two_copy(rho_a: DensityOperator, rho_b: DensityOperator):
     return tops_a, tops_b, levels
 
 
-def _downto(top: int, bottom: int = 0) -> slice:
-    """The levels top, top − 1, …, bottom."""
-    return slice(top, bottom - 1 if bottom else None, -1)
-
-
 def _blocks(top_a: int, top_b: int):
     """Per total T = 0 … top_a + top_b of one mode of two copies, the read-only
     window on the columns k it reads (lo = max(0, T − top_b) ≤ k ≤ min(T, top_a)
@@ -188,26 +182,6 @@ def _blocks(top_a: int, top_b: int):
         lo, hi = max(0, t - top_b), min(t, top_a)
         u = _held_block(t)[:, lo:hi + 1] if t <= _HELD_TOTAL else _step(u, t, lo, hi, root)
         yield u
-
-
-def _modes(top_a: int, top_b: int):
-    """The windows of ``_blocks`` with T, the slices of the copy-a levels
-    lo … hi and of the copy-b levels T − lo … T − hi, and the output levels
-    T … 0."""
-    for t, u in enumerate(_blocks(top_a, top_b)):
-        lo, hi = max(0, t - top_b), min(t, top_a)
-        yield t, slice(lo, hi + 1), _downto(t - lo, t - hi), _downto(t), u
-
-
-def _sectors(tops_a, tops_b):
-    """Per-mode-total sectors T⃗ of two copies, first mode slowest, each as the
-    tuples (T⃗, copy-a slices, copy-b slices, output slices, windows) over the
-    modes. The descriptors of modes 2…N are built once per call and held; the
-    first mode's stream with its windows."""
-    held = [list(_modes(ta, tb)) for ta, tb in zip(tops_a[1:], tops_b[1:])]
-    for first in _modes(tops_a[0], tops_b[0]):
-        for rest in itertools.product(*held):
-            yield tuple(zip(first, *rest))
 
 
 def _kron(windows) -> np.ndarray:
@@ -409,37 +383,11 @@ def _plan(tops_a, tops_b):
 
 # --- public two-copy paths ---
 
-def two_copy_output(rho: DensityOperator) -> DensityOperator:
-    """Difference-mode reduced state ρ_d = Tr_a U(ρ⊗ρ)U† of an N-mode state
-    through the pairwise 50:50 beam-splitter stack, on 2·top + 1 levels per
-    mode. A sector pair T⃗ ≤ T⃗′ adds its copy-a rows m⃗ ≤ min(T⃗, T⃗′), the ones
-    the trace keeps, at (T⃗ − m⃗, T⃗′ − m⃗); these make P, and ρ_d = P + P† with
-    the diagonal (T⃗ = T⃗′) counted once. For a positive ρ, X_{T,T′} vanishes
-    unless both X_{T,T} and X_{T′,T′} carry mass."""
-    tops, _, levels = _check_two_copy(rho, rho)
-    mat = rho.matrix.reshape(rho.dims * 2)
-    live = [(totals, ka, kb, dest, windows)
-            for totals, ka, kb, dest, windows in _sectors(tops, tops)
-            if (mat[ka + ka] * mat[kb + kb]).any()]
-    out = np.zeros(levels * 2, dtype=complex)
-    axes = list(range(len(levels)))  # einsum(view, axes * 2, axes): writeable view[m⃗, m⃗]
-    for s, (totals, ka, kb, dest, windows) in enumerate(live):
-        for totals2, ka2, kb2, dest2, windows2 in live[s:]:
-            box = [min(t, t2) + 1 for t, t2 in zip(totals, totals2)]
-            u, u2 = (_kron([w[:c] for w, c in zip(ws, box)]) for ws in (windows, windows2))
-            x = (mat[ka + ka2] * mat[kb + kb2]).reshape(u.shape[1], u2.shape[1])
-            view = out[dest + dest2][tuple(slice(c) for c in box * 2)]
-            np.einsum(view, axes * 2, axes)[...] += np.einsum("ij,ij->i", u @ x, u2).reshape(box)
-    out = out.reshape((math.prod(levels),) * 2)
-    out = out + out.conj().T
-    np.fill_diagonal(out, 0.5 * out.diagonal())
-    return DensityOperator(out, levels, trace_deficit=1.0 - (1.0 - rho.trace_deficit) ** 2)
-
-
 def photon_distribution(rho_a: DensityOperator,
                         rho_b: DensityOperator) -> PhotonDistribution:
     """Joint p_n of the N difference modes for two (possibly distinct) N-mode inputs,
-    n_k = 0 … top_a + top_b; for ρ_a = ρ_b = ρ, the diagonal of ``two_copy_output(ρ)``."""
+    n_k = 0 … top_a + top_b; for ρ_a = ρ_b = ρ, the diagonal of the difference-mode
+    state Tr_a U(ρ⊗ρ)U†."""
     return PhotonDistribution.from_values(_output_diagonal(rho_a, rho_b))
 
 

@@ -193,18 +193,6 @@ def classical_mixture(mix: ClassicalMixture, cutoff: int,
     return DensityOperator.from_matrix(mat, (cutoff,), deficit_tol=deficit_tol)
 
 
-def random_classical_mixture(rng: np.random.Generator, max_terms: int = 5,
-                             max_abs: float = 2.0) -> ClassicalMixture:
-    """Seeded random coherent mixture: amplitudes uniform in the disk, Dirichlet weights."""
-    n = int(rng.integers(1, max_terms + 1))
-    radii = max_abs * np.sqrt(rng.uniform(0, 1, n))
-    phases = rng.uniform(0, 2 * np.pi, n)
-    amps = radii * np.exp(1j * phases)
-    weights = rng.dirichlet(np.ones(n))
-    weights = weights / math.fsum(weights)
-    return ClassicalMixture(tuple(weights), tuple(amps))
-
-
 def displace(rho: DensityOperator, beta: complex,
              deficit_tol: float = DEFAULT_DEFICIT_TOL) -> DensityOperator:
     """D(β) ρ D†(β) on ρ's cutoff, from the exact elements of D(β) in the

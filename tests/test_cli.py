@@ -158,7 +158,7 @@ def test_overlap(runner, tmp_path, thermal05):
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert abs(doc["overlap_trace"] - doc["overlap_parity"]) < 1e-8
-    assert abs(doc["overlap_trace"] - doc["overlap_wigner"]) < 1e-6
+    assert abs(doc["overlap_trace"] - doc["overlap_kernel"]) < 1e-6
     single = runner.invoke(main, ["overlap", "--state", thermal05])
     assert single.exit_code == 2
 
@@ -433,11 +433,11 @@ def test_infeasible_route_reported_and_others_kept(runner, tmp_path):
 
 
 def test_wigner_grid_past_the_memory_guard_is_infeasible(runner, tmp_path):
-    # fock(300) at 302 levels: the gradient route's position grid has 5,017
-    # points per axis
+    # fock(300) at 1,100 levels: the gradient route's position grid has 4,741
+    # points per axis, with its half-width capped at the top level's turning point
     path = write_spec(tmp_path, "f300.json", {"schema": 1, "kind": "fock", "params": {"n": 300}})
     out = tmp_path / "out.json"
-    result = runner.invoke(main, ["qcs", "--route", "all", "--state", path, "--cutoff", "302",
+    result = runner.invoke(main, ["qcs", "--route", "all", "--state", path, "--cutoff", "1100",
                                   "--out", str(out)])
     assert result.exit_code == 0, result.output
     doc = json.loads(out.read_text())

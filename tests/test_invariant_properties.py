@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import random_classical_mixture
 from qcslab import (
     CutoffError,
     DensityOperator,
@@ -25,7 +26,6 @@ from qcslab import (
     qcs_classical_mixture,
     qcs_direct,
 )
-from qcslab.states import random_classical_mixture
 
 CUTOFF = 48
 seeds = st.integers(0, 2 ** 32 - 1)

@@ -7,17 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_second_moments, wigner_point_oracle
+import oracles
+from oracles import (
+    _wigner_values,
+    dense_second_moments,
+    quadrature_spacing,
+    two_copy_output,
+    wigner_eval,
+    wigner_point_oracle,
+)
 from qcslab import (
     GridError,
     MemoryGuardError,
     StateSpec,
     ValidationError,
-    WignerGrid,
     build_state,
     coherent,
     fock,
-    overlap_wigner,
+    overlap_kernel,
     photon_distribution_phase_invariant,
     purity_direct,
     qcs_direct,
@@ -28,19 +35,12 @@ from qcslab import (
     tensor,
     thermal,
     thermal_photon_distribution,
-    two_copy_output,
-    wigner_eval,
     wigner_origin,
 )
 from qcslab import phase_space
 from qcslab.fock import DensityOperator
 from qcslab.interferometer import MEMORY_GUARD_DIM
-from qcslab.phase_space import (
-    _second_moments,
-    _wigner_values,
-    default_axes,
-    quadrature_spacing,
-)
+from qcslab.phase_space import _second_moments, default_axes
 
 
 def wigner_on_default_axes(rho):
@@ -81,13 +81,50 @@ def test_normalization_invariant():
 
 def test_purity_identity():
     for rho in (thermal(0.5, 40), squeezed_vacuum(0.5, 36), fock(2, 12)):
-        assert abs(overlap_wigner(rho, rho) - purity_direct(rho)) < 1e-6
+        assert abs(overlap_kernel(rho, rho) - purity_direct(rho)) < 1e-6
 
 
 def test_overlap_coherent_closed_form():
     alpha, beta = 0.7, -0.3 + 0.4j
-    value = overlap_wigner(coherent(alpha, 28), coherent(beta, 28))
+    value = overlap_kernel(coherent(alpha, 28), coherent(beta, 28))
     assert abs(value - np.exp(-abs(alpha - beta) ** 2)) < 1e-6
+
+
+def random_state(rng, dim, rank):
+    """A random complex single-mode state of the given rank (1 is pure)."""
+    vecs = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
+    weights = rng.dirichlet(np.ones(rank))
+    mat = sum(w * np.outer(v, v.conj()) / np.vdot(v, v).real for w, v in zip(weights, vecs))
+    return DensityOperator(mat, (dim,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 40), ranks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_overlap_kernel_matches_the_elementwise_trace(dim, ranks, seed):
+    rng = np.random.default_rng(seed)
+    rho_a, rho_b = (random_state(rng, dim, rank) for rank in ranks)
+    value = overlap_kernel(rho_a, rho_b)
+    assert abs(value - np.vdot(rho_b.matrix, rho_a.matrix).real) <= 1e-12 * (1 + abs(value))
+    assert abs(overlap_kernel(rho_b, rho_a) - value) <= 1e-12 * (1 + abs(value))
+    purity = purity_direct(rho_a)
+    assert abs(overlap_kernel(rho_a, rho_a) - purity) <= 1e-12 * (1 + purity)
+
+
+def test_overlap_kernel_refuses_a_grid_too_narrow(monkeypatch):
+    monkeypatch.setattr(phase_space, "EXTENT_SIGMAS", 1.0)
+    with pytest.raises(GridError):
+        overlap_kernel(squeezed_vacuum(1.0, 68), thermal(0.5, 62))
+
+
+def test_overlap_kernel_refuses_a_grid_past_the_memory_guard_in_milliseconds():
+    # at 1,100 levels the shared position grid needs 4,741 points per axis, past
+    # the guard even with the half-width capped at the top level's turning point
+    rho_a, rho_b = fock(0, 2), fock(300, 1100)
+    start = time.perf_counter()
+    with pytest.raises(MemoryGuardError):
+        overlap_kernel(rho_a, rho_b)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_difference_mode_wigner_nonnegative_for_identical_inputs():
@@ -163,7 +200,7 @@ def test_nan_integral_fails_the_normalization_check(monkeypatch):
     rho = fock(1, 6)
     x_axis, p_axis = default_axes(rho, quadrature_spacing(rho.dim))
     nan_grid = np.full((len(x_axis), len(p_axis)), np.nan)
-    monkeypatch.setattr(phase_space, "_wigner_values", lambda *_: nan_grid)
+    monkeypatch.setattr(oracles, "_wigner_values", lambda *_: nan_grid)
     with pytest.raises(GridError):
         wigner_eval(rho, x_axis, p_axis, norm_tol=1e-6)
 
@@ -258,9 +295,17 @@ def test_wigner_memory_does_not_grow_with_the_levels_past_the_underflow():
 
 
 def test_gradient_route_refuses_a_grid_past_the_memory_guard():
-    # the position grid of fock(300) at 302 levels has 5,017 points per axis
+    # the position grid of fock(300) at 1,100 levels has 4,741 points per axis,
+    # with its half-width capped at the top level's turning point
     with pytest.raises(MemoryGuardError):
-        qcs_wigner_gradient(fock(300, 302))
+        qcs_wigner_gradient(fock(300, 1100))
+
+
+def test_gradient_route_on_fock_300_at_302_levels():
+    # sized by its spread, this grid would need 5,017 points per axis; capped
+    # at the turning point of level 301 it needs 1,437
+    rho = fock(300, 302)
+    assert abs(qcs_wigner_gradient(rho).c_squared - qcs_direct(rho).c_squared) < 1e-12
 
 
 def test_gradient_route_refuses_a_large_grid_without_dense_products():

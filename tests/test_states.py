@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import ladder, pure_state_vector, quadratures
+from oracles import ladder, pure_state_vector, quadratures, random_classical_mixture
 from qcslab import (
     ClassicalMixture,
     CutoffError,
@@ -29,7 +29,6 @@ from qcslab.states import (
     CovarianceMatrix,
     coherent_amplitudes,
     mean_photon_number,
-    random_classical_mixture,
     recommended_cutoff,
 )
 

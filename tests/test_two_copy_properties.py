@@ -18,14 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oracles import ladder
+from oracles import ladder, two_copy_output
 from qcslab import (
     DensityOperator,
     photon_distribution,
     qcs_direct,
     qcs_multimode,
     tensor,
-    two_copy_output,
 )
 
 TOL = 1e-12
