@@ -192,28 +192,45 @@ def _header(opts: dict, cutoff: int, *specs: StateSpec) -> dict:
     return {"metadata": _metadata(opts, cutoff, *specs), "cutoff": cutoff}
 
 
+def _lazy_inputs(spec: StateSpec, dim: int):
+    """Cached getters of the spec's state at dim and of its amplitudes at dim
+    (None for a spec without amplitudes); neither is computed until called."""
+    amplitudes = spec_amplitudes(spec)
+    return (functools.cache(functools.partial(build_state, spec, cutoff=dim)),
+            amplitudes and functools.cache(functools.partial(amplitudes, dim)))
+
+
+def _checked_pn(spec: StateSpec, dim: int, state, amplitudes) -> PhotonDistribution:
+    """The two-copy p_n at dim, held to the state build's deficit check (exit 4
+    past it). A closed form with amplitudes, as of a displaced pure base, reads
+    no state, so their tail mass is checked in place of building ρ; any other
+    spec's p_n reads ``state()``, which the build checks."""
+    if amplitudes and KINDS[spec.kind].two_copy_pn:
+        check_tail_mass(amplitudes())
+        return two_copy_pn(spec, dim)
+    return two_copy_pn(spec, dim, state())
+
+
 def _run_routes(spec: StateSpec, cutoff: int, routes) -> tuple[dict, dict]:
     """Each route's estimate, "not applicable" when the spec's kind lacks the
     input the route reads, or {"infeasible": reason} when it does not fit the
     cutoff, plus the C² of the routes that ran. Exits 4 when some route was
-    infeasible and none ran. The state and its p_n are built at most once each;
-    a build that raises is not cached, so every route that needs it reports the
-    error. The ``pure`` route reads the amplitudes alone, held to the build's
-    deficit check."""
+    infeasible and none ran. The state, the amplitudes and the p_n are built at
+    most once each; a build that raises is not cached, so every route that needs
+    it reports the error. The ``pure`` route reads the amplitudes alone, held to
+    the build's deficit check, and so does a displaced pure base's p_n."""
     row = KINDS[spec.kind]
-    state = functools.cache(functools.partial(build_state, spec, cutoff=cutoff))
-    amplitudes = spec_amplitudes(spec)
+    state, amplitudes = _lazy_inputs(spec, cutoff)
 
     def pure():
-        amps = amplitudes(cutoff)
+        amps = amplitudes()
         check_tail_mass(amps)  # a cutoff that cuts too much is infeasible
         return amps / np.linalg.norm(amps)
 
-    # one lazy getter per input, falsy where the spec lacks it; the p_n getter
-    # builds the state first for its deficit check
+    # one lazy getter per input, falsy where the spec lacks it
     inputs = {"state": row.build and state,
               "pn": row.build and functools.cache(
-                  lambda: two_copy_pn(spec, cutoff, state())),
+                  lambda: _checked_pn(spec, cutoff, state, amplitudes)),
               "pure": amplitudes and pure,
               "covariance": row.covariance and functools.partial(row.covariance, spec.params),
               "mixture": row.mixture and functools.partial(row.mixture, spec.params)}
@@ -292,7 +309,7 @@ def purity_cmd(opts):
 def pn_dist_cmd(opts):
     """Difference-mode photon-number distribution p_n."""
     spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
-    pn = two_copy_pn(spec, dim, build_state(spec, cutoff=dim))
+    pn = _checked_pn(spec, dim, *_lazy_inputs(spec, dim))
     if opts["format"] == "json":
         _write_json({**_header(opts, dim, spec), "p_n": pn.probs.tolist(),
                      "deficit": pn.deficit}, opts["out"])
@@ -378,11 +395,22 @@ def figure2_cmd(opts):
 def sample_cmd(opts):
     """Simulate a finite-shot run and report the plug-in QCS² with a bootstrap CI."""
     spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
-    pn = two_copy_pn(spec, dim, build_state(spec, cutoff=dim))
+    pn = _checked_pn(spec, dim, *_lazy_inputs(spec, dim))
     est = estimate_qcs(sample_counts(pn, opts["shots"], opts["seed"]),
                        resamples=opts["resamples"])
     _write_json({**_header(opts, dim, spec), "estimate": est.to_dict()}, opts["out"])
 
 
-if __name__ == "__main__":
+def run():
+    """The process entry of the ``qcslab`` script and ``python -m qcslab.cli``.
+    A None entry for ``_hashlib`` makes hashlib, hmac and secrets fall back to
+    CPython's built-in digests, as on a build without OpenSSL, so ``sample``'s
+    ``numpy.random`` (which imports secrets) loads no libcrypto. The draws and
+    every digest are unchanged. Importing this module leaves ``sys.modules``
+    alone: only a process that starts here blocks the import."""
+    sys.modules.setdefault("_hashlib", None)
     main()
+
+
+if __name__ == "__main__":
+    run()

@@ -610,6 +610,40 @@ def test_displaced_pn_dist_is_its_base(runner, tmp_path, fock1):
     assert abs(docs[0]["p_n"][0] - 0.5) < 1e-15 and abs(docs[0]["p_n"][2] - 0.5) < 1e-15
 
 
+@pytest.mark.parametrize("command", [["pn-dist", "--format", "json"],
+                                     ["sample", "--shots", "2000", "--resamples", "20"]],
+                         ids=["pn-dist", "sample"])
+def test_displaced_pure_base_p_n_builds_no_state(runner, tmp_path, monkeypatch, command):
+    # the p_n is the base's closed form and the deficit check reads D(β)ψ, so
+    # no displaced state is built (the base's own state is the kernel's input)
+    calls = []
+
+    def counting_build_state(spec, **kwargs):
+        calls.append(spec)
+        return build_state(spec, **kwargs)
+
+    monkeypatch.setattr("qcslab.cli.build_state", counting_build_state)
+    path = write_spec(tmp_path, "dcoh.json", {"schema": 1, "kind": "displaced", "params": {
+        "base": {"kind": "coherent", "params": {"alpha": [0.4, -0.2]}}, "beta": [0.5, 0.3]}})
+    result = runner.invoke(main, [*command, "--state", path])
+    assert result.exit_code == 0, result.output
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", [["pn-dist", "--format", "json"],
+                                     ["sample", "--shots", "2000"],
+                                     ["qcs", "--route", "two-copy"]],
+                         ids=["pn-dist", "sample", "qcs-two-copy"])
+def test_displaced_pure_base_p_n_holds_the_amplitudes_to_the_deficit_check(
+        runner, tmp_path, command):
+    # displaced vacuum at β = 2 leaves 5.1e-2 of its norm past 8 levels
+    path = write_spec(tmp_path, "disp.json", {"schema": 1, "kind": "displaced", "params": {
+        "base": {"kind": "fock", "params": {"n": 0}}, "beta": 2.0}})
+    result = runner.invoke(main, [*command, "--state", path, "--cutoff", "8"])
+    assert result.exit_code == 4, result.output
+    assert "exceeds deficit tolerance" in result.output
+
+
 def test_compare_reads_the_truncation_of_a_displaced_state(runner, tmp_path):
     # displaced vacuum at β = 2 leaves 2.5e-7 of its trace past 18 levels,
     # within the deficit tolerance, but the truncation moves the displaced

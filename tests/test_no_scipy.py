@@ -2,25 +2,38 @@
 
 scipy is a test-only dependency (the oracles in other test files use its
 ``expm``). Each check runs in a fresh interpreter, so modules that the test
-session itself has imported do not hide an import from the package. The CLI
-does not load OpenSSL's libcrypto either: its metadata hash is CPython's
-built-in SHA-256. ``sample`` does not import ``numpy.ma``, which
-``np.percentile`` would load for its bootstrap interval.
+session itself has imported do not hide an import from the package. No CLI
+process loads OpenSSL's libcrypto either, ``sample`` included: the metadata
+hash is CPython's built-in SHA-256, and the process entry ``cli.run`` blocks
+``_hashlib`` before ``sample``'s ``numpy.random`` would load it through
+``secrets``. Importing ``qcslab.cli`` blocks nothing. ``sample`` does not
+import ``numpy.ma``, which ``np.percentile`` would load for its bootstrap
+interval.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from qcslab.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run(code: str, cwd) -> subprocess.CompletedProcess:
+    return _python(["-c", code], cwd)
+
+
+def _python(args: list, cwd) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
 
 
@@ -93,3 +106,41 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
     assert [args for args, *_ in runs] == COMMANDS
     failed = [run for run in runs if run[1] != 0]
     assert not failed, failed
+
+
+# one request per command, each run as its own process through the CLI entry
+ENTRY_COMMANDS = {
+    "qcs": ["qcs", "--state", "coh.json", "--route", "all"],
+    "purity": ["purity", "--state", "sq.json"],
+    "pn-dist": ["pn-dist", "--state", "th.json", "--format", "json"],
+    "compare": ["compare", "--state", "disp.json"],
+    "overlap": ["overlap", "--state", "coh.json", "--state", "disp.json"],
+    "figure2": ["figure2", "--out", "fig2", "--cutoff", "16", "--n-max", "6"],
+    "sample": ["sample", "--state", "th.json", "--shots", "2000", "--seed", "7",
+               "--resamples", "50"],
+}
+
+
+@pytest.mark.parametrize("command", ENTRY_COMMANDS)
+def test_cli_process_loads_no_libcrypto(tmp_path, command):
+    """``python -v -m qcslab.cli``: no command loads ``_hashlib``, and only
+    ``sample`` loads ``numpy.random`` (numpy imports it lazily, on the first
+    ``np.random``). ``-v`` names each module that is loaded; ``-X importtime``
+    would also list the blocked ``import _hashlib`` attempts that raise.
+    ``sample``'s answer is the in-process runner's."""
+    for name, doc in SPECS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    args = ENTRY_COMMANDS[command]
+    result = _python(["-v", "-m", "qcslab.cli", *args], tmp_path)
+    assert result.returncode == 0, result.stderr[-2000:]
+    loaded = set(re.findall(r"^import '([^']+)' # ", result.stderr, re.MULTILINE))
+    assert {"numpy", "click"} <= loaded
+    assert "_hashlib" not in loaded
+    assert ("numpy.random" in loaded) == (command == "sample")
+    if command == "sample":
+        in_process = CliRunner().invoke(
+            main, [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in args])
+        assert in_process.exit_code == 0, in_process.output
+        docs = [json.loads(text) for text in (result.stdout, in_process.output)]
+        assert docs[0]["estimate"] == docs[1]["estimate"]
+        assert docs[0]["metadata"]["config_hash"] == docs[1]["metadata"]["config_hash"]
