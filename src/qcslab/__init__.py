@@ -35,7 +35,7 @@ from .interferometer import (
     photon_distribution_phase_invariant,
     thermal_photon_distribution,
 )
-from .phase_space import overlap_kernel, qcs_wigner_gradient, wigner_origin
+from .phase_space import overlap_kernel, qcs_wigner_gradient
 from .sampling import SampledEstimate, ShotRecord, estimate_qcs, sample_counts
 from .states import (
     ClassicalMixture,

@@ -2,18 +2,21 @@
 
 Commands read a StateSpec JSON file, run estimator routes, and emit CSV/JSON
 artifacts with a reproducibility metadata block. Exit codes: 0 success,
-2 validation error, 3 numerical-tolerance failure, 4 infeasible cutoff.
+2 validation or usage error, 3 numerical-tolerance failure, 4 infeasible cutoff.
+The parser is the standard library's argparse, so numpy is the only package a
+CLI process loads besides qcslab.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
-import click
 import numpy as np
 
 from . import __version__
@@ -90,7 +93,7 @@ FIGURE2_CUTOFF = 48
 
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -109,27 +112,53 @@ def _metadata(opts: dict, cutoff: int, *specs: StateSpec) -> dict:
             "timestamp": datetime.now(timezone.utc).isoformat()}
 
 
+def _write(path, write) -> None:
+    """``write(path)``; an output that cannot be written is a validation error
+    (exit 2), as an input that cannot be read is (``_read_text``)."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output {path}: {exc}") from None
+
+
 def _write_json(payload: dict, out: str | None):
     text = json.dumps(payload, indent=2)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        _write(out, lambda path: Path(path).write_text(text + "\n", encoding="utf-8"))
     else:
-        click.echo(text)
+        print(text)
 
 
-def _config_value(param: click.Parameter, value):
+class Option(NamedTuple):
+    """One command option. Its config key, and its key in the flags a command
+    body reads, is the flag without its dashes and with ``-`` read as ``_``;
+    ``default`` is its value when neither the command line nor the config file
+    gives it. An option without ``type`` takes a string: one of ``choices``
+    when it has them, else a path, repeated when ``multiple``."""
+    flag: str
+    default: object = None
+    type: type | None = None
+    choices: tuple = ()
+    multiple: bool = False
+    help: str | None = None
+
+    @property
+    def key(self) -> str:
+        return self.flag.removeprefix("--").replace("-", "_")
+
+
+def _config_value(option: Option, value):
     """A config value held to its flag's type: a choice must be one of its
     choices, a path a string (a list of strings for a repeated flag)."""
-    if isinstance(param.type, click.Choice):
-        try:
-            return param.type.convert(value, param, None)
-        except click.BadParameter as exc:
-            raise ValidationError(f"config key {param.name!r}: {exc.format_message()}") from None
-    if isinstance(param.type, click.Path):
-        paths = value if param.multiple else [value]
+    if option.choices:
+        if value not in option.choices:
+            raise ValidationError(f"config key {option.key!r}: {value!r} is not one of "
+                                  f"{', '.join(map(repr, option.choices))}.")
+    elif option.type is None:
+        paths = value if option.multiple else [value]
         if not isinstance(paths, list) or not all(isinstance(v, str) for v in paths):
-            kind = "a list of path strings" if param.multiple else "a path string"
-            raise ValidationError(f"config key {param.name!r} must be {kind}, got {value!r}")
+            kind = "a list of path strings" if option.multiple else "a path string"
+            raise ValidationError(f"config key {option.key!r} must be {kind}, got {value!r}")
     return value
 
 
@@ -142,12 +171,15 @@ def _read_text(path: str, what: str) -> str:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from None
 
 
-def _merge_config(config: str | None, flags: dict) -> dict:
-    """Apply config-file values; a key set both in the file and by an explicit
-    flag is ambiguous and rejected, and a value must have its flag's type. A
-    cutoff from either source is held to the state file's rule (an integer
-    >= 2), and shots, seed, resamples and n_max to their integer minimums."""
-    merged = dict(flags)
+def _merge_config(config: str | None, options: tuple[Option, ...], given: dict) -> dict:
+    """The command's options: each one's default, overridden by the flags
+    ``given`` on the command line and by config-file values. A key set both in
+    the file and by a flag is ambiguous and rejected, and a value must have its
+    flag's type. A cutoff from either source is held to the state file's rule
+    (an integer >= 2), and shots, seed, resamples and n_max to their integer
+    minimums."""
+    by_key = {option.key: option for option in options}
+    merged = {key: option.default for key, option in by_key.items()} | given
     if config:
         try:
             doc = json.loads(_read_text(config, "config"))
@@ -155,15 +187,13 @@ def _merge_config(config: str | None, flags: dict) -> dict:
             raise ValidationError(f"cannot read config file: {exc}") from None
         if not isinstance(doc, dict):
             raise ValidationError("config file must hold a JSON object")
-        ctx = click.get_current_context()
-        params = {param.name: param for param in ctx.command.params}
         for key, value in doc.items():
-            if key not in flags:
+            if key not in by_key:
                 raise ValidationError(f"unknown config key {key!r}")
-            if ctx.get_parameter_source(key) is click.core.ParameterSource.COMMANDLINE:
+            if key in given:
                 raise ValidationError(
                     f"{key!r} given both in config file and as a flag (ambiguous)")
-            merged[key] = _config_value(params[key], value)
+            merged[key] = _config_value(by_key[key], value)
     if "cutoff" in merged:
         merged["cutoff"] = parse_cutoff(merged["cutoff"])
     for key, minimum in (("shots", 1), ("seed", 0), ("resamples", 2), ("n_max", 0)):
@@ -253,39 +283,59 @@ def _run_routes(spec: StateSpec, cutoff: int, routes) -> tuple[dict, dict]:
     return results, values
 
 
-@click.group()
-@click.version_option(version=__version__)
-def main():
-    """Two-copy interferometric QCS laboratory."""
+STATE = Option("--state")
+CUTOFF = Option("--cutoff", type=int)
+OUT = Option("--out")
+
+# each command: its body and its options, in registration order
+COMMANDS: dict = {}
 
 
-STATE = click.option("--state", type=click.Path(), default=None)
-CUTOFF = click.option("--cutoff", type=int, default=None)
-OUT = click.option("--out", type=click.Path(), default=None)
-
-
-def _command(name: str, *options):
+def _command(name: str, *options: Option):
     """Register ``body(opts)`` as command ``name`` with ``options`` and
-    ``--config``: click parameters are named as their config keys, ``opts`` is
-    the flags merged with the config file, and a typed error exits 4 (cutoff),
-    3 (tolerance) or 2 (any other)."""
+    ``--config``; ``opts`` is the options merged with the config file
+    (``_merge_config``)."""
     def register(body):
-        def run(config, **flags):
-            try:
-                body(_merge_config(config, flags))
-            except QcslabError as exc:
-                _fail(next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds)), str(exc))
-
-        run.__doc__ = body.__doc__
-        config_option = click.option("--config", type=click.Path(), default=None)
-        for option in reversed((*options, config_option)):
-            run = option(run)
-        return main.command(name)(run)
+        COMMANDS[name] = (body, options)
+        return body
     return register
 
 
-@_command("qcs", STATE, click.option("--route", default="two-copy", show_default=True,
-                                     type=click.Choice([*ROUTES, "all"])), CUTOFF, OUT)
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The parser of every registered command. An option left off the command
+    line is left out of the parsed namespace (suppressed defaults), so the
+    namespace names exactly the flags given."""
+    parser = argparse.ArgumentParser(prog=prog, allow_abbrev=False,
+                                     description="Two-copy interferometric QCS laboratory.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (body, options) in COMMANDS.items():
+        sub = commands.add_parser(name, help=body.__doc__, description=body.__doc__,
+                                  argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        for option in options:
+            default = f"(default: {option.default})" if option.default not in (None, ()) else None
+            sub.add_argument(option.flag, dest=option.key, type=option.type,
+                             choices=option.choices or None,
+                             action="append" if option.multiple else "store",
+                             help=" ".join(filter(None, (option.help, default))))
+        sub.add_argument("--config")
+    return parser
+
+
+def main(args=None, prog_name=None):
+    """Run the command that ``args`` (``sys.argv[1:]`` when None) names, with
+    ``prog_name`` (default ``qcslab``) in usage lines. A usage error exits 2,
+    and a typed error 4 (cutoff), 3 (tolerance) or 2 (any other)."""
+    given = vars(_parser(prog_name or "qcslab").parse_args(args))
+    body, options = COMMANDS[given.pop("command")]
+    config = given.pop("config", None)
+    try:
+        body(_merge_config(config, options, given))
+    except QcslabError as exc:
+        _fail(next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds)), str(exc))
+
+
+@_command("qcs", STATE, Option("--route", "two-copy", choices=(*ROUTES, "all")), CUTOFF, OUT)
 def qcs_cmd(opts):
     """Estimate QCS² of a state via one route (or all applicable)."""
     spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
@@ -303,9 +353,7 @@ def purity_cmd(opts):
                  "purity_two_copy": purity_from_pn(two_copy_pn(spec, dim, rho))}, opts["out"])
 
 
-@_command("pn-dist", STATE, CUTOFF, OUT,
-          click.option("--format", type=click.Choice(["csv", "json"]), default="csv",
-                       show_default=True))
+@_command("pn-dist", STATE, CUTOFF, OUT, Option("--format", "csv", choices=("csv", "json")))
 def pn_dist_cmd(opts):
     """Difference-mode photon-number distribution p_n."""
     spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
@@ -316,12 +364,11 @@ def pn_dist_cmd(opts):
     elif not opts["out"]:
         raise ValidationError("--out is required for CSV output")
     else:
-        pn.to_csv(opts["out"])
+        _write(opts["out"], pn.to_csv)
 
 
-@_command("overlap", click.option("--state", multiple=True, type=click.Path(),
-                                  help="Give twice: --state a.json --state b.json"),
-          CUTOFF, OUT)
+@_command("overlap", Option("--state", (), multiple=True,
+                            help="Give twice: --state a.json --state b.json"), CUTOFF, OUT)
 def overlap_cmd(opts):
     """Overlap Tr(ρ_a ρ_b) directly (elementwise, as ρ_b is Hermitian), by parity
     of the interferometer output and by the position-kernel quadrature of
@@ -346,16 +393,14 @@ def compare_cmd(opts):
     _write_json({**_header(opts, dim, spec), "results": results,
                  "max_deviation_exact": max_dev}, opts["out"])
     for route, res in results.items():
-        click.echo(f"{route:>18}: {values.get(route, res)}", err=True)
+        print(f"{route:>18}: {values.get(route, res)}", file=sys.stderr)
     if max_dev > EXACT_ROUTE_TOL:
         _fail(EXIT_TOLERANCE,
               f"route deviation {max_dev:.3e} exceeds tolerance {EXACT_ROUTE_TOL:.0e}")
 
 
-@_command("figure2", OUT,
-          click.option("--cutoff", type=int, default=FIGURE2_CUTOFF, show_default=True),
-          click.option("--n-max", type=int, default=24, show_default=True,
-                       help="Largest n in the p_n CSV columns"))
+@_command("figure2", OUT, Option("--cutoff", FIGURE2_CUTOFF, int),
+          Option("--n-max", 24, int, help="Largest n in the p_n CSV columns"))
 def figure2_cmd(opts):
     """Reproduce the benchmark p_n data: CSVs for the mixed Fock families
     rho_10 and rho_even_5 and for the thermal state with q = 0.85, plus a
@@ -363,7 +408,7 @@ def figure2_cmd(opts):
     if not opts["out"]:
         raise ValidationError("figure2 needs an output directory (--out or a config file)")
     out_path = Path(opts["out"])
-    out_path.mkdir(parents=True, exist_ok=True)
+    _write(out_path, lambda path: path.mkdir(parents=True, exist_ok=True))
     q = 0.85
     dim = opts["cutoff"] if opts["cutoff"] is not None else FIGURE2_CUTOFF
     nmax = opts["n_max"]
@@ -376,22 +421,20 @@ def figure2_cmd(opts):
     summary = {"metadata": _metadata(opts, dim), "states": {}}
     for name, rho in (("rho_10", rho_2m(5, dim)), ("rho_even_5", rho_even_m(5, dim))):
         pn = photon_distribution(rho, rho)
-        truncated(pn).to_csv(out_path / f"pn_{name}.csv")
+        _write(out_path / f"pn_{name}.csv", truncated(pn).to_csv)
         summary["states"][name] = {"purity": purity_from_pn(pn),
                                    "c_squared": qcs_two_copy(pn).c_squared}
     thermal_pn = thermal_photon_distribution(q, nmax)
-    thermal_pn.to_csv(out_path / "pn_thermal_q0.85.csv")
+    _write(out_path / "pn_thermal_q0.85.csv", thermal_pn.to_csv)
     # alternating geometric sums in closed form: both equal (1-q)/(1+q)
     c_squared = (1.0 - q) / (1.0 + q)
     summary["states"]["thermal_q0.85"] = {"purity": c_squared, "c_squared": c_squared}
     _write_json(summary, out_path / "summary.json")
-    click.echo(f"wrote 3 CSV files and summary.json to {out_path}", err=True)
+    print(f"wrote 3 CSV files and summary.json to {out_path}", file=sys.stderr)
 
 
-@_command("sample", STATE, click.option("--shots", type=int, default=None),
-          click.option("--seed", type=int, default=0, show_default=True),
-          click.option("--resamples", type=int, default=1000, show_default=True),
-          CUTOFF, OUT)
+@_command("sample", STATE, Option("--shots", type=int), Option("--seed", 0, int),
+          Option("--resamples", 1000, int), CUTOFF, OUT)
 def sample_cmd(opts):
     """Simulate a finite-shot run and report the plug-in QCS² with a bootstrap CI."""
     spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])

@@ -1,5 +1,5 @@
-"""Phase-space quantities on the position kernel: the gradient QCS route, the
-overlap Tr ρ_aρ_b, and the Wigner origin value.
+"""Phase-space quantities on the position kernel: the gradient QCS route and
+the overlap Tr ρ_aρ_b.
 
 The paper defines C² and overlaps as phase-space integrals of Wigner functions.
 By the Plancherel relation ∫∫W_A W_B = Tr(AB†)/2π these are Hilbert–Schmidt
@@ -8,9 +8,8 @@ products, so no Wigner grid is evaluated: both the gradient route and
 K(u, v) = ⟨u|ρ|v⟩ = ΦρΦᵀ, built from Hermite functions
 (``hermite_functions``) on one grid rule and with one quadrature check
 (``_kernel_grid``, ``_check_kernel``). The gradient route shares no code with
-the direct route's commutators. The origin value W(0, 0) is the parity trace.
-The origin-Laplacian route needs only the difference-mode p_n, so it lives
-with the two-copy route in ``estimators``.
+the direct route's commutators. The origin-Laplacian route needs only the
+difference-mode p_n, so it lives with the two-copy route in ``estimators``.
 """
 
 from __future__ import annotations
@@ -30,46 +29,32 @@ EXTENT_PADDING = 1.2
 EXTENT_SIGMAS = 6.1
 
 
-def _second_moments(rho: DensityOperator) -> tuple[float, float, float, float]:
-    """Means and standard deviations of x and p for grid sizing, from ρ's
-    diagonals at offsets 0, 1 and 2, the only ones the truncated x, p, x², p²
-    reach, with no dim × dim product; x² and p² end in (dim − 1)/2, as x @ x does."""
+def _position_moments(rho: DensityOperator) -> tuple[float, float]:
+    """Mean and standard deviation of x for grid sizing, from ρ's diagonals at
+    offsets 0, 1 and 2, the only ones the truncated x and x² reach, with no
+    dim × dim product; x² ends in (dim − 1)/2, as x @ x does."""
     n, mat = np.arange(rho.dim), rho.matrix
-    up, down = np.diagonal(mat, 1), np.diagonal(mat, -1)
-    step1 = np.sqrt(n[1:] / 2.0)  # x_{n−1,n} = i p_{n−1,n} = √(n/2)
-    step2 = np.sqrt(n[1:-1] * n[2:]) / 2.0  # (x²)_{n−2,n} = −(p²)_{n−2,n}
-    level = np.append(n[:-1] + 0.5, n[-1] / 2.0)  # diagonal of x² and of p²
-    mx = float(np.dot(step1, (up + down).real))
-    mp = float(np.dot(step1, (down - up).imag))
+    step1 = np.sqrt(n[1:] / 2.0)  # x_{n−1,n} = √(n/2)
+    step2 = np.sqrt(n[1:-1] * n[2:]) / 2.0  # (x²)_{n−2,n}
+    level = np.append(n[:-1] + 0.5, n[-1] / 2.0)  # diagonal of x²
+    mx = float(np.dot(step1, (np.diagonal(mat, 1) + np.diagonal(mat, -1)).real))
     diag = float(np.dot(level, np.diagonal(mat).real))
     off = float(np.dot(step2, (np.diagonal(mat, 2) + np.diagonal(mat, -2)).real))
-    return (mx, mp, math.sqrt(max(diag + off - mx ** 2, 0.5)),
-            math.sqrt(max(diag - off - mp ** 2, 0.5)))
+    return mx, math.sqrt(max(diag + off - mx ** 2, 0.5))
 
 
-def default_axes(rho: DensityOperator, spacing: float) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric uniform x and p axes, each wide enough that the state's
-    phase-space tail along it (mean offset + EXTENT_SIGMAS standard deviations
-    of that quadrature, padded) is negligible. No state on ``dim`` levels
-    reaches far past the turning point √(2·(dim − 1) + 1) of its top level, so
-    each half-width is capped there, plus a margin of 6 and the same padding:
-    the spread of a Fock-like state would otherwise size it wider still. Both
-    axes are odd-length and origin-symmetric."""
-    cap = EXTENT_PADDING * (math.sqrt(2 * rho.dim - 1) + 6.0)
-
-    def axis(mean, sigma):
-        n_half = int(np.ceil(min(EXTENT_PADDING * (abs(mean) + EXTENT_SIGMAS * sigma + 1.0),
-                                 cap) / spacing))
-        return spacing * np.arange(-n_half, n_half + 1)
-
-    mx, mp, sx, sp = _second_moments(rho)
-    return axis(mx, sx), axis(mp, sp)
-
-
-def wigner_origin(rho: DensityOperator) -> float:
-    """W(0,0) = Tr(ρ (-1)^n̂)/π, evaluated analytically (parity identity)."""
-    signs = (-1.0) ** np.arange(rho.dim)
-    return math.fsum(signs * np.real(np.diag(rho.matrix))) / np.pi
+def quadrature_axis(mean: float, sigma: float, dim: int, spacing: float) -> np.ndarray:
+    """Symmetric uniform axis, odd-length and origin-symmetric, wide enough
+    that the phase-space tail of a quadrature with this mean and standard
+    deviation (mean offset + EXTENT_SIGMAS standard deviations, padded) is
+    negligible. No state on ``dim`` levels reaches far past the turning point
+    √(2·(dim − 1) + 1) of its top level, so the half-width is capped there,
+    plus a margin of 6 and the same padding: the spread of a Fock-like state
+    would otherwise size it wider still."""
+    cap = EXTENT_PADDING * (math.sqrt(2 * dim - 1) + 6.0)
+    n_half = int(np.ceil(min(EXTENT_PADDING * (abs(mean) + EXTENT_SIGMAS * sigma + 1.0),
+                             cap) / spacing))
+    return spacing * np.arange(-n_half, n_half + 1)
 
 
 def hermite_functions(u: np.ndarray, count: int) -> np.ndarray:
@@ -102,15 +87,15 @@ def _kernel_grid(*rhos: DensityOperator):
     """The position grid shared by single-mode states, for dim the largest of
     their cutoffs: spacing h = min(KERNEL_SPACING_CAP, 0.4π/√(2·dim + 1)), on
     which the trapezoid rule is spectrally exact; points u, the widest of
-    their ``default_axes`` x axes, refused past the memory guard before any
-    kernel is allocated; the Hermite functions φ_0 … φ_dim at u, one level
-    above the cutoff; and each state's Re ρ and Im ρ on a leading axis, which
-    keep every kernel product real."""
+    their x axes (``quadrature_axis`` on each state's x mean and spread),
+    refused past the memory guard before any kernel is allocated; the Hermite
+    functions φ_0 … φ_dim at u, one level above the cutoff; and each state's
+    Re ρ and Im ρ on a leading axis, which keep every kernel product real."""
     if any(rho.n_modes != 1 for rho in rhos):
         raise ValidationError("the position kernel expects single-mode states")
     dim = max(rho.dim for rho in rhos)
     h = min(KERNEL_SPACING_CAP, 0.4 * math.pi / math.sqrt(2 * dim + 1))
-    u = max((default_axes(rho, h)[0] for rho in rhos), key=len)
+    u = max((quadrature_axis(*_position_moments(rho), rho.dim, h) for rho in rhos), key=len)
     if u.size > MEMORY_GUARD_DIM:
         raise MemoryGuardError(
             f"position kernel of {u.size} x {u.size} points exceeds memory guard "

@@ -13,8 +13,10 @@ eigensolve, the reference for the real Cholesky test ``CovarianceMatrix`` makes.
 
 ``wigner_eval`` evaluates W on a grid from the displaced-parity kernel with
 the package's ``fock.scaled_laguerre`` (the recurrence ``displacement_operator``
-also runs), and ``overlap_wigner`` is 2π∫W_aW_b on such a grid: the phase-space
-reference for the position-kernel quadratures of ``phase_space``.
+also runs), on the x and p axes of ``default_axes``, and ``overlap_wigner`` is
+2π∫W_aW_b on such a grid: the phase-space reference for the position-kernel
+quadratures of ``phase_space``. ``wigner_origin`` is W(0, 0) as the parity
+trace.
 ``two_copy_output`` is the full difference-mode state ρ_d = Tr_a U(ρ⊗ρ)U†,
 the reference whose diagonal the p_n kernel gives. ``random_classical_mixture``
 draws seeded coherent mixtures for the tests.
@@ -30,7 +32,7 @@ from scipy.linalg import expm
 from qcslab.errors import GridError, MemoryGuardError, ValidationError
 from qcslab.fock import DensityOperator, scaled_laguerre
 from qcslab.interferometer import MEMORY_GUARD_DIM, _blocks, _check_two_copy, _kron
-from qcslab.phase_space import default_axes
+from qcslab.phase_space import _position_moments, quadrature_axis
 from qcslab.states import ClassicalMixture
 
 
@@ -248,6 +250,21 @@ def _wigner_values(mat: np.ndarray, x_axis: np.ndarray, p_axis: np.ndarray) -> n
     q /= np.pi
     sx, sp = (np.signbit(axis).astype(int) for axis in (x_axis, p_axis))
     return q[sx[:, None], sp[None, :], xi[:, None], pj[None, :]]
+
+
+def default_axes(rho: DensityOperator, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """x and p axes for a Wigner grid of ρ: the package's x axis, the one the
+    position kernel integrates on, and a p axis by the same ``quadrature_axis``
+    rule on the p mean and spread of ``dense_second_moments``."""
+    _, mp, _, sp = dense_second_moments(rho)
+    return (quadrature_axis(*_position_moments(rho), rho.dim, spacing),
+            quadrature_axis(mp, sp, rho.dim, spacing))
+
+
+def wigner_origin(rho: DensityOperator) -> float:
+    """W(0,0) = Tr(ρ (-1)^n̂)/π, evaluated analytically (parity identity)."""
+    signs = (-1.0) ** np.arange(rho.dim)
+    return math.fsum(signs * np.real(np.diag(rho.matrix))) / np.pi
 
 
 def quadrature_spacing(dim: int) -> float:

@@ -9,10 +9,10 @@ import sys
 import time
 
 import numpy as np
-from click.testing import CliRunner
 from scipy.linalg import expm
 
-from oracles import ladder, overlap_wigner, random_classical_mixture, two_copy_output
+from cli_runner import CliRunner
+from oracles import ladder, overlap_wigner, random_classical_mixture, two_copy_output, wigner_origin
 from qcslab import (
     ClassicalMixture,
     DensityOperator,
@@ -40,7 +40,6 @@ from qcslab import (
     tensor,
     thermal,
     thermal_photon_distribution,
-    wigner_origin,
     estimate_qcs,
 )
 from qcslab.cli import main as cli_main

@@ -6,8 +6,8 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import CliRunner
 from oracles import pure_state_vector
 from qcslab import cli, interferometer, qcs_pure_shortcut
 from qcslab.cli import main
@@ -74,6 +74,18 @@ def test_unreadable_state_file_exits_2(runner, tmp_path, fock1, command, state):
     result = runner.invoke(main, [command, *readable, "--state", str(path)])
     assert result.exit_code == 2, result.output
     assert "error: cannot read state file" in result.output
+
+
+@pytest.mark.parametrize("command", [["qcs", "--out", "missing/x.json"],
+                                     ["pn-dist", "--format", "csv", "--out", "missing/x.csv"],
+                                     ["figure2", "--cutoff", "16", "--out", "fock1.json"]],
+                         ids=["qcs-json", "pn-dist-csv", "figure2-out-is-a-file"])
+def test_unwritable_output_exits_2(runner, tmp_path, monkeypatch, fock1, command):
+    monkeypatch.chdir(tmp_path)
+    state = [] if command[0] == "figure2" else ["--state", fock1]
+    result = runner.invoke(main, [*command, *state])
+    assert result.exit_code == 2, result.output
+    assert f"error: cannot write output {command[-1]}" in result.output
 
 
 def test_config_file_not_utf8_exits_2(runner, tmp_path, fock1):
@@ -673,7 +685,7 @@ def test_displaced_state_past_cutoff_exits_4(runner, tmp_path, base, beta, cutof
         assert "trace deficit" in result.output
 
 
-# every option of every command, by config key (the click parameter's name)
+# every option of every command, by config key
 OPTIONS = {"qcs": ("state", "route", "cutoff", "out"), "purity": ("state", "cutoff", "out"),
            "pn-dist": ("state", "cutoff", "out", "format"), "overlap": ("state", "cutoff", "out"),
            "compare": ("state", "cutoff", "out"), "figure2": ("out", "cutoff", "n_max"),
@@ -682,8 +694,8 @@ OPTION_CASES = [(command, key) for command, keys in OPTIONS.items() for key in k
 
 
 def test_option_cases_cover_every_option():
-    assert set(OPTION_CASES) == {(name, param.name) for name, command in main.commands.items()
-                                 for param in command.params if param.name != "config"}
+    assert set(OPTION_CASES) == {(name, option.key) for name, (_, options) in cli.COMMANDS.items()
+                                 for option in options}
 
 
 @pytest.mark.parametrize("command, key", OPTION_CASES,

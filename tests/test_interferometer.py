@@ -8,7 +8,7 @@ from itertools import accumulate, islice
 import numpy as np
 import pytest
 
-from oracles import quadrature_spacing, two_copy_output, wigner_eval
+from oracles import default_axes, quadrature_spacing, two_copy_output, wigner_eval
 from qcslab import (
     DensityOperator,
     MemoryGuardError,
@@ -25,7 +25,6 @@ from qcslab import (
 )
 from qcslab.errors import RoundoffBudgetError
 from qcslab.interferometer import MEMORY_GUARD_DIM, _blocks, _held_block, _plans
-from qcslab.phase_space import default_axes
 
 
 def test_identical_coherent_inputs_cancel():

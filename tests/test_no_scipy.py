@@ -8,7 +8,8 @@ hash is CPython's built-in SHA-256, and the process entry ``cli.run`` blocks
 ``_hashlib`` before ``sample``'s ``numpy.random`` would load it through
 ``secrets``. Importing ``qcslab.cli`` blocks nothing. ``sample`` does not
 import ``numpy.ma``, which ``np.percentile`` would load for its bootstrap
-interval.
+interval. No CLI process loads click: the parser is the standard library's
+argparse. The in-process runs go through ``tests/cli_runner.py``.
 """
 
 import json
@@ -19,11 +20,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import CliRunner
 from qcslab.cli import main
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def _run(code: str, cwd) -> subprocess.CompletedProcess:
@@ -32,7 +34,8 @@ def _run(code: str, cwd) -> subprocess.CompletedProcess:
 
 def _python(args: list, cwd) -> subprocess.CompletedProcess:
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), str(TESTS), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
 
@@ -56,12 +59,25 @@ def test_sample_loads_no_numpy_ma(tmp_path):
         {"schema": 1, "kind": "thermal", "params": {"q": 0.3}}))
     result = _run(
         "import sys\n"
-        "from click.testing import CliRunner\n"
+        "from cli_runner import CliRunner\n"
         "from qcslab.cli import main\n"
         "r = CliRunner().invoke(main, ['sample', '--state', 'th.json', '--shots', '2000'])\n"
         "assert r.exit_code == 0, r.output\n"
         "sys.exit('numpy.ma' in sys.modules)", tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("args", [["qcs", "--state", "th.json", "--route", "two-copy"],
+                                  ["--version"]], ids=["qcs", "version"])
+def test_cli_process_loads_no_click(tmp_path, args):
+    """``python -v -m qcslab.cli`` names each module the process loads."""
+    (tmp_path / "th.json").write_text(json.dumps(
+        {"schema": 1, "kind": "thermal", "params": {"q": 0.3}}))
+    result = _python(["-v", "-m", "qcslab.cli", *args], tmp_path)
+    assert result.returncode == 0, result.stderr[-2000:]
+    loaded = set(re.findall(r"^import '([^']+)' # ", result.stderr, re.MULTILINE))
+    assert "numpy" in loaded
+    assert not [name for name in loaded if name.partition(".")[0] == "click"]
 
 
 SPECS = {
@@ -94,7 +110,7 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
     result = _run(
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
-        "from click.testing import CliRunner\n"
+        "from cli_runner import CliRunner\n"
         "from qcslab.cli import main\n"
         "runner = CliRunner()\n"
         f"for args in {COMMANDS!r}:\n"
@@ -134,7 +150,7 @@ def test_cli_process_loads_no_libcrypto(tmp_path, command):
     result = _python(["-v", "-m", "qcslab.cli", *args], tmp_path)
     assert result.returncode == 0, result.stderr[-2000:]
     loaded = set(re.findall(r"^import '([^']+)' # ", result.stderr, re.MULTILINE))
-    assert {"numpy", "click"} <= loaded
+    assert "numpy" in loaded and "click" not in loaded
     assert "_hashlib" not in loaded
     assert ("numpy.random" in loaded) == (command == "sample")
     if command == "sample":

@@ -5,8 +5,8 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import CliRunner
 from qcslab import StateSpec
 from qcslab.cli import ROUTES, main
 from qcslab.states import KINDS
