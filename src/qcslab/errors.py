@@ -14,8 +14,8 @@ class CutoffError(QcslabError):
 
 
 class MemoryGuardError(CutoffError):
-    """A two-copy input, its largest full beam-splitter block, or a Wigner grid
-    (more than MEMORY_GUARD_DIM² points) exceeds the memory guard."""
+    """A two-copy input, its largest full beam-splitter block, or a position
+    kernel (more than MEMORY_GUARD_DIM² grid points) exceeds the memory guard."""
 
 
 class DegenerateDenominatorError(QcslabError):
@@ -27,4 +27,4 @@ class RoundoffBudgetError(QcslabError):
 
 
 class GridError(QcslabError):
-    """Phase-space grid failed its normalization check (∫W against Tr)."""
+    """The position-kernel quadrature missed Tr ρ or Tr ρ² (grid too narrow or coarse)."""

@@ -11,12 +11,13 @@ of Fock levels per mode. Conventions used throughout the package:
 No ladder or quadrature matrix is built: ``lowering_commutators`` forms the
 commutators [ρ, a_k] from shifted rows and columns of ρ.
 
-One scaled Laguerre recurrence (``scaled_laguerre``) gives the matrix
-elements of the displacement operator for ``displacement_operator``. They are
-the elements of D(β) itself, not of the exponential of a truncated generator,
-so there is no headroom rule: what a displacement moves past the cutoff shows
-up as trace deficit. Their rounding error grows with the level, to about
-1.5e-11 at level 1,023 for small |β| (see ``scaled_laguerre``).
+One recurrence with binary exponents carried apart (``carried_recurrence``)
+gives the scaled Laguerre functions and the Hermite functions of ``phase_space``
+from log-domain starts (``log_power``). The Laguerre functions are the elements
+of D(β) itself (``displacement_operator``), not of the exponential of a
+truncated generator, so there is no headroom rule: what a displacement moves
+past the cutoff shows up as trace deficit. Their rounding error grows with the
+level, to about 1.5e-11 at level 1,023 for small |β| (see ``scaled_laguerre``).
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ class DensityOperator:
         if dims is None:
             dims = (matrix.shape[0],)
         dims = tuple(int(d) for d in dims)
-        drift = np.max(np.abs(matrix - matrix.conj().T))
-        if drift > 1e-8:
-            raise ValidationError(f"matrix is not Hermitian (drift {drift:.3e})")
+        with np.errstate(invalid="ignore"):  # a non-finite entry drifts by inf or NaN
+            drift = np.max(np.abs(matrix - matrix.conj().T))
+        if not drift <= 1e-8:
+            raise ValidationError(f"matrix is not finite and Hermitian (drift {drift:.3e})")
         matrix = 0.5 * (matrix + matrix.conj().T)
         tr = float(np.trace(matrix).real)
         deficit = 1.0 - tr
@@ -164,10 +166,31 @@ def log_factorial(n) -> np.ndarray:
     return np.array([math.lgamma(k + 1.0) for k in n.ravel().tolist()]).reshape(n.shape)
 
 
-def _laguerre_step(g, g_prev, m: int, d, x, root, root_next):
-    """G_{m+1,d}(x) from G_{m,d} and G_{m−1,d}, given root = √(m(m+d)) and
-    root_next = √((m+1)(m+1+d))."""
-    return ((2 * m + d + 1 - x) * g - root * g_prev) / root_next
+def log_power(x, n) -> np.ndarray:
+    """ln xⁿ = n·ln x elementwise, with 0⁰ = 1, for log-domain starts."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(n == 0, 0.0, n * np.log(x))
+
+
+def squared_modulus(z: complex) -> float:
+    """|z|², or CutoffError where it overflows: no Fock cutoff holds such a state."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        raise CutoffError(f"|z|² overflows a double at |z| = {abs(z):.3g}") from None
+
+
+def carried_recurrence(g, exponent, step, count: int):
+    """Yield v_n = g_n·2^{e_n}, n < count, of the linear recurrence g_{n+1} = step(n, g_n,
+    g_{n−1}) from g_0 = g, e_0 = exponent (int32, np.ldexp's fast loop), g_{−1} = 0. Each step
+    divides both mantissas by 2 to the larger of their exponents, exactly, and adds it to e."""
+    prev = np.zeros_like(g)
+    for n in range(count):
+        if n:
+            prev, g = g, step(n - 1, g, prev)
+            shift = np.maximum(np.frexp(g)[1], np.frexp(prev)[1])
+            g, prev, exponent = np.ldexp(g, -shift), np.ldexp(prev, -shift), exponent + shift
+        yield np.ldexp(g, exponent)
 
 
 def scaled_laguerre(x, d, count: int):
@@ -178,47 +201,26 @@ def scaled_laguerre(x, d, count: int):
     ⟨m+d|D(β)|m⟩ (Cahill & Glauber 1969). The recurrence is Laguerre's three-term
     one, rescaled so that the Gaussian envelope and the 1/√((m+d)!) factor are in
     G_{0,d} from the start (kept in the log domain, so high bands neither
-    overflow nor lose their scale) and every step stays O(1). Where G_{0,d}
-    underflows (e^{−x/2} alone does once x ≳ 1,417), the same recurrence also
-    runs on mantissas near 1 with their binary exponents carried apart, and
-    those entries of G are the mantissas scaled back; the recurrence is linear,
-    so scaling by powers of two is exact. Each step takes one new square root,
-    √((m+1)(m+1+d)), and carries it to the next as √(m(m+d)).
+    overflow nor lose their scale) and every step stays O(1). ``carried_recurrence``
+    runs it: a G_{0,d} that underflows (e^{−x/2} does past x ≈ 1,417) carries its
+    binary exponent, and a normal one starts at exponent 0.
 
     Rounding errors build up over the steps, fastest at small x, where the
     recurrence is close to one with a double root. Against mpmath, at 1,024
     levels and bands 0, 1 and 5, G_{1023,0}(10⁻⁴) ≈ 0.90 is off by 1.5e-11
     (about 5 digits lost) and no G_{m,d}(13) by more than 1.5e-15.
     """
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_power = np.where(d > 0, d * np.log(x), 0.0)  # ln x^d, with 0^0 = 1
-    log_g = 0.5 * (log_power - log_factorial(d)) - 0.5 * x
-    g = np.exp(log_g)
-    g_prev = np.zeros_like(g)
-    root = root_low = 0.0  # √(m(m+d)) at m = 0
-    low = np.flatnonzero(np.isfinite(log_g) & (log_g < LOG_TINY))
-    if low.size:
-        xs, ds = (v if v.ndim == 0 else np.broadcast_to(v, g.shape).flat[low] for v in (x, d))
-        exponent = np.floor(log_g.flat[low] / math.log(2.0)).astype(int)
-        gs, gs_prev = np.exp(log_g.flat[low] - exponent * math.log(2.0)), np.zeros(low.size)
-    for m in range(count):
-        if low.size:
-            g = np.asarray(g)
-            g.flat[low] = np.ldexp(gs, exponent)
-        yield g
-        if m + 1 < count:
-            root_next = np.sqrt((m + 1) * (m + 1 + d))
-            g_prev, g = g, _laguerre_step(g, g_prev, m, d, x, root, root_next)
-            root = root_next
-            if low.size:
-                # rescale both mantissas by the new one's binary exponent
-                root_next = np.sqrt((m + 1) * (m + 1 + ds))
-                gs_next, shift = np.frexp(_laguerre_step(gs, gs_prev, m, ds, xs, root_low,
-                                                         root_next))
-                gs, gs_prev, exponent = gs_next, np.ldexp(gs, -shift), exponent + shift
-                root_low = root_next
+    x, d = np.asarray(x, dtype=float), np.asarray(d)
+    log_g = 0.5 * (log_power(x, d) - log_factorial(d)) - 0.5 * x
+    # floored at −2³⁰ to stay in int32: a start below has mantissa 0, as G rounds to 0
+    exponent = np.where(log_g < LOG_TINY, np.floor(np.maximum(log_g / math.log(2.0), -2.0 ** 30)),
+                        0).astype(np.int32)
+
+    def step(m, g, g_prev):
+        return (((2 * m + d + 1 - x) * g - np.sqrt(m * (m + d)) * g_prev)
+                / np.sqrt((m + 1) * (m + 1 + d)))
+
+    return carried_recurrence(np.exp(log_g - exponent * math.log(2.0)), exponent, step, count)
 
 
 def displacement_operator(beta: complex, rows: int, cols: int) -> np.ndarray:
@@ -231,9 +233,9 @@ def displacement_operator(beta: complex, rows: int, cols: int) -> np.ndarray:
     the bands where that bound stays below e^LOG_ZERO for every m < min(rows, cols)
     round to zero and are not run."""
     size, count = max(rows, cols), min(rows, cols)
-    x, phi = abs(beta) ** 2, np.angle(beta)
+    x, phi = squared_modulus(beta), np.angle(beta)
     bands = np.arange(size)
-    log_bound = (0.5 * bands * math.log(x) if x else np.where(bands > 0, -np.inf, 0.0)) \
+    log_bound = 0.5 * log_power(x, bands) \
         + 0.5 * (log_factorial(count - 1 + bands) - log_factorial(count - 1)) \
         - log_factorial(bands)
     live = 1 + int(np.flatnonzero(log_bound > LOG_ZERO)[-1])

@@ -395,8 +395,8 @@ def photon_distribution_phase_invariant(diag) -> PhotonDistribution:
     """p_n for two copies of a Fock-diagonal input ρ = Σ λ_m |m⟩⟨m|: the kernel
     on diag(λ), after checking that λ is a sub-normalized distribution."""
     lam = np.asarray(diag, dtype=float)
-    if lam.ndim != 1 or not lam.size or lam.min() < -1e-12:
-        raise ValidationError("diagonal weights must be a non-empty list of numbers >= 0")
+    if lam.ndim != 1 or not lam.size or not np.all(np.isfinite(lam)) or lam.min() < -1e-12:
+        raise ValidationError("diagonal weights must be a non-empty list of finite numbers >= 0")
     if lam.sum() > 1.0 + 1e-9:
         raise ValidationError("diagonal weights must sum to at most 1")
     rho = DensityOperator(np.diag(lam).astype(complex), (len(lam),))

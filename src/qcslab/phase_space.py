@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridError, MemoryGuardError, ValidationError
 from .estimators import QcsEstimate
-from .fock import DensityOperator, purity_direct
+from .fock import DensityOperator, carried_recurrence, purity_direct
 from .interferometer import MEMORY_GUARD_DIM
 
 EXTENT_PADDING = 1.2
@@ -58,24 +58,18 @@ def quadrature_axis(mean: float, sigma: float, dim: int, spacing: float) -> np.n
 
 
 def hermite_functions(u: np.ndarray, count: int) -> np.ndarray:
-    """Rows φ_0 … φ_{count−1} of the Hermite functions
-    φ_n(u) = H_n(u) e^{−u²/2} / √(2ⁿ n! √π) at the points u, by the three-term
-    recurrence. φ_0 underflows past |u| ≈ 37.6 where later φ_n are O(1), so the
-    recurrence runs on mantissas with a binary exponent per point, rescaled at
-    every step; the recurrence is linear, so the rescaling is exact."""
+    """Rows φ_0 … φ_{count−1} of φ_n(u) = H_n(u) e^{−u²/2} / √(2ⁿ n! √π) at the
+    points u, by the three-term recurrence with each point's binary exponent
+    carried (``carried_recurrence``): φ_0 underflows past |u| ≈ 37.6."""
     u = np.asarray(u, dtype=float)
     log2_phi0 = (-0.5 * u ** 2 - 0.25 * math.log(math.pi)) / math.log(2.0)
-    exponent = np.floor(log2_phi0).astype(int)
-    cur, prev = np.exp2(log2_phi0 - exponent), np.zeros_like(u)
-    out = np.empty((count, u.size))
-    out[0] = np.ldexp(cur, exponent)
-    for n in range(count - 1):
-        prev, cur = cur, math.sqrt(2.0 / (n + 1)) * u * cur - math.sqrt(n / (n + 1)) * prev
-        shift = np.maximum(np.frexp(cur)[1], np.frexp(prev)[1])
-        cur, prev = np.ldexp(cur, -shift), np.ldexp(prev, -shift)
-        exponent += shift
-        out[n + 1] = np.ldexp(cur, exponent)
-    return out
+    exponent = np.floor(log2_phi0).astype(np.int32)
+
+    def step(n, cur, prev):
+        return math.sqrt(2.0 / (n + 1)) * u * cur - math.sqrt(n / (n + 1)) * prev
+
+    rows = carried_recurrence(np.exp2(log2_phi0 - exponent), exponent, step, count)
+    return np.fromiter(rows, np.dtype((float, u.shape)), count)
 
 
 KERNEL_SPACING_CAP = 0.3  # 0.4π/√(2·dim + 1) costs digits below 9 levels

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CutoffError, ValidationError
 from .fock import (DEFAULT_DEFICIT_TOL, DensityOperator, displacement_operator, log_factorial,
-                   purity_direct)
+                   log_power, purity_direct, squared_modulus)
 from .interferometer import (PhotonDistribution, photon_distribution,
                              thermal_photon_distribution)
 
@@ -44,10 +44,8 @@ PURE_TOL = 1e-9  # Tr ρ² this close to (1 − deficit)² marks a pure probe
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     """Fock amplitudes e^{-|α|²/2} αⁿ/√n! of the coherent state |α⟩."""
     n = np.arange(dim)
-    log_mag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * log_factorial(n) \
-        if alpha != 0 else np.concatenate([[0.0], np.full(dim - 1, -np.inf)])
-    phase = np.exp(1j * n * np.angle(alpha)) if alpha != 0 else np.ones(dim)
-    return np.exp(log_mag) * phase
+    log_mag = -0.5 * squared_modulus(alpha) + log_power(abs(alpha), n) - 0.5 * log_factorial(n)
+    return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
@@ -130,10 +128,9 @@ def squeezed_amplitudes(r: float, dim: int) -> np.ndarray:
     at n = 2k, zero at odd n."""
     k = np.arange((dim + 1) // 2)
     log_c = 0.5 * log_factorial(2 * k) - k * np.log(2.0) - log_factorial(k) \
-        + k * np.log(np.tanh(abs(r))) if r != 0 else np.where(k == 0, 0.0, -np.inf)
-    amps = np.exp(log_c) / np.sqrt(np.cosh(r))
-    if r < 0:
-        amps = amps * (-1.0) ** k
+        + log_power(np.tanh(abs(r)), k)  # |tanh r|^k, its sign applied below
+    with np.errstate(over="ignore"):  # cosh r past a double: every amplitude rounds to 0
+        amps = np.exp(log_c) / np.sqrt(np.cosh(r)) * np.sign(r) ** k
     vec = np.zeros(dim, dtype=complex)
     vec[2 * k] = amps
     return vec
@@ -178,6 +175,8 @@ class ClassicalMixture:
     def __post_init__(self):
         if len(self.weights) != len(self.amplitudes) or not self.weights:
             raise ValidationError("weights and amplitudes must have equal nonzero length")
+        if not all(map(cmath.isfinite, (*self.weights, *self.amplitudes))):
+            raise ValidationError("mixture weights and amplitudes must be finite")
         if any(w < 0 for w in self.weights):
             raise ValidationError("mixture weights must be non-negative")
         if abs(math.fsum(self.weights) - 1.0) > 1e-12:
@@ -395,7 +394,7 @@ KINDS = {
     "coherent": Kind(
         _fields(alpha=_complex),
         lambda p, dim, tol: coherent(p["alpha"], dim, tol),
-        lambda p: abs(p["alpha"]) ** 2,
+        lambda p: squared_modulus(p["alpha"]),
         covariance=lambda p: CovarianceMatrix(
             0.5 * np.eye(2), np.sqrt(2.0) * np.array([p["alpha"].real, p["alpha"].imag])),
         amplitudes=lambda p: partial(coherent_amplitudes, p["alpha"])),
@@ -431,13 +430,13 @@ KINDS = {
     "mixture": Kind(
         _parse_mixture,
         lambda p, dim, tol: classical_mixture(_mixture(p), dim, tol),
-        lambda p: float(sum(w * abs(a) ** 2 for w, a in zip(p["weights"], p["amplitudes"]))),
+        lambda p: float(sum(w * squared_modulus(a) for w, a in zip(p["weights"], p["amplitudes"]))),
         mixture=_mixture),
     "displaced": Kind(
         _fields(base=_base_state, beta=_complex),
         lambda p, dim, tol: displace(build_state(p["base"], cutoff=dim, deficit_tol=tol),
                                      p["beta"], tol),
-        lambda p: mean_photon_number(p["base"]) + abs(p["beta"]) ** 2,
+        lambda p: mean_photon_number(p["base"]) + squared_modulus(p["beta"]),
         amplitudes=_displaced_amplitudes,
         # two copies displaced alike leave the difference mode undisplaced,
         # (μ − μ)/√2 = 0, so the pair's p_n is the base's at the same cutoff
@@ -566,7 +565,11 @@ def recommended_cutoff(spec: StateSpec) -> int:
     if row.top_level is not None:
         return 2 * row.top_level(spec.params) + 4
     amplitudes = spec_amplitudes(spec)
-    base = math.ceil(4.0 * (mean_photon_number(spec) + 3.0))
+    with np.errstate(over="ignore"):  # sinh² r past a double reads inf
+        mean = mean_photon_number(spec)
+    if not math.isfinite(mean):
+        raise CutoffError(f"⟨n̂⟩ = {mean} overflows a double: no Fock cutoff holds the state")
+    base = math.ceil(4.0 * (mean + 3.0))
     probe_dim = min(max(4 * base, 64), PROBE_MAX_DIM)
     while True:
         if amplitudes:

@@ -376,6 +376,32 @@ def test_malformed_spec_exits_2(runner, tmp_path, doc, flags, name):
     assert name in result.output
 
 
+HUGE_SPECS = {
+    "coherent": ({"kind": "coherent", "params": {"alpha": 1e200}}, []),
+    "coherent-cutoff-10": ({"kind": "coherent", "params": {"alpha": 1e200}}, ["--cutoff", "10"]),
+    "squeezed": ({"kind": "squeezed_vacuum", "params": {"r": 800.0}}, []),
+    "squeezed-cutoff-10": ({"kind": "squeezed_vacuum", "params": {"r": 800.0}}, ["--cutoff", "10"]),
+    "displaced-vacuum": ({"kind": "displaced", "params": {
+        "base": {"kind": "fock", "params": {"n": 0}}, "beta": 1e200}}, []),
+    "displaced-vacuum-cutoff-10": ({"kind": "displaced", "params": {
+        "base": {"kind": "fock", "params": {"n": 0}}, "beta": 1e200}}, ["--cutoff", "10"]),
+    # |β|² = 1e20: scaled_laguerre floors its carried start exponents inside int32
+    "displaced-vacuum-1e10-cutoff-10": ({"kind": "displaced", "params": {
+        "base": {"kind": "fock", "params": {"n": 0}}, "beta": 1e10}}, ["--cutoff", "10"]),
+}
+
+
+@pytest.mark.parametrize("doc,flags", HUGE_SPECS.values(), ids=HUGE_SPECS)
+def test_huge_finite_parameters_exit_4(runner, tmp_path, doc, flags):
+    # ⟨n̂⟩ or a Fock amplitude past the double range is a cutoff error, not an
+    # OverflowError traceback; the suite turns any numpy overflow warning into
+    # an error too
+    path = write_spec(tmp_path, "huge.json", {"schema": 1, **doc})
+    result = runner.invoke(main, ["qcs", "--state", path, *flags])
+    assert result.exit_code == 4, (result.output, result.exception)
+    assert result.output.startswith("error: ")
+
+
 def test_config_hash_identifies_state_content(runner, tmp_path):
     # one path, two contents, the same pinned cutoff
     path = tmp_path / "state.json"

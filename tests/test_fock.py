@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from qcslab import (
     tensor,
     thermal,
 )
-from qcslab.fock import displacement_operator, lowering_commutators, scaled_laguerre
+from qcslab.fock import LOG_TINY, displacement_operator, lowering_commutators, scaled_laguerre
 
 
 def effective_support(rho, tail_tol=1e-12):
@@ -36,6 +38,15 @@ def test_density_operator_validation():
     bad[0, 1] = 1.0  # not Hermitian
     with pytest.raises(ValidationError):
         DensityOperator.from_matrix(bad)
+
+
+@pytest.mark.parametrize("matrix", [np.full((2, 2), np.nan), np.diag([1.0, np.inf]),
+                                    np.diag([1.0, complex(0.0, np.nan)])])
+def test_non_finite_matrix_is_a_validation_error(matrix):
+    # a NaN drift or trace fails no `>` test, so a state accepted with one
+    # would give qcs_direct a nan C²
+    with pytest.raises(ValidationError, match="finite"):
+        DensityOperator.from_matrix(matrix)
 
 
 def test_number_marginal_and_support():
@@ -154,6 +165,21 @@ def test_scaled_laguerre_past_the_underflow_of_its_start():
     for m, d in [(1599, 0), (1599, 1), (1500, 2), (1200, 0), (1000, 7), (300, 1), (100, 0)]:
         ref = laguerre_element(m, d, 1600)
         assert abs(g[m, bands.index(d)] - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("x, carried", [(1410.0, []), (1417.0, [0]), (1420.0, [0]),
+                                        (1430.0, [0, 1])])
+def test_scaled_laguerre_where_some_starts_carry(x, carried):
+    # G_{0,d}(x) underflows in the bands listed, which start with their binary
+    # exponent carried; the other bands start at G_{0,d} itself, in one call
+    bands = np.arange(8)
+    log_start = 0.5 * (bands * math.log(x) - [math.lgamma(d + 1.0) for d in bands]) - 0.5 * x
+    assert list(np.flatnonzero(log_start < LOG_TINY)) == carried
+    g = np.array(list(scaled_laguerre(x, bands, 1500)))
+    for m in (0, 1, 2, 5, 50, 300, 700, 1000, 1499):
+        for d in bands:
+            ref = laguerre_element(m, int(d), x)
+            assert abs(g[m, d] - ref) <= 1e-12 * abs(ref), (m, d)
 
 
 def test_scaled_laguerre_rounding_over_1024_levels():

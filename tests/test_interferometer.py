@@ -234,7 +234,8 @@ def test_input_validation():
     assert np.max(np.abs(pn.probs.reshape(-1) - rho_d.matrix.diagonal().real)) < 1e-15
     with pytest.raises(ValidationError):
         thermal_photon_distribution(1.0, 10)
-    for weights in ([], [0.5, -0.1], [0.7, 0.7]):
+    # a NaN weight is malformed input, not a round-off budget failure
+    for weights in ([], [0.5, -0.1], [0.7, 0.7], [0.5, math.nan], [math.inf]):
         with pytest.raises(ValidationError):
             photon_distribution_phase_invariant(weights)
 

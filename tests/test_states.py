@@ -127,6 +127,12 @@ def test_classical_mixture_validation():
         ClassicalMixture((0.7, 0.7), (0.0, 1.0))
     with pytest.raises(ValidationError):
         ClassicalMixture((1.5, -0.5), (0.0, 1.0))
+    # a non-finite weight or amplitude passes no sign or sum check, so it is
+    # refused before qcs_classical_mixture can turn it into a NaN C²
+    for weights, amplitudes in (((math.nan,), (0j,)), ((1.0,), (math.inf,)),
+                                ((0.5, 0.5), (0j, complex(0.0, math.nan)))):
+        with pytest.raises(ValidationError, match="finite"):
+            ClassicalMixture(weights, amplitudes)
     mix = ClassicalMixture((0.25, 0.75), (1.0, -0.5j))
     rho = classical_mixture(mix, 24)
     rho.validate()
