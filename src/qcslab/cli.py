@@ -10,7 +10,6 @@ CLI process loads besides qcslab.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -38,24 +37,16 @@ from .estimators import (
     qcs_wigner_laplacian,
 )
 from .fock import purity_direct
-from .interferometer import (
-    PhotonDistribution,
-    photon_distribution,
-    thermal_photon_distribution,
-)
+from .interferometer import PhotonDistribution, photon_distribution
 from .phase_space import overlap_kernel, qcs_wigner_gradient
 from .sampling import estimate_qcs, sample_counts
 from .states import (
-    KINDS,
     StateSpec,
     _integer,
     build_state,
-    check_tail_mass,
     parse_cutoff,
-    recommended_cutoff,
-    rho_2m,
-    rho_even_m,
-    spec_amplitudes,
+    route_inputs,
+    spec_cutoff,
     two_copy_pn,
 )
 
@@ -89,7 +80,9 @@ ROUTES = {
 }
 
 EXACT_ROUTE_TOL = 1e-6
-FIGURE2_CUTOFF = 48
+FIGURE2_STATES = {"rho_10": StateSpec("rho_2M", {"M": 5}),
+                  "rho_even_5": StateSpec("rho_even_M", {"M": 5}),
+                  "thermal_q0.85": StateSpec("thermal", {"q": 0.85})}
 
 
 def _fail(code: int, message: str):
@@ -202,68 +195,27 @@ def _merge_config(config: str | None, options: tuple[Option, ...], given: dict) 
     return merged
 
 
-def _spec_and_cutoff(path: str | None, cutoff: int | None) -> tuple[StateSpec, int]:
-    """The state file's spec and its cutoff: the flag or config value, else the
-    file's own, else the default rule (0 for a covariance-only kind, which has
-    no Fock-space construction). A flag and a file that disagree are ambiguous."""
+def _spec(path: str | None, cutoff: int | None) -> StateSpec:
+    """The state file's spec; a flag or config cutoff that disagrees with the
+    file's own is ambiguous."""
     if not path:
         raise ValidationError("no state file given (use --state or a config file)")
     spec = StateSpec.from_json(_read_text(path, "state"))
     if cutoff is not None and spec.cutoff is not None and cutoff != spec.cutoff:
         raise ValidationError(f"cutoff given both in state file ({spec.cutoff}) and as a "
                               f"flag ({cutoff}) (ambiguous)")
-    pinned = cutoff if cutoff is not None else spec.cutoff
-    if pinned is None:
-        pinned = recommended_cutoff(spec) if KINDS[spec.kind].build else 0
-    return spec, pinned
+    return spec
 
 
-def _header(opts: dict, cutoff: int, *specs: StateSpec) -> dict:
+def _header(opts: dict, cutoff: int | None, *specs: StateSpec) -> dict:
     return {"metadata": _metadata(opts, cutoff, *specs), "cutoff": cutoff}
 
 
-def _lazy_inputs(spec: StateSpec, dim: int):
-    """Cached getters of the spec's state at dim and of its amplitudes at dim
-    (None for a spec without amplitudes); neither is computed until called."""
-    amplitudes = spec_amplitudes(spec)
-    return (functools.cache(functools.partial(build_state, spec, cutoff=dim)),
-            amplitudes and functools.cache(functools.partial(amplitudes, dim)))
-
-
-def _checked_pn(spec: StateSpec, dim: int, state, amplitudes) -> PhotonDistribution:
-    """The two-copy p_n at dim, held to the state build's deficit check (exit 4
-    past it). A closed form with amplitudes, as of a displaced pure base, reads
-    no state, so their tail mass is checked in place of building ρ; any other
-    spec's p_n reads ``state()``, which the build checks."""
-    if amplitudes and KINDS[spec.kind].two_copy_pn:
-        check_tail_mass(amplitudes())
-        return two_copy_pn(spec, dim)
-    return two_copy_pn(spec, dim, state())
-
-
-def _run_routes(spec: StateSpec, cutoff: int, routes) -> tuple[dict, dict]:
-    """Each route's estimate, "not applicable" when the spec's kind lacks the
-    input the route reads, or {"infeasible": reason} when it does not fit the
-    cutoff, plus the C² of the routes that ran. Exits 4 when some route was
-    infeasible and none ran. The state, the amplitudes and the p_n are built at
-    most once each; a build that raises is not cached, so every route that needs
-    it reports the error. The ``pure`` route reads the amplitudes alone, held to
-    the build's deficit check, and so does a displaced pure base's p_n."""
-    row = KINDS[spec.kind]
-    state, amplitudes = _lazy_inputs(spec, cutoff)
-
-    def pure():
-        amps = amplitudes()
-        check_tail_mass(amps)  # a cutoff that cuts too much is infeasible
-        return amps / np.linalg.norm(amps)
-
-    # one lazy getter per input, falsy where the spec lacks it
-    inputs = {"state": row.build and state,
-              "pn": row.build and functools.cache(
-                  lambda: _checked_pn(spec, cutoff, state, amplitudes)),
-              "pure": amplitudes and pure,
-              "covariance": row.covariance and functools.partial(row.covariance, spec.params),
-              "mixture": row.mixture and functools.partial(row.mixture, spec.params)}
+def _run_routes(inputs: dict, routes) -> tuple[dict, dict, int | None]:
+    """Each route's estimate on its input in ``inputs`` (``states.route_inputs``),
+    "not applicable" where the kind lacks it, or {"infeasible": reason}; the C² of
+    the routes that ran; and the cutoff, None where the probe refused it. Exits 4
+    when some route was infeasible and none ran."""
     results, values, reasons = {}, {}, []
     for route in routes:
         source, estimator = ROUTES[route]
@@ -280,7 +232,11 @@ def _run_routes(spec: StateSpec, cutoff: int, routes) -> tuple[dict, dict]:
         values[route] = est.c_squared
     if reasons and not values:
         raise CutoffError(reasons[0])
-    return results, values
+    try:
+        cutoff = inputs["cutoff"]()
+    except CutoffError:  # the routes that ran read no Fock input
+        cutoff = None
+    return results, values, cutoff
 
 
 STATE = Option("--state")
@@ -338,16 +294,17 @@ def main(args=None, prog_name=None):
 @_command("qcs", STATE, Option("--route", "two-copy", choices=(*ROUTES, "all")), CUTOFF, OUT)
 def qcs_cmd(opts):
     """Estimate QCS² of a state via one route (or all applicable)."""
-    spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
+    spec = _spec(opts["state"], opts["cutoff"])
     routes = ROUTES if opts["route"] == "all" else (opts["route"],)
-    results, _ = _run_routes(spec, dim, routes)
+    results, _, dim = _run_routes(route_inputs(spec, opts["cutoff"]), routes)
     _write_json({**_header(opts, dim, spec), "results": results}, opts["out"])
 
 
 @_command("purity", STATE, CUTOFF, OUT)
 def purity_cmd(opts):
     """Purity via the direct trace and the two-copy alternating sum."""
-    spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
+    spec = _spec(opts["state"], opts["cutoff"])
+    dim = spec_cutoff(spec, opts["cutoff"])
     rho = build_state(spec, cutoff=dim)
     _write_json({**_header(opts, dim, spec), "purity_direct": purity_direct(rho),
                  "purity_two_copy": purity_from_pn(two_copy_pn(spec, dim, rho))}, opts["out"])
@@ -356,8 +313,9 @@ def purity_cmd(opts):
 @_command("pn-dist", STATE, CUTOFF, OUT, Option("--format", "csv", choices=("csv", "json")))
 def pn_dist_cmd(opts):
     """Difference-mode photon-number distribution p_n."""
-    spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
-    pn = _checked_pn(spec, dim, *_lazy_inputs(spec, dim))
+    spec = _spec(opts["state"], opts["cutoff"])
+    dim = spec_cutoff(spec, opts["cutoff"])
+    pn = two_copy_pn(spec, dim)
     if opts["format"] == "json":
         _write_json({**_header(opts, dim, spec), "p_n": pn.probs.tolist(),
                      "deficit": pn.deficit}, opts["out"])
@@ -375,9 +333,10 @@ def overlap_cmd(opts):
     2π∫W_aW_b."""
     if len(opts["state"]) != 2:
         raise ValidationError("overlap needs exactly two --state files")
-    specs, dims = zip(*(_spec_and_cutoff(path, opts["cutoff"]) for path in opts["state"]))
-    rho_a, rho_b = (build_state(spec, cutoff=max(dims)) for spec in specs)
-    _write_json({**_header(opts, max(dims), *specs),
+    specs = [_spec(path, opts["cutoff"]) for path in opts["state"]]
+    dim = max(spec_cutoff(spec, opts["cutoff"]) for spec in specs)
+    rho_a, rho_b = (build_state(spec, cutoff=dim) for spec in specs)
+    _write_json({**_header(opts, dim, *specs),
                  "overlap_trace": float(np.vdot(rho_b.matrix, rho_a.matrix).real),
                  "overlap_parity": purity_from_pn(photon_distribution(rho_a, rho_b)),
                  "overlap_kernel": overlap_kernel(rho_a, rho_b)}, opts["out"])
@@ -387,8 +346,8 @@ def overlap_cmd(opts):
 def compare_cmd(opts):
     """Cross-validation matrix: run every applicable route and check that every
     pair agrees within 1e-6."""
-    spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
-    results, values = _run_routes(spec, dim, ROUTES)
+    spec = _spec(opts["state"], opts["cutoff"])
+    results, values, dim = _run_routes(route_inputs(spec, opts["cutoff"]), ROUTES)
     max_dev = max(values.values(), default=0.0) - min(values.values(), default=0.0)
     _write_json({**_header(opts, dim, spec), "results": results,
                  "max_deviation_exact": max_dev}, opts["out"])
@@ -399,36 +358,23 @@ def compare_cmd(opts):
               f"route deviation {max_dev:.3e} exceeds tolerance {EXACT_ROUTE_TOL:.0e}")
 
 
-@_command("figure2", OUT, Option("--cutoff", FIGURE2_CUTOFF, int),
-          Option("--n-max", 24, int, help="Largest n in the p_n CSV columns"))
+@_command("figure2", OUT, Option("--n-max", 24, int, help="Largest n in the p_n CSV columns"))
 def figure2_cmd(opts):
     """Reproduce the benchmark p_n data: CSVs for the mixed Fock families
-    rho_10 and rho_even_5 and for the thermal state with q = 0.85, plus a
-    summary JSON of their purities and QCS² values."""
+    rho_10 and rho_even_5 and for the thermal state with q = 0.85, each at its
+    default cutoff, plus a summary JSON of their purities and QCS² values."""
     if not opts["out"]:
         raise ValidationError("figure2 needs an output directory (--out or a config file)")
     out_path = Path(opts["out"])
     _write(out_path, lambda path: path.mkdir(parents=True, exist_ok=True))
-    q = 0.85
-    dim = opts["cutoff"] if opts["cutoff"] is not None else FIGURE2_CUTOFF
     nmax = opts["n_max"]
-
-    def truncated(pn: PhotonDistribution) -> PhotonDistribution:
-        probs = np.zeros(nmax + 1)
-        probs[:min(len(pn.probs), nmax + 1)] = pn.probs[:nmax + 1]
-        return PhotonDistribution(probs=probs, deficit=1.0 - probs.sum())
-
-    summary = {"metadata": _metadata(opts, dim), "states": {}}
-    for name, rho in (("rho_10", rho_2m(5, dim)), ("rho_even_5", rho_even_m(5, dim))):
-        pn = photon_distribution(rho, rho)
-        _write(out_path / f"pn_{name}.csv", truncated(pn).to_csv)
+    summary = {"metadata": _metadata(opts, None, *FIGURE2_STATES.values()), "states": {}}
+    for name, spec in FIGURE2_STATES.items():
+        pn = two_copy_pn(spec, spec_cutoff(spec))
+        columns = np.pad(pn.probs[:nmax + 1], (0, max(nmax + 1 - len(pn.probs), 0)))
+        _write(out_path / f"pn_{name}.csv", PhotonDistribution(columns).to_csv)
         summary["states"][name] = {"purity": purity_from_pn(pn),
                                    "c_squared": qcs_two_copy(pn).c_squared}
-    thermal_pn = thermal_photon_distribution(q, nmax)
-    _write(out_path / "pn_thermal_q0.85.csv", thermal_pn.to_csv)
-    # alternating geometric sums in closed form: both equal (1-q)/(1+q)
-    c_squared = (1.0 - q) / (1.0 + q)
-    summary["states"]["thermal_q0.85"] = {"purity": c_squared, "c_squared": c_squared}
     _write_json(summary, out_path / "summary.json")
     print(f"wrote 3 CSV files and summary.json to {out_path}", file=sys.stderr)
 
@@ -437,8 +383,9 @@ def figure2_cmd(opts):
           Option("--resamples", 1000, int), CUTOFF, OUT)
 def sample_cmd(opts):
     """Simulate a finite-shot run and report the plug-in QCS² with a bootstrap CI."""
-    spec, dim = _spec_and_cutoff(opts["state"], opts["cutoff"])
-    pn = _checked_pn(spec, dim, *_lazy_inputs(spec, dim))
+    spec = _spec(opts["state"], opts["cutoff"])
+    dim = spec_cutoff(spec, opts["cutoff"])
+    pn = two_copy_pn(spec, dim)
     est = estimate_qcs(sample_counts(pn, opts["shots"], opts["seed"]),
                        resamples=opts["resamples"])
     _write_json({**_header(opts, dim, spec), "estimate": est.to_dict()}, opts["out"])

@@ -41,7 +41,6 @@ class QcsEstimate:
     method: str
     numerator: float
     denominator: float
-    uncertainty: float | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -49,8 +48,7 @@ class QcsEstimate:
 
     def to_dict(self) -> dict:
         return {"c_squared": self.c_squared, "method": self.method,
-                "numerator": self.numerator, "denominator": self.denominator,
-                "uncertainty": self.uncertainty}
+                "numerator": self.numerator, "denominator": self.denominator}
 
 
 def qcs_direct(rho: DensityOperator) -> QcsEstimate:
@@ -121,10 +119,13 @@ def qcs_classical_mixture(mix: ClassicalMixture) -> QcsEstimate:
     extra_terms = []
     for wi, ai in zip(mix.weights, mix.amplitudes):
         for wj, aj in zip(mix.weights, mix.amplitudes):
-            d2 = abs(aj - ai) ** 2
+            try:
+                d2 = abs(aj - ai) ** 2
+            except OverflowError:  # |α_j − α_i| past a double: no overlap
+                d2 = math.inf
             weight = wi * wj * np.exp(-d2)
             den_terms.append(weight)
-            extra_terms.append(weight * d2)
+            extra_terms.append(weight * d2 if weight else 0.0)
     den = math.fsum(den_terms)
     extra = math.fsum(extra_terms)
     return QcsEstimate(c_squared=1.0 - extra / den, method="classical_mixture",

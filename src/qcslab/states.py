@@ -9,8 +9,8 @@ deficit too and no accuracy domain in |β|. Gaussian covariance parametrizations
 ``KINDS`` is the one place that knows what a state kind is: each row parses
 and validates the kind's parameters and gives its Fock-space constructor, ⟨n̂⟩,
 covariance, top Fock level, Fock amplitudes when the spec is pure and a
-closed-form two-copy p_n. A :class:`StateSpec` is parsed once, when it is
-made; everything downstream reads the row.
+closed-form two-copy p_n. A :class:`StateSpec` is parsed once; ``two_copy_pn``
+and ``route_inputs`` turn it into the p_n and the inputs every command reads.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -364,6 +364,15 @@ def _parse_gaussian(p: dict) -> dict:
     return parsed
 
 
+def _squeezed_covariance(p: dict) -> CovarianceMatrix:
+    """diag(e^{2r}, e^{−2r})/2; CutoffError where e^{2|r|} overflows a double."""
+    with np.errstate(over="ignore"):
+        gamma = 0.5 * np.diag([np.exp(2 * p["r"]), np.exp(-2 * p["r"])])
+    if not np.isfinite(gamma).all():
+        raise CutoffError(f"e^(2|r|) overflows a double at r = {p['r']}")
+    return CovarianceMatrix(gamma)
+
+
 def _displaced_amplitudes(p: dict) -> Callable[[int], np.ndarray] | None:
     """D(β)ψ of a displaced spec whose base has amplitudes ψ at the same cutoff."""
     base = spec_amplitudes(p["base"])
@@ -414,8 +423,7 @@ KINDS = {
         _fields(r=_real),
         lambda p, dim, tol: squeezed_vacuum(p["r"], dim, tol),
         lambda p: float(np.sinh(p["r"]) ** 2),
-        covariance=lambda p: CovarianceMatrix(
-            0.5 * np.diag([np.exp(2 * p["r"]), np.exp(-2 * p["r"])])),
+        covariance=_squeezed_covariance,
         amplitudes=lambda p: partial(squeezed_amplitudes, p["r"])),
     "rho_2M": Kind(
         _fields(M=partial(_integer, minimum=1)),
@@ -438,9 +446,9 @@ KINDS = {
                                      p["beta"], tol),
         lambda p: mean_photon_number(p["base"]) + squared_modulus(p["beta"]),
         amplitudes=_displaced_amplitudes,
-        # two copies displaced alike leave the difference mode undisplaced,
-        # (μ − μ)/√2 = 0, so the pair's p_n is the base's at the same cutoff
-        two_copy_pn=lambda p, dim: two_copy_pn(p["base"], dim)),
+        # two copies displaced alike leave the difference mode undisplaced, (μ − μ)/√2 = 0:
+        # the pair's p_n is the base's at the same cutoff, under this spec's deficit check
+        two_copy_pn=lambda p, dim: two_copy_pn(p["base"], dim, check=False)),
     "gaussian": Kind(_parse_gaussian, None, None, covariance=lambda p: CovarianceMatrix(**p)),
 }
 
@@ -529,15 +537,59 @@ def spec_amplitudes(spec: StateSpec) -> Callable[[int], np.ndarray] | None:
     return amplitudes and amplitudes(spec.params)
 
 
-def two_copy_pn(spec: StateSpec, dim: int,
-                state: DensityOperator | None = None) -> PhotonDistribution:
-    """Difference-mode p_n at cutoff dim: the kind's closed form if it has one,
-    the block kernel on the state otherwise (``state`` if given, else built)."""
+def two_copy_pn(spec: StateSpec, dim: int, state=None, *, amplitudes=None,
+                check: bool = True) -> PhotonDistribution:
+    """Difference-mode p_n at cutoff dim, held to the state build's deficit check
+    (CutoffError past it): the kind's closed form if it has one, else the block
+    kernel on the state, which its build checked. A closed form reads no state,
+    so unless ``check`` is off its check reads the spec's amplitudes (a function
+    of dim, ``spec_amplitudes`` when None) where it has them, and else the state:
+    ``state`` as the caller built it, a getter of it, or built here when None."""
     closed_form = KINDS[spec.kind].two_copy_pn
+    if isinstance(state, DensityOperator):  # the caller built it, and so checked it
+        state, check = (lambda rho=state: rho), False
+    state = state or partial(build_state, spec, cutoff=dim)
+    if closed_form and check and (amplitudes := amplitudes or spec_amplitudes(spec)):
+        check_tail_mass(amplitudes(dim))
+    elif closed_form and check:
+        state()
     if closed_form:
         return closed_form(spec.params, dim)
-    rho = build_state(spec, cutoff=dim) if state is None else state
+    rho = state()
     return photon_distribution(rho, rho)
+
+
+def spec_cutoff(spec: StateSpec, cutoff: int | None = None) -> int:
+    """``cutoff``, else the spec's own, else ``recommended_cutoff``; 0 for a
+    covariance-only kind, which has no Fock-space construction."""
+    pinned = cutoff if cutoff is not None else spec.cutoff
+    if pinned is not None:
+        return pinned
+    return recommended_cutoff(spec) if KINDS[spec.kind].build else 0
+
+
+def route_inputs(spec: StateSpec, cutoff: int | None = None) -> dict:
+    """Cached getters of what the estimator routes read, None where the kind lacks
+    it: "state", "pn" (``two_copy_pn``), "pure" (the amplitudes, deficit-checked
+    and normalised), "covariance" and "mixture". Only the Fock inputs read the
+    "cutoff" (``spec_cutoff``), so the others run where the default-cutoff probe
+    refuses. A getter that raises is not cached: each reader reports the error."""
+    row = KINDS[spec.kind]
+    dim = cache(partial(spec_cutoff, spec, cutoff))
+    amplitudes = (amps := spec_amplitudes(spec)) and cache(amps)
+    state = row.build and cache(lambda: build_state(spec, cutoff=dim()))
+
+    def pure():
+        vec = amplitudes(dim())
+        check_tail_mass(vec)  # a cutoff that cuts too much is infeasible
+        return vec / np.linalg.norm(vec)
+
+    return {"cutoff": dim, "state": state,
+            "pn": row.build and cache(
+                lambda: two_copy_pn(spec, dim(), state, amplitudes=amplitudes)),
+            "pure": amplitudes and pure,
+            "covariance": row.covariance and partial(row.covariance, spec.params),
+            "mixture": row.mixture and partial(row.mixture, spec.params)}
 
 
 def _support(weights: np.ndarray, tail_tol: float) -> int:
@@ -603,5 +655,4 @@ def build_state(spec: StateSpec, *, cutoff: int | None = None,
     if build is None:
         raise ValidationError(
             f"kind {spec.kind!r} has no Fock-space constructor; use the Gaussian route")
-    pinned = parse_cutoff(cutoff if cutoff is not None else spec.cutoff)
-    return build(spec.params, recommended_cutoff(spec) if pinned is None else pinned, deficit_tol)
+    return build(spec.params, spec_cutoff(spec, parse_cutoff(cutoff)), deficit_tol)

@@ -9,9 +9,9 @@ import pytest
 
 from cli_runner import CliRunner
 from oracles import pure_state_vector
-from qcslab import cli, interferometer, qcs_pure_shortcut
+from qcslab import cli, interferometer, purity_from_pn, qcs_pure_shortcut, states
 from qcslab.cli import main
-from qcslab.states import StateSpec, build_state, recommended_cutoff
+from qcslab.states import StateSpec, build_state, recommended_cutoff, route_inputs, two_copy_pn
 
 
 @pytest.fixture
@@ -78,7 +78,7 @@ def test_unreadable_state_file_exits_2(runner, tmp_path, fock1, command, state):
 
 @pytest.mark.parametrize("command", [["qcs", "--out", "missing/x.json"],
                                      ["pn-dist", "--format", "csv", "--out", "missing/x.csv"],
-                                     ["figure2", "--cutoff", "16", "--out", "fock1.json"]],
+                                     ["figure2", "--out", "fock1.json"]],
                          ids=["qcs-json", "pn-dist-csv", "figure2-out-is-a-file"])
 def test_unwritable_output_exits_2(runner, tmp_path, monkeypatch, fock1, command):
     monkeypatch.chdir(tmp_path)
@@ -304,7 +304,7 @@ def test_figure2(runner, tmp_path):
 
 def test_figure2_out_from_config_file(runner, tmp_path):
     out = tmp_path / "fig2"
-    config = write_spec(tmp_path, "cfg.json", {"out": str(out), "cutoff": 16, "n_max": 4})
+    config = write_spec(tmp_path, "cfg.json", {"out": str(out), "n_max": 4})
     result = runner.invoke(main, ["figure2", "--config", config])
     assert result.exit_code == 0, result.output
     assert (out / "summary.json").exists()
@@ -312,7 +312,7 @@ def test_figure2_out_from_config_file(runner, tmp_path):
 
 def test_figure2_without_out_exits_2(runner, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    result = runner.invoke(main, ["figure2", "--cutoff", "16"])
+    result = runner.invoke(main, ["figure2", "--n-max", "6"])
     assert result.exit_code == 2, result.output
     assert "needs an output directory" in result.output
     assert not any(tmp_path.iterdir())
@@ -432,8 +432,7 @@ def test_config_hash_leaves_out_the_output_path(runner, tmp_path):
     # figure2's --out is its output directory
     summaries = []
     for name in ("fig_a", "fig_b"):
-        result = runner.invoke(main, ["figure2", "--out", str(tmp_path / name),
-                                      "--cutoff", "12", "--n-max", "4"])
+        result = runner.invoke(main, ["figure2", "--out", str(tmp_path / name), "--n-max", "4"])
         assert result.exit_code == 0, result.output
         summaries.append(json.loads((tmp_path / name / "summary.json").read_text()))
     assert summaries[0]["metadata"]["config_hash"] == summaries[1]["metadata"]["config_hash"]
@@ -499,7 +498,7 @@ def test_pure_route_on_the_amplitudes_matches_the_eigh_vector(kind, params):
     # built state by eigh, and against the direct route on that state
     spec = StateSpec(kind, params)
     cutoff = recommended_cutoff(spec)
-    results, _ = cli._run_routes(spec, cutoff, ("pure", "direct"))
+    results, _, _ = cli._run_routes(route_inputs(spec, cutoff), ("pure", "direct"))
     rho = build_state(spec, cutoff=cutoff)
     eigh = qcs_pure_shortcut(pure_state_vector(rho) / math.sqrt(1 - rho.trace_deficit))
     pure = results["pure"]["c_squared"]
@@ -562,7 +561,7 @@ def test_state_built_once_per_command(runner, tmp_path, monkeypatch, command):
         pn_builds.append(args)
         return output_diagonal(*args)
 
-    monkeypatch.setattr("qcslab.cli.build_state", counting_build_state)
+    monkeypatch.setattr("qcslab.states.build_state", counting_build_state)
     monkeypatch.setattr(interferometer, "_output_diagonal", counting_output_diagonal)
     path = write_spec(tmp_path, "coh.json",
                       {"schema": 1, "kind": "coherent", "params": {"alpha": [0.3, -0.26]}})
@@ -660,12 +659,86 @@ def test_displaced_pure_base_p_n_builds_no_state(runner, tmp_path, monkeypatch, 
         calls.append(spec)
         return build_state(spec, **kwargs)
 
-    monkeypatch.setattr("qcslab.cli.build_state", counting_build_state)
+    monkeypatch.setattr("qcslab.states.build_state", counting_build_state)
     path = write_spec(tmp_path, "dcoh.json", {"schema": 1, "kind": "displaced", "params": {
         "base": {"kind": "coherent", "params": {"alpha": [0.4, -0.2]}}, "beta": [0.5, 0.3]}})
     result = runner.invoke(main, [*command, "--state", path])
     assert result.exit_code == 0, result.output
-    assert calls == []
+    assert calls == [StateSpec("coherent", {"alpha": [0.4, -0.2]})]
+
+
+def test_displaced_mixed_base_p_n_builds_its_base_once(runner, tmp_path, monkeypatch):
+    # the deficit check builds the displaced state, which builds its base; the
+    # base's closed form builds nothing more
+    calls = []
+
+    def counting_build_state(spec, **kwargs):
+        calls.append(spec)
+        return build_state(spec, **kwargs)
+
+    monkeypatch.setattr("qcslab.states.build_state", counting_build_state)
+    doc = {"kind": "displaced", "params": {
+        "base": {"kind": "thermal", "params": {"q": 0.3}}, "beta": 0.4}}
+    path = write_spec(tmp_path, "dth.json", {"schema": 1, **doc})
+    result = runner.invoke(main, ["pn-dist", "--state", path, "--format", "json", "--cutoff", "40"])
+    assert result.exit_code == 0, result.output
+    spec = StateSpec(doc["kind"], doc["params"])
+    assert calls == [spec, spec.params["base"]]
+
+
+@pytest.mark.parametrize("command, computed", [
+    (["compare"], 1), (["qcs", "--route", "all"], 1), (["qcs", "--route", "two-copy"], 1),
+    (["pn-dist", "--format", "json"], 1), (["purity"], 0),
+], ids=["compare", "qcs-all", "qcs-two-copy", "pn-dist", "purity"])
+def test_displaced_amplitudes_computed_at_most_once(runner, tmp_path, monkeypatch,
+                                                     command, computed):
+    # at a pinned cutoff the pure route and the p_n's deficit check share one
+    # D(β)ψ, and purity's check reads the state it built
+    calls = []
+    displace_amplitudes = states.displace_amplitudes
+
+    def counting(*args):
+        calls.append(args)
+        return displace_amplitudes(*args)
+
+    monkeypatch.setattr(states, "displace_amplitudes", counting)
+    path = write_spec(tmp_path, "dcoh.json", {"schema": 1, "kind": "displaced", "params": {
+        "base": {"kind": "coherent", "params": {"alpha": [0.4, -0.2]}}, "beta": [0.5, 0.3]}})
+    result = runner.invoke(main, [*command, "--state", path, "--cutoff", "24"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == computed
+
+
+# one spec of each kind with a Fock-space construction, and a displaced pure
+# and a displaced mixed base
+FOCK_KIND_DOCS = {
+    "coherent": {"kind": "coherent", "params": {"alpha": [0.6, -0.3]}},
+    "fock": {"kind": "fock", "params": {"n": 2}},
+    "thermal": {"kind": "thermal", "params": {"q": 0.4}},
+    "squeezed": {"kind": "squeezed_vacuum", "params": {"r": 0.5}},
+    "rho_2M": {"kind": "rho_2M", "params": {"M": 2}},
+    "rho_even_M": {"kind": "rho_even_M", "params": {"M": 2}},
+    "mixture": {"kind": "mixture", "params": {"weights": [0.3, 0.7],
+                                              "amplitudes": [0.5, [-0.2, 0.4]]}},
+    "displaced-squeezed": {"kind": "displaced", "params": {
+        "base": {"kind": "squeezed_vacuum", "params": {"r": 0.5}}, "beta": [0.5, 0.3]}},
+    "displaced-thermal": {"kind": "displaced", "params": {
+        "base": {"kind": "thermal", "params": {"q": 0.3}}, "beta": 0.4}},
+}
+
+
+@pytest.mark.parametrize("name", FOCK_KIND_DOCS)
+def test_pn_dist_and_purity_read_two_copy_pn(runner, tmp_path, name):
+    doc = FOCK_KIND_DOCS[name]
+    path = write_spec(tmp_path, "s.json", {"schema": 1, **doc})
+    result = runner.invoke(main, ["pn-dist", "--state", path, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    pn_doc = json.loads(result.output)
+    pn = two_copy_pn(StateSpec(doc["kind"], doc["params"]), pn_doc["cutoff"])
+    assert pn_doc["p_n"] == pn.probs.tolist() and pn_doc["deficit"] == pn.deficit
+    result = runner.invoke(main, ["purity", "--state", path])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["purity_two_copy"] == purity_from_pn(pn)
 
 
 @pytest.mark.parametrize("command", [["pn-dist", "--format", "json"],
@@ -714,7 +787,7 @@ def test_displaced_state_past_cutoff_exits_4(runner, tmp_path, base, beta, cutof
 # every option of every command, by config key
 OPTIONS = {"qcs": ("state", "route", "cutoff", "out"), "purity": ("state", "cutoff", "out"),
            "pn-dist": ("state", "cutoff", "out", "format"), "overlap": ("state", "cutoff", "out"),
-           "compare": ("state", "cutoff", "out"), "figure2": ("out", "cutoff", "n_max"),
+           "compare": ("state", "cutoff", "out"), "figure2": ("out", "n_max"),
            "sample": ("state", "shots", "seed", "resamples", "cutoff", "out")}
 OPTION_CASES = [(command, key) for command, keys in OPTIONS.items() for key in keys]
 
@@ -788,3 +861,84 @@ def test_default_cutoff_below_the_probe_cap_runs(runner, tmp_path):
     doc = json.loads(result.output)
     assert doc["cutoff"] == 982
     assert abs(doc["results"]["direct"]["c_squared"] - math.cosh(4.6)) < 1e-6
+
+
+BIG_COHERENT = {"schema": 1, "kind": "coherent", "params": {"alpha": 1000.0}}
+
+
+def test_gaussian_route_runs_where_the_default_cutoff_probe_refuses(runner, tmp_path):
+    # |1000⟩ does not fit the probe's 1,024 levels; the gaussian route reads no
+    # cutoff, so none is resolved
+    path = write_spec(tmp_path, "big.json", BIG_COHERENT)
+    result = runner.invoke(main, ["qcs", "--state", path, "--route", "gaussian"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert doc["cutoff"] is None
+    assert doc["results"]["gaussian"]["c_squared"] == 1.0
+
+
+@pytest.mark.parametrize("command", [["qcs", "--route", "all"], ["compare"]],
+                         ids=["qcs-all", "compare"])
+def test_fock_routes_report_the_default_cutoff_refusal_as_infeasible(runner, tmp_path,
+                                                                      command):
+    path = write_spec(tmp_path, "big.json", BIG_COHERENT)
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, [*command, "--state", path, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(out.read_text())
+    assert doc["cutoff"] is None
+    for route in ("direct", "two-copy", "pure", "wigner-gradient", "wigner-laplacian"):
+        assert "the cutoff probe builds; pass --cutoff" in doc["results"][route]["infeasible"]
+    assert doc["results"]["gaussian"]["c_squared"] == 1.0
+
+
+@pytest.mark.parametrize("doc, cutoff", [
+    ({"kind": "coherent", "params": {"alpha": 0.7}}, 14),
+    ({"kind": "coherent", "params": {"alpha": 0.7}, "cutoff": 20}, 20),
+    ({"kind": "gaussian", "params": {"gamma": [[1.0, 0.0], [0.0, 0.25]]}}, 0),
+], ids=["default", "state-file", "covariance-only"])
+def test_cutoff_resolved_where_no_route_reads_it(runner, tmp_path, doc, cutoff):
+    # the header and the config hash carry the cutoff a Fock route would read,
+    # as a pinned cutoff's run does (0 for a kind with no Fock construction)
+    path = write_spec(tmp_path, "s.json", {"schema": 1, **doc})
+    docs = []
+    for pinned in ([], ["--cutoff", str(cutoff)] if cutoff else []):
+        result = runner.invoke(main, ["qcs", "--state", path, "--route", "gaussian", *pinned])
+        assert result.exit_code == 0, result.output
+        docs.append(json.loads(result.output))
+    assert docs[0]["cutoff"] == docs[1]["cutoff"] == cutoff
+    assert docs[0]["metadata"]["config_hash"] == docs[1]["metadata"]["config_hash"]
+
+
+@pytest.mark.parametrize("doc, route, code", [
+    ({"kind": "mixture", "params": {"weights": [0.5, 0.5], "amplitudes": [0, 1e200]}},
+     "classical-mixture", 0),
+    ({"kind": "mixture", "params": {"weights": [0.5, 0.5], "amplitudes": [0, 1e200]}},
+     "all", 0),
+    ({"kind": "squeezed_vacuum", "params": {"r": 800}}, "gaussian", 4),
+    ({"kind": "squeezed_vacuum", "params": {"r": 800}}, "all", 4),
+], ids=["mixture-1e200", "mixture-1e200-all", "squeezed-800-gaussian", "squeezed-800-all"])
+def test_overflowing_parameters_give_typed_results(runner, tmp_path, doc, route, code):
+    # no traceback and no RuntimeWarning (an error under this suite's
+    # filterwarnings): the mixture's cross terms vanish, so C² is exactly 1,
+    # and e^{2r} past a double makes the gaussian route infeasible
+    path = write_spec(tmp_path, "s.json", {"schema": 1, **doc})
+    result = runner.invoke(main, ["qcs", "--state", path, "--route", route, "--cutoff", "10"])
+    assert result.exception is None, repr(result.exception)
+    assert result.exit_code == code, result.output
+    if code == 0:
+        assert json.loads(result.output)["results"]["classical-mixture"]["c_squared"] == 1.0
+    elif route == "gaussian":
+        assert "e^(2|r|) overflows a double" in result.output
+
+
+def test_figure2_has_no_cutoff_option(runner, tmp_path):
+    # each state runs at its default cutoff: both Fock families' p_n is the
+    # same at every cutoff above their top level 10, and the thermal one is closed
+    result = runner.invoke(main, ["figure2", "--out", str(tmp_path), "--cutoff", "16"])
+    assert result.exit_code == 2, result.output
+    assert "unrecognized arguments: --cutoff 16" in result.output
+    config = write_spec(tmp_path, "cfg.json", {"cutoff": 16})
+    result = runner.invoke(main, ["figure2", "--out", str(tmp_path / "fig"), "--config", config])
+    assert result.exit_code == 2, result.output
+    assert "unknown config key 'cutoff'" in result.output

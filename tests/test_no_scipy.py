@@ -98,7 +98,7 @@ COMMANDS = [
     ["pn-dist", "--state", "th.json", "--format", "json"],
     ["overlap", "--state", "coh.json", "--state", "disp.json"],
     ["sample", "--state", "th.json", "--shots", "2000", "--resamples", "50"],
-    ["figure2", "--out", "fig2", "--cutoff", "16", "--n-max", "6"],
+    ["figure2", "--out", "fig2", "--n-max", "6"],
 ]
 
 
@@ -131,7 +131,7 @@ ENTRY_COMMANDS = {
     "pn-dist": ["pn-dist", "--state", "th.json", "--format", "json"],
     "compare": ["compare", "--state", "disp.json"],
     "overlap": ["overlap", "--state", "coh.json", "--state", "disp.json"],
-    "figure2": ["figure2", "--out", "fig2", "--cutoff", "16", "--n-max", "6"],
+    "figure2": ["figure2", "--out", "fig2", "--n-max", "6"],
     "sample": ["sample", "--state", "th.json", "--shots", "2000", "--seed", "7",
                "--resamples", "50"],
 }
