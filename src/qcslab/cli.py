@@ -4,7 +4,9 @@ Commands read a StateSpec JSON file, run estimator routes, and emit CSV/JSON
 artifacts with a reproducibility metadata block. Exit codes: 0 success,
 2 validation or usage error, 3 numerical-tolerance failure, 4 infeasible cutoff.
 The parser is the standard library's argparse, so numpy is the only package a
-CLI process loads besides qcslab.
+CLI process loads besides qcslab. ``phase_space`` and ``sampling`` are imported
+by the routes and commands that call them, so a process compiles neither
+unless its command reads it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from .estimators import (
 )
 from .fock import purity_direct
 from .interferometer import PhotonDistribution, photon_distribution
-from .phase_space import overlap_kernel, qcs_wigner_gradient
-from .sampling import estimate_qcs, sample_counts
 from .states import (
     StateSpec,
     _integer,
@@ -60,6 +60,14 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+
+def _wigner_gradient(rho):
+    """``phase_space.qcs_wigner_gradient``, importing phase_space on first use."""
+    from .phase_space import qcs_wigner_gradient
+
+    return qcs_wigner_gradient(rho)
+
+
 EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
 EXIT_CUTOFF = 4
@@ -73,7 +81,7 @@ ROUTES = {
     "direct": ("state", qcs_direct),
     "two-copy": ("pn", qcs_two_copy),
     "pure": ("pure", qcs_pure_shortcut),
-    "wigner-gradient": ("state", qcs_wigner_gradient),
+    "wigner-gradient": ("state", _wigner_gradient),
     "wigner-laplacian": ("pn", qcs_wigner_laplacian),
     "gaussian": ("covariance", qcs_gaussian),
     "classical-mixture": ("mixture", qcs_classical_mixture),
@@ -257,15 +265,19 @@ def _command(name: str, *options: Option):
     return register
 
 
-def _parser(prog: str) -> argparse.ArgumentParser:
-    """The parser of every registered command. An option left off the command
-    line is left out of the parsed namespace (suppressed defaults), so the
-    namespace names exactly the flags given."""
+def _parser(prog: str, command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the registered ``command``, or of every one when None.
+    A parser of one command still names every command in its usage line, so
+    its usage and error text is the full parser's. An option left off the
+    command line is left out of the parsed namespace (suppressed defaults), so
+    the namespace names exactly the flags given."""
     parser = argparse.ArgumentParser(prog=prog, allow_abbrev=False,
                                      description="Two-copy interferometric QCS laboratory.")
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, (body, options) in COMMANDS.items():
+    usage = {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}
+    commands = parser.add_subparsers(dest="command", required=True, **usage)
+    for name in [command] if command else COMMANDS:
+        body, options = COMMANDS[name]
         sub = commands.add_parser(name, help=body.__doc__, description=body.__doc__,
                                   argument_default=argparse.SUPPRESS, allow_abbrev=False)
         for option in options:
@@ -280,9 +292,13 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 
 def main(args=None, prog_name=None):
     """Run the command that ``args`` (``sys.argv[1:]`` when None) names, with
-    ``prog_name`` (default ``qcslab``) in usage lines. A usage error exits 2,
-    and a typed error 4 (cutoff), 3 (tolerance) or 2 (any other)."""
-    given = vars(_parser(prog_name or "qcslab").parse_args(args))
+    ``prog_name`` (default ``qcslab``) in usage lines. Only that command's
+    parser is built when ``args`` starts with it; argparse hands the rest to it.
+    A usage error exits 2, and a typed error 4 (cutoff), 3 (tolerance) or 2
+    (any other)."""
+    args = sys.argv[1:] if args is None else list(args)
+    command = args[0] if args and args[0] in COMMANDS else None
+    given = vars(_parser(prog_name or "qcslab", command).parse_args(args))
     body, options = COMMANDS[given.pop("command")]
     config = given.pop("config", None)
     try:
@@ -331,6 +347,8 @@ def overlap_cmd(opts):
     """Overlap Tr(ρ_a ρ_b) directly (elementwise, as ρ_b is Hermitian), by parity
     of the interferometer output and by the position-kernel quadrature of
     2π∫W_aW_b."""
+    from .phase_space import overlap_kernel
+
     if len(opts["state"]) != 2:
         raise ValidationError("overlap needs exactly two --state files")
     specs = [_spec(path, opts["cutoff"]) for path in opts["state"]]
@@ -383,6 +401,8 @@ def figure2_cmd(opts):
           Option("--resamples", 1000, int), CUTOFF, OUT)
 def sample_cmd(opts):
     """Simulate a finite-shot run and report the plug-in QCS² with a bootstrap CI."""
+    from .sampling import estimate_qcs, sample_counts
+
     spec = _spec(opts["state"], opts["cutoff"])
     dim = spec_cutoff(spec, opts["cutoff"])
     pn = two_copy_pn(spec, dim)

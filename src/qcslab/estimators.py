@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constructors import ClassicalMixture, CovarianceMatrix
 from .errors import DegenerateDenominatorError, ValidationError
 from .fock import DensityOperator, lowering_commutators, purity_direct
 from .interferometer import PhotonDistribution, _parity_terms, photon_distribution
-from .states import ClassicalMixture, CovarianceMatrix
 
 METHODS = ("direct", "two_copy", "pure_shortcut", "wigner_gradient",
            "wigner_laplacian", "gaussian", "classical_mixture", "sampled")

@@ -892,6 +892,42 @@ def test_fock_routes_report_the_default_cutoff_refusal_as_infeasible(runner, tmp
     assert doc["results"]["gaussian"]["c_squared"] == 1.0
 
 
+THERMAL_099 = {"kind": "thermal", "params": {"q": 0.99}}
+
+
+@pytest.mark.parametrize("doc, code", [
+    (THERMAL_099, 0),
+    ({"kind": "displaced", "params": {"base": THERMAL_099, "beta": 0.5}}, 4),
+], ids=["thermal-0.99", "displaced-thermal-0.99"])
+def test_default_cutoff_refusal_probes_once(runner, tmp_path, monkeypatch, doc, code):
+    # the cutoff getter keeps the probe's CutoffError, so the four Fock routes
+    # and the header read one refusal; the gaussian route still runs on the
+    # thermal spec, and the displaced one has no route left (exit 4)
+    probes = []
+
+    def counting(spec):
+        probes.append(spec)
+        return recommended_cutoff(spec)
+
+    monkeypatch.setattr(states, "recommended_cutoff", counting)
+    path = write_spec(tmp_path, "s.json", {"schema": 1, **doc})
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, ["qcs", "--state", path, "--route", "all", "--out", str(out)])
+    assert result.exit_code == code, result.output
+    assert len(probes) == 1
+    if code == 4:
+        assert result.output.startswith("error: default cutoff: ")
+        assert result.output.endswith("the 1024 levels the cutoff probe builds; pass --cutoff\n")
+        return
+    results = json.loads(out.read_text())["results"]
+    message = results["direct"]["infeasible"]
+    assert message.endswith("the 1024 levels the cutoff probe builds; pass --cutoff")
+    for route in ("two-copy", "wigner-gradient", "wigner-laplacian"):
+        assert results[route] == {"infeasible": message}
+    assert results["pure"] == results["classical-mixture"] == "not applicable"
+    assert results["gaussian"]["c_squared"] == pytest.approx(1 / 199)
+
+
 @pytest.mark.parametrize("doc, cutoff", [
     ({"kind": "coherent", "params": {"alpha": 0.7}}, 14),
     ({"kind": "coherent", "params": {"alpha": 0.7}, "cutoff": 20}, 20),
@@ -942,3 +978,25 @@ def test_figure2_has_no_cutoff_option(runner, tmp_path):
     result = runner.invoke(main, ["figure2", "--out", str(tmp_path / "fig"), "--config", config])
     assert result.exit_code == 2, result.output
     assert "unknown config key 'cutoff'" in result.output
+
+
+PARSER_CASES = {"no-command": [], "help": ["--help"], "unknown-command": ["bogus"],
+                "unknown-option-first": ["--bogus", "qcs"], "qcs-help": ["qcs", "--help"],
+                "qcs-bad-route": ["qcs", "--route", "bad"], "qcs-unknown-option": ["qcs", "--bogus"],
+                "sample-help": ["sample", "--help"], "figure2-bad-n-max": ["figure2", "--n-max", "x"]}
+
+
+@pytest.mark.parametrize("args", PARSER_CASES.values(), ids=PARSER_CASES)
+def test_one_command_parser_prints_the_full_parsers_text(runner, monkeypatch, args):
+    # a known first argument builds only that command's parser, whose usage
+    # line still names every command: each help, usage and error text is the
+    # one the parser of every command prints
+    full = runner.invoke(lambda argv: cli._parser("qcslab").parse_args(argv), args)
+    assert full.exit_code in (0, 2) and full.output
+    built = []
+    parser = cli._parser
+    monkeypatch.setattr(cli, "_parser",
+                        lambda prog, command=None: built.append(command) or parser(prog, command))
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.output) == (full.exit_code, full.output)
+    assert built == [args[0] if args and args[0] in cli.COMMANDS else None]

@@ -9,7 +9,9 @@ hash is CPython's built-in SHA-256, and the process entry ``cli.run`` blocks
 ``secrets``. Importing ``qcslab.cli`` blocks nothing. ``sample`` does not
 import ``numpy.ma``, which ``np.percentile`` would load for its bootstrap
 interval. No CLI process loads click: the parser is the standard library's
-argparse. The in-process runs go through ``tests/cli_runner.py``.
+argparse. A CLI process loads ``phase_space`` and ``sampling`` only where its
+command calls them, and importing ``qcslab`` loads neither. The in-process
+runs go through ``tests/cli_runner.py``.
 """
 
 import json
@@ -160,3 +162,78 @@ def test_cli_process_loads_no_libcrypto(tmp_path, command):
         docs = [json.loads(text) for text in (result.stdout, in_process.output)]
         assert docs[0]["estimate"] == docs[1]["estimate"]
         assert docs[0]["metadata"]["config_hash"] == docs[1]["metadata"]["config_hash"]
+
+
+LAZY_MODULES = {"qcslab.phase_space", "qcslab.sampling"}
+# one request per command, and which of phase_space and sampling its process loads
+COMMAND_MODULES = {
+    "qcs-two-copy": (["qcs", "--state", "th.json", "--route", "two-copy"], set()),
+    "purity": (ENTRY_COMMANDS["purity"], set()),
+    "pn-dist": (ENTRY_COMMANDS["pn-dist"], set()),
+    "figure2": (ENTRY_COMMANDS["figure2"], set()),
+    "compare": (ENTRY_COMMANDS["compare"], {"qcslab.phase_space"}),
+    "overlap": (ENTRY_COMMANDS["overlap"], {"qcslab.phase_space"}),
+    "sample": (ENTRY_COMMANDS["sample"], {"qcslab.sampling"}),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_cli_process_loads_only_its_commands_modules(tmp_path, command):
+    """``python -v -m qcslab.cli``: ``phase_space`` and ``sampling`` are
+    imported only by the routes and commands that call them, so a process
+    compiles neither unless its command reads it."""
+    for name, doc in SPECS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    args, expected = COMMAND_MODULES[command]
+    result = _python(["-v", "-m", "qcslab.cli", *args], tmp_path)
+    assert result.returncode == 0, result.stderr[-2000:]
+    loaded = set(re.findall(r"^import '([^']+)' # ", result.stderr, re.MULTILINE))
+    assert "qcslab.states" in loaded
+    assert loaded & LAZY_MODULES == expected
+
+
+def test_package_exports_resolve_on_first_use(tmp_path):
+    """Importing qcslab loads neither module; ``from qcslab import *`` binds
+    every name in ``__all__``, their six exports among them."""
+    result = _run(
+        "import sys, qcslab\n"
+        f"lazy = {sorted(LAZY_MODULES)!r}\n"
+        "assert not set(lazy) & set(sys.modules), 'imported with the package'\n"
+        "from qcslab.constructors import fock\n"
+        "assert qcslab.fock is fock\n"
+        "names = {}\n"
+        "exec('from qcslab import *', names)\n"
+        "missing = [n for n in qcslab.__all__ if n not in names]\n"
+        "assert not missing, missing\n"
+        "assert set(lazy) <= set(sys.modules)\n"
+        "from qcslab.phase_space import qcs_wigner_gradient\n"
+        "from qcslab.sampling import estimate_qcs\n"
+        "assert names['qcs_wigner_gradient'] is qcs_wigner_gradient\n"
+        "assert qcslab.estimate_qcs is estimate_qcs\n"
+        "try:\n"
+        "    qcslab.no_such_export\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_export' in str(exc)\n"
+        "else:\n"
+        "    sys.exit('no AttributeError')\n",
+        tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
+def test_fock_is_the_constructor_after_an_in_process_compare(tmp_path):
+    """Importing phase_space after the package leaves ``qcslab.fock`` bound to
+    the state constructor, not to the ``qcslab.fock`` module."""
+    for name, doc in SPECS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    result = _run(
+        "import sys, qcslab\n"
+        "from cli_runner import CliRunner\n"
+        "from qcslab.cli import main\n"
+        "r = CliRunner().invoke(main, ['compare', '--state', 'disp.json'])\n"
+        "assert r.exit_code == 0, r.output\n"
+        "assert 'qcslab.phase_space' in sys.modules\n"
+        "from qcslab.constructors import fock\n"
+        "assert qcslab.fock is fock, qcslab.fock\n"
+        "assert qcslab.fock(1, 3).dim == 3\n",
+        tmp_path)
+    assert result.returncode == 0, result.stderr

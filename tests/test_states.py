@@ -23,7 +23,7 @@ from qcslab import (
     squeezed_vacuum,
     thermal,
 )
-from qcslab import states
+from qcslab import constructors
 from qcslab.fock import DensityOperator
 from qcslab.states import (
     CovarianceMatrix,
@@ -62,8 +62,8 @@ def test_pure_states_match_from_matrix_bit_for_bit(monkeypatch):
     # pure states skip from_matrix; its Hermitian part, taken over the whole
     # matrix, equals the tiled one to the bit (300 levels span two tiles)
     vecs = []
-    pure = states._pure
-    monkeypatch.setattr(states, "_pure", lambda vec, **kw: vecs.append(vec) or pure(vec, **kw))
+    pure = constructors._pure
+    monkeypatch.setattr(constructors, "_pure", lambda vec, **kw: vecs.append(vec) or pure(vec, **kw))
     for build in (lambda: coherent(0.8 - 0.6j, 300), lambda: squeezed_vacuum(-0.7, 300),
                   lambda: fock(3, 9)):
         rho = build()
