@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,15 +41,7 @@ from .estimators import (
 )
 from .fock import purity_direct
 from .interferometer import PhotonDistribution, photon_distribution
-from .states import (
-    StateSpec,
-    _integer,
-    build_state,
-    parse_cutoff,
-    route_inputs,
-    spec_cutoff,
-    two_copy_pn,
-)
+from .states import StateSpec, _integer, fock_inputs, parse_cutoff, route_inputs
 
 # CPython's own SHA-256 (_sha2 from 3.12, _sha256 before) gives hashlib's
 # digest without loading OpenSSL's libcrypto into every CLI process
@@ -126,8 +119,12 @@ def _write_json(payload: dict, out: str | None):
     text = json.dumps(payload, indent=2)
     if out:
         _write(out, lambda path: Path(path).write_text(text + "\n", encoding="utf-8"))
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # stdout's reader is gone: the rest, and the flush at exit, go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 class Option(NamedTuple):
@@ -320,20 +317,20 @@ def qcs_cmd(opts):
 def purity_cmd(opts):
     """Purity via the direct trace and the two-copy alternating sum."""
     spec = _spec(opts["state"], opts["cutoff"])
-    dim = spec_cutoff(spec, opts["cutoff"])
-    rho = build_state(spec, cutoff=dim)
-    _write_json({**_header(opts, dim, spec), "purity_direct": purity_direct(rho),
-                 "purity_two_copy": purity_from_pn(two_copy_pn(spec, dim, rho))}, opts["out"])
+    inputs = fock_inputs(spec, opts["cutoff"])
+    rho = inputs["state"]()
+    _write_json({**_header(opts, inputs["cutoff"](), spec), "purity_direct": purity_direct(rho),
+                 "purity_two_copy": purity_from_pn(inputs["pn"]())}, opts["out"])
 
 
 @_command("pn-dist", STATE, CUTOFF, OUT, Option("--format", "csv", choices=("csv", "json")))
 def pn_dist_cmd(opts):
     """Difference-mode photon-number distribution p_n."""
     spec = _spec(opts["state"], opts["cutoff"])
-    dim = spec_cutoff(spec, opts["cutoff"])
-    pn = two_copy_pn(spec, dim)
+    inputs = fock_inputs(spec, opts["cutoff"])
+    pn = inputs["pn"]()
     if opts["format"] == "json":
-        _write_json({**_header(opts, dim, spec), "p_n": pn.probs.tolist(),
+        _write_json({**_header(opts, inputs["cutoff"](), spec), "p_n": pn.probs.tolist(),
                      "deficit": pn.deficit}, opts["out"])
     elif not opts["out"]:
         raise ValidationError("--out is required for CSV output")
@@ -352,8 +349,8 @@ def overlap_cmd(opts):
     if len(opts["state"]) != 2:
         raise ValidationError("overlap needs exactly two --state files")
     specs = [_spec(path, opts["cutoff"]) for path in opts["state"]]
-    dim = max(spec_cutoff(spec, opts["cutoff"]) for spec in specs)
-    rho_a, rho_b = (build_state(spec, cutoff=dim) for spec in specs)
+    dim = max(route_inputs(spec, opts["cutoff"])["cutoff"]() for spec in specs)
+    rho_a, rho_b = (fock_inputs(spec, dim)["state"]() for spec in specs)
     _write_json({**_header(opts, dim, *specs),
                  "overlap_trace": float(np.vdot(rho_b.matrix, rho_a.matrix).real),
                  "overlap_parity": purity_from_pn(photon_distribution(rho_a, rho_b)),
@@ -388,7 +385,7 @@ def figure2_cmd(opts):
     nmax = opts["n_max"]
     summary = {"metadata": _metadata(opts, None, *FIGURE2_STATES.values()), "states": {}}
     for name, spec in FIGURE2_STATES.items():
-        pn = two_copy_pn(spec, spec_cutoff(spec))
+        pn = route_inputs(spec)["pn"]()
         columns = np.pad(pn.probs[:nmax + 1], (0, max(nmax + 1 - len(pn.probs), 0)))
         _write(out_path / f"pn_{name}.csv", PhotonDistribution(columns).to_csv)
         summary["states"][name] = {"purity": purity_from_pn(pn),
@@ -404,11 +401,11 @@ def sample_cmd(opts):
     from .sampling import estimate_qcs, sample_counts
 
     spec = _spec(opts["state"], opts["cutoff"])
-    dim = spec_cutoff(spec, opts["cutoff"])
-    pn = two_copy_pn(spec, dim)
-    est = estimate_qcs(sample_counts(pn, opts["shots"], opts["seed"]),
+    inputs = fock_inputs(spec, opts["cutoff"])
+    est = estimate_qcs(sample_counts(inputs["pn"](), opts["shots"], opts["seed"]),
                        resamples=opts["resamples"])
-    _write_json({**_header(opts, dim, spec), "estimate": est.to_dict()}, opts["out"])
+    _write_json({**_header(opts, inputs["cutoff"](), spec), "estimate": est.to_dict()},
+                opts["out"])
 
 
 def run():

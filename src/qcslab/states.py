@@ -4,9 +4,9 @@
 and validates the kind's parameters and gives its Fock-space constructor (from
 ``constructors``), ⟨n̂⟩, covariance, top Fock level, Fock amplitudes when the
 spec is pure and a closed-form two-copy p_n. A :class:`StateSpec` is parsed
-once; ``two_copy_pn`` and ``route_inputs`` turn it into the p_n and the inputs
-every command reads. The constructors are imported here by name, so
-``states.coherent``, ``states.fock`` and the others still resolve.
+once; ``route_inputs`` turns it into the inputs every command reads, the
+two-copy p_n (``two_copy_pn``) among them. The constructors are imported here
+by name, so ``states.coherent``, ``states.fock`` and the others still resolve.
 """
 
 from __future__ import annotations
@@ -207,7 +207,8 @@ KINDS = {
         amplitudes=_displaced_amplitudes,
         # two copies displaced alike leave the difference mode undisplaced, (μ − μ)/√2 = 0:
         # the pair's p_n is the base's at the same cutoff, under this spec's deficit check
-        two_copy_pn=lambda p, dim: two_copy_pn(p["base"], dim, check=False)),
+        two_copy_pn=lambda p, dim: _pn(p["base"], dim,
+                                       partial(build_state, p["base"], cutoff=dim))),
     "gaussian": Kind(_parse_gaussian, None, None, covariance=lambda p: CovarianceMatrix(**p)),
 }
 
@@ -296,22 +297,9 @@ def spec_amplitudes(spec: StateSpec) -> Callable[[int], np.ndarray] | None:
     return amplitudes and amplitudes(spec.params)
 
 
-def two_copy_pn(spec: StateSpec, dim: int, state=None, *, amplitudes=None,
-                check: bool = True) -> PhotonDistribution:
-    """Difference-mode p_n at cutoff dim, held to the state build's deficit check
-    (CutoffError past it): the kind's closed form if it has one, else the block
-    kernel on the state, which its build checked. A closed form reads no state,
-    so unless ``check`` is off its check reads the spec's amplitudes (a function
-    of dim, ``spec_amplitudes`` when None) where it has them, and else the state:
-    ``state`` as the caller built it, a getter of it, or built here when None."""
+def _pn(spec: StateSpec, dim: int, state: Callable[[], DensityOperator]) -> PhotonDistribution:
+    """Two-copy p_n at cutoff dim, unchecked: the closed form, else the kernel on ``state()``."""
     closed_form = KINDS[spec.kind].two_copy_pn
-    if isinstance(state, DensityOperator):  # the caller built it, and so checked it
-        state, check = (lambda rho=state: rho), False
-    state = state or partial(build_state, spec, cutoff=dim)
-    if closed_form and check and (amplitudes := amplitudes or spec_amplitudes(spec)):
-        check_tail_mass(amplitudes(dim))
-    elif closed_form and check:
-        state()
     if closed_form:
         return closed_form(spec.params, dim)
     rho = state()
@@ -327,46 +315,60 @@ def spec_cutoff(spec: StateSpec, cutoff: int | None = None) -> int:
     return recommended_cutoff(spec) if KINDS[spec.kind].build else 0
 
 
-def _once(getter: Callable[[], object]) -> Callable[[], object]:
-    """``getter`` run at most once: every call returns its value, or raises the
-    CutoffError it raised, which ``functools.cache`` would not keep."""
-    outcome = []
-
-    def once():
-        if not outcome:
-            try:
-                outcome.append(getter())
-            except CutoffError as exc:
-                outcome.append(exc)
-        if isinstance(outcome[0], CutoffError):
-            raise outcome[0]
-        return outcome[0]
-    return once
-
-
 def route_inputs(spec: StateSpec, cutoff: int | None = None) -> dict:
-    """Cached getters of what the estimator routes read, None where the kind lacks
-    it: "state", "pn" (``two_copy_pn``), "pure" (the amplitudes, deficit-checked
-    and normalised), "covariance" and "mixture". Only the Fock inputs read the
-    "cutoff" (``spec_cutoff``), so the others run where the default-cutoff probe
-    refuses. The cutoff, state and p_n getters keep their first outcome, a CutoffError
-    too: each reader reports the same error, and the probe runs at most once."""
+    """Cached getters of what every command reads, None where the kind lacks it:
+    "cutoff" (``spec_cutoff``), "state", "pn" (the two-copy p_n, held to the
+    build's deficit check), "pure" (the amplitudes, deficit-checked and
+    normalised), "covariance" and "mixture". Only the Fock inputs read the
+    cutoff, so the others run where the default-cutoff probe refuses. The cutoff,
+    state and p_n getters keep their first outcome, a CutoffError too."""
     row = KINDS[spec.kind]
-    dim = _once(partial(spec_cutoff, spec, cutoff))
+    held = {}
+
+    def once(key: str, getter: Callable[[], object]) -> Callable[[], object]:
+        def get():
+            if key not in held:
+                try:
+                    held[key] = getter()
+                except CutoffError as exc:  # which functools.cache would not keep
+                    held[key] = exc
+            if isinstance(held[key], CutoffError):
+                raise held[key]
+            return held[key]
+        return get
+
+    dim = once("cutoff", partial(spec_cutoff, spec, cutoff))
     amplitudes = (amps := spec_amplitudes(spec)) and cache(amps)
-    state = row.build and _once(lambda: build_state(spec, cutoff=dim()))
+    state = row.build and once("state", lambda: build_state(spec, cutoff=dim()))
 
     def pure():
         vec = amplitudes(dim())
         check_tail_mass(vec)  # a cutoff that cuts too much is infeasible
         return vec / np.linalg.norm(vec)
 
-    return {"cutoff": dim, "state": state,
-            "pn": row.build and _once(
-                lambda: two_copy_pn(spec, dim(), state, amplitudes=amplitudes)),
+    def pn():  # a closed form's deficit check reads the built state, else ψ, else a build
+        if row.two_copy_pn and not isinstance(held.get("state"), DensityOperator):
+            (pure if amplitudes else state)()
+        return _pn(spec, dim(), state)
+
+    return {"cutoff": dim, "state": state, "pn": row.build and once("pn", pn),
             "pure": amplitudes and pure,
             "covariance": row.covariance and partial(row.covariance, spec.params),
             "mixture": row.mixture and partial(row.mixture, spec.params)}
+
+
+def fock_inputs(spec: StateSpec, cutoff: int | None = None) -> dict:
+    """``route_inputs`` of a spec whose "state" or "pn" a command reads. A
+    covariance-only kind has neither, and ``build_state`` refuses it."""
+    if KINDS[spec.kind].build is None:
+        build_state(spec)
+    return route_inputs(spec, cutoff)
+
+
+def two_copy_pn(spec: StateSpec, dim: int) -> PhotonDistribution:
+    """Difference-mode p_n at cutoff dim, the "pn" getter of ``route_inputs``:
+    CutoffError past the state build's deficit check."""
+    return fock_inputs(spec, dim)["pn"]()
 
 
 def _support(weights: np.ndarray, tail_tol: float) -> int:

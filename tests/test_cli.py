@@ -2,7 +2,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +235,41 @@ def test_compare_exits_3_when_routes_disagree(runner, fock1, monkeypatch):
     result = runner.invoke(main, ["compare", "--state", fock1])
     assert result.exit_code == 3, result.output
     assert "error: route deviation 1.000e-03 exceeds tolerance 1e-06" in result.output
+
+
+# the direct route's C² off by 1e-3, so compare exits 3, then the CLI's process entry
+OFF_BY_1E_3 = """import dataclasses
+from qcslab import cli
+source, estimator = cli.ROUTES["direct"]
+cli.ROUTES["direct"] = (source, lambda value: dataclasses.replace(
+    est := estimator(value), c_squared=est.c_squared + 1e-3))
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("command, code", [(["qcs", "--route", "all"], 0), (["compare"], 3)],
+                         ids=["qcs", "compare"])
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_cleanly(thermal05, command, code, unbuffered):
+    # the reader's end of the pipe is closed before the child writes: the exit
+    # code and stderr are those of a run whose stdout stays open, with no
+    # BrokenPipeError from the JSON's print or from the flush at exit (which
+    # a block-buffered stdout, the default on a pipe, still holds)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")])))
+    args = [sys.executable, "-c", OFF_BY_1E_3, *command, "--state", thermal05]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        closed = subprocess.run(args, stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+                                timeout=300)
+    finally:
+        os.close(write)
+    kept = subprocess.run(args, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+                          text=True, timeout=300)
+    assert kept.returncode == code, kept.stderr
+    assert (closed.returncode, closed.stderr) == (code, kept.stderr)
 
 
 @pytest.mark.parametrize("command, state, config, message", [
@@ -546,10 +585,14 @@ def test_direct_route_at_tight_cutoff(runner, tmp_path, params, cutoff, c2):
     assert abs(json.loads(result.output)["results"]["direct"]["c_squared"] - c2) < 1e-12
 
 
-@pytest.mark.parametrize("command", [["compare"], ["qcs", "--route", "all"]])
+@pytest.mark.parametrize("command", [
+    ["compare"], ["qcs", "--route", "all"], ["purity"], ["pn-dist", "--format", "json"],
+    ["sample", "--shots", "2000", "--resamples", "20"],
+])
 def test_state_built_once_per_command(runner, tmp_path, monkeypatch, command):
-    # the two-copy and Wigner-Laplacian routes share one p_n (the two-copy kernel's
-    # output diagonal, whoever calls it)
+    # every command reads one route_inputs: the two-copy and Wigner-Laplacian
+    # routes and purity's alternating sum share one p_n (the two-copy kernel's
+    # output diagonal, whoever calls it) and one state
     calls, pn_builds = [], []
     output_diagonal = interferometer._output_diagonal
 
@@ -596,6 +639,20 @@ def test_singular_covariance_exits_2_at_any_scale(runner, tmp_path, scale):
     assert "positive definite" in result.output
 
 
+@pytest.mark.parametrize("command", [["purity"], ["pn-dist", "--format", "json"],
+                                     ["sample", "--shots", "2000"], ["overlap", "--state", None]],
+                         ids=["purity", "pn-dist", "sample", "overlap"])
+def test_covariance_only_spec_exits_2_where_a_state_is_read(runner, tmp_path, fock1, command):
+    # only the gaussian route reads a covariance-only spec; overlap's other
+    # state is Fock n = 1
+    path = write_spec(tmp_path, "g.json", {"schema": 1, "kind": "gaussian", "params": {
+        "gamma": [[1.0, 0.0], [0.0, 0.25]]}})
+    result = runner.invoke(main, [*(arg or fock1 for arg in command), "--state", path])
+    assert result.exit_code == 2, result.output
+    assert result.output == ("error: kind 'gaussian' has no Fock-space constructor; "
+                             "use the Gaussian route\n")
+
+
 def test_pure_route_on_a_displaced_pure_base_builds_no_state(runner, tmp_path, monkeypatch):
     # the default-cutoff probe and the route read D(β)ψ; C² is
     # displacement-invariant, so it is the base's cosh 2r
@@ -603,7 +660,6 @@ def test_pure_route_on_a_displaced_pure_base_builds_no_state(runner, tmp_path, m
         raise AssertionError("build_state called")
 
     monkeypatch.setattr("qcslab.states.build_state", no_build)
-    monkeypatch.setattr("qcslab.cli.build_state", no_build)
     path = write_spec(tmp_path, "dsq.json", {"schema": 1, "kind": "displaced", "params": {
         "base": {"kind": "squeezed_vacuum", "params": {"r": 2.0}}, "beta": [0.5, 0.3]}})
     result = runner.invoke(main, ["qcs", "--state", path, "--route", "pure"])
@@ -689,7 +745,8 @@ def test_displaced_mixed_base_p_n_builds_its_base_once(runner, tmp_path, monkeyp
 @pytest.mark.parametrize("command, computed", [
     (["compare"], 1), (["qcs", "--route", "all"], 1), (["qcs", "--route", "two-copy"], 1),
     (["pn-dist", "--format", "json"], 1), (["purity"], 0),
-], ids=["compare", "qcs-all", "qcs-two-copy", "pn-dist", "purity"])
+    (["sample", "--shots", "2000", "--resamples", "20"], 1),
+], ids=["compare", "qcs-all", "qcs-two-copy", "pn-dist", "purity", "sample"])
 def test_displaced_amplitudes_computed_at_most_once(runner, tmp_path, monkeypatch,
                                                      command, computed):
     # at a pinned cutoff the pure route and the p_n's deficit check share one
@@ -895,14 +952,20 @@ def test_fock_routes_report_the_default_cutoff_refusal_as_infeasible(runner, tmp
 THERMAL_099 = {"kind": "thermal", "params": {"q": 0.99}}
 
 
-@pytest.mark.parametrize("doc, code", [
-    (THERMAL_099, 0),
-    ({"kind": "displaced", "params": {"base": THERMAL_099, "beta": 0.5}}, 4),
-], ids=["thermal-0.99", "displaced-thermal-0.99"])
-def test_default_cutoff_refusal_probes_once(runner, tmp_path, monkeypatch, doc, code):
+@pytest.mark.parametrize("command, doc, code", [
+    (["qcs", "--route", "all"], THERMAL_099, 0),
+    (["qcs", "--route", "all"], {"kind": "displaced", "params": {"base": THERMAL_099,
+                                                               "beta": 0.5}}, 4),
+    (["purity"], THERMAL_099, 4),
+    (["pn-dist", "--format", "json"], THERMAL_099, 4),
+    (["sample", "--shots", "2000"], THERMAL_099, 4),
+], ids=["thermal-0.99", "displaced-thermal-0.99", "purity-thermal-0.99",
+        "pn-dist-thermal-0.99", "sample-thermal-0.99"])
+def test_default_cutoff_refusal_probes_once(runner, tmp_path, monkeypatch, command, doc, code):
     # the cutoff getter keeps the probe's CutoffError, so the four Fock routes
     # and the header read one refusal; the gaussian route still runs on the
-    # thermal spec, and the displaced one has no route left (exit 4)
+    # thermal spec, and the displaced one has no route left (exit 4), nor have
+    # the commands that read only the state or the p_n
     probes = []
 
     def counting(spec):
@@ -912,7 +975,7 @@ def test_default_cutoff_refusal_probes_once(runner, tmp_path, monkeypatch, doc, 
     monkeypatch.setattr(states, "recommended_cutoff", counting)
     path = write_spec(tmp_path, "s.json", {"schema": 1, **doc})
     out = tmp_path / "out.json"
-    result = runner.invoke(main, ["qcs", "--state", path, "--route", "all", "--out", str(out)])
+    result = runner.invoke(main, [*command, "--state", path, "--out", str(out)])
     assert result.exit_code == code, result.output
     assert len(probes) == 1
     if code == 4:

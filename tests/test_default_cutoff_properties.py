@@ -64,7 +64,7 @@ def routes(spec, cutoff):
     """(direct C², two-copy C²) at a pinned cutoff, the two-copy p_n as the CLI
     takes it: the kind's closed form if it has one, the kernel otherwise."""
     rho = build_state(spec, cutoff=cutoff)
-    return rho, qcs_direct(rho).c_squared, qcs_two_copy(two_copy_pn(spec, cutoff, rho)).c_squared
+    return rho, qcs_direct(rho).c_squared, qcs_two_copy(two_copy_pn(spec, cutoff)).c_squared
 
 
 @settings(max_examples=40, deadline=None)
