@@ -41,7 +41,8 @@ from .estimators import (
 )
 from .fock import purity_direct
 from .interferometer import PhotonDistribution, photon_distribution
-from .states import StateSpec, _integer, fock_inputs, parse_cutoff, route_inputs
+from .params import _integer, parse_cutoff
+from .states import StateSpec, fock_inputs, route_inputs
 
 # CPython's own SHA-256 (_sha2 from 3.12, _sha256 before) gives hashlib's
 # digest without loading OpenSSL's libcrypto into every CLI process
@@ -73,6 +74,7 @@ EXIT_CODES = ((CutoffError, EXIT_CUTOFF),
 ROUTES = {
     "direct": ("state", qcs_direct),
     "two-copy": ("pn", qcs_two_copy),
+    "kernel": ("kernel", qcs_two_copy),
     "pure": ("pure", qcs_pure_shortcut),
     "wigner-gradient": ("state", _wigner_gradient),
     "wigner-laplacian": ("pn", qcs_wigner_laplacian),
@@ -115,16 +117,23 @@ def _write(path, write) -> None:
         raise ValidationError(f"cannot write output {path}: {exc}") from None
 
 
-def _write_json(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2)
-    if out:
-        _write(out, lambda path: Path(path).write_text(text + "\n", encoding="utf-8"))
-        return
+def _print(text: str) -> None:
+    """Write ``text`` to stdout and flush it. Once stdout's reader is gone, the
+    rest, and the flush at exit, go to the null device: the process keeps its
+    own exit code and writes nothing to stderr."""
     try:
-        print(text, flush=True)
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except BrokenPipeError:
-        # stdout's reader is gone: the rest, and the flush at exit, go to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _write_json(payload: dict, out: str | None):
+    text = json.dumps(payload, indent=2) + "\n"
+    if out:
+        _write(out, lambda path: Path(path).write_text(text, encoding="utf-8"))
+    else:
+        _print(text)
 
 
 class Option(NamedTuple):
@@ -263,17 +272,18 @@ def _command(name: str, *options: Option):
 
 
 def _parser(prog: str, command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of the registered ``command``, or of every one when None.
-    A parser of one command still names every command in its usage line, so
-    its usage and error text is the full parser's. An option left off the
-    command line is left out of the parsed namespace (suppressed defaults), so
-    the namespace names exactly the flags given."""
+    """The parser of the registered ``command``, of every one when None, and of
+    none for ``--version``, which reads none. A parser of one command still
+    names every command in its usage line, so its usage and error text is the
+    full parser's. An option left off the command line is left out of the
+    parsed namespace (suppressed defaults), so the namespace names exactly the
+    flags given."""
     parser = argparse.ArgumentParser(prog=prog, allow_abbrev=False,
                                      description="Two-copy interferometric QCS laboratory.")
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
     usage = {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}
     commands = parser.add_subparsers(dest="command", required=True, **usage)
-    for name in [command] if command else COMMANDS:
+    for name in [name for name in COMMANDS if command in (None, name)]:
         body, options = COMMANDS[name]
         sub = commands.add_parser(name, help=body.__doc__, description=body.__doc__,
                                   argument_default=argparse.SUPPRESS, allow_abbrev=False)
@@ -290,12 +300,16 @@ def _parser(prog: str, command: str | None = None) -> argparse.ArgumentParser:
 def main(args=None, prog_name=None):
     """Run the command that ``args`` (``sys.argv[1:]`` when None) names, with
     ``prog_name`` (default ``qcslab``) in usage lines. Only that command's
-    parser is built when ``args`` starts with it; argparse hands the rest to it.
-    A usage error exits 2, and a typed error 4 (cutoff), 3 (tolerance) or 2
-    (any other)."""
+    parser is built when ``args`` starts with it, and none when it starts with
+    ``--version``; argparse hands the rest to it. A usage error exits 2, and a
+    typed error 4 (cutoff), 3 (tolerance) or 2 (any other)."""
     args = sys.argv[1:] if args is None else list(args)
-    command = args[0] if args and args[0] in COMMANDS else None
-    given = vars(_parser(prog_name or "qcslab", command).parse_args(args))
+    command = args[0] if args and (args[0] in COMMANDS or args[0] == "--version") else None
+    try:
+        given = vars(_parser(prog_name or "qcslab", command).parse_args(args))
+    except SystemExit:  # --help and --version print, then exit: flush their text here
+        _print("")
+        raise
     body, options = COMMANDS[given.pop("command")]
     config = given.pop("config", None)
     try:

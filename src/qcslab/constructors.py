@@ -259,3 +259,12 @@ class CovarianceMatrix:
     @property
     def n_modes(self) -> int:
         return self.gamma.shape[0] // 2
+
+
+def squeezed_covariance(r: float) -> CovarianceMatrix:
+    """diag(e^{2r}, e^{−2r})/2; CutoffError where e^{2|r|} overflows a double."""
+    with np.errstate(over="ignore"):
+        gamma = 0.5 * np.diag([np.exp(2 * r), np.exp(-2 * r)])
+    if not np.isfinite(gamma).all():
+        raise CutoffError(f"e^(2|r|) overflows a double at r = {r}")
+    return CovarianceMatrix(gamma)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegenerateDenominatorError, ValidationError
 from .estimators import DENOMINATOR_FLOOR, qcs_two_copy
 from .interferometer import PhotonDistribution
-from .states import _integer
+from .params import _integer
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 SCHEMA_VERSION = 1

@@ -1,9 +1,10 @@
 """State specifications: the state-kind table and the inputs every command reads.
 
 ``KINDS`` is the one place that knows what a state kind is: each row parses
-and validates the kind's parameters and gives its Fock-space constructor (from
-``constructors``), ⟨n̂⟩, covariance, top Fock level, Fock amplitudes when the
-spec is pure and a closed-form two-copy p_n. A :class:`StateSpec` is parsed
+and validates the kind's parameters (with the converters of ``params``) and
+gives its Fock-space constructor (from ``constructors``), ⟨n̂⟩, covariance,
+top Fock level, Fock amplitudes when the spec is pure and a closed-form
+two-copy p_n. A :class:`StateSpec` is parsed
 once; ``route_inputs`` turns it into the inputs every command reads, the
 two-copy p_n (``two_copy_pn``) among them. The constructors are imported here
 by name, so ``states.coherent``, ``states.fock`` and the others still resolve.
@@ -11,10 +12,8 @@ by name, so ``states.coherent``, ``states.fock`` and the others still resolve.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable
@@ -24,11 +23,13 @@ import numpy as np
 from .constructors import (ClassicalMixture, CovarianceMatrix, check_tail_mass,
                            classical_mixture, coherent, coherent_amplitudes, displace,
                            displace_amplitudes, fock, phase_rotate, rho_2m, rho_even_m,
-                           squeezed_amplitudes, squeezed_vacuum, thermal, thermal_parameters)
+                           squeezed_amplitudes, squeezed_covariance, squeezed_vacuum, thermal,
+                           thermal_parameters)
 from .errors import CutoffError, ValidationError
 from .fock import DEFAULT_DEFICIT_TOL, DensityOperator, purity_direct, squared_modulus
 from .interferometer import (PhotonDistribution, photon_distribution,
                              thermal_photon_distribution)
+from .params import _complex, _integer, _items, _real, parse_cutoff
 
 SCHEMA_VERSION = 1
 CUTOFF_TAIL_TOL = 1e-9  # photon-number tail mass the default cutoff leaves out
@@ -40,48 +41,7 @@ PROBE_MAX_DIM = 1024  # largest state the default-cutoff probe builds
 PURE_TOL = 1e-9  # Tr ρ² this close to (1 − deficit)² marks a pure probe
 
 
-# --- parameter parsing: each converter validates one value and names its key ---
-
-def _real(v, key: str) -> float:
-    try:
-        x = float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValidationError(f"{key!r} must be a finite real number, got {v!r}")
-    return x
-
-
-def _integer(v, key: str, minimum: int = 0) -> int:
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
-        raise ValidationError(f"{key!r} must be an integer >= {minimum}, got {v!r}")
-    return int(v)
-
-
-def parse_cutoff(v) -> int | None:
-    """A pinned Fock cutoff (state file, flag or config value): None or an integer >= 2."""
-    return None if v is None else _integer(v, "cutoff", minimum=2)
-
-
-def _complex(v, key: str) -> complex:
-    """A number or an [re, im] pair."""
-    try:
-        if isinstance(v, (list, tuple)) and len(v) == 2:
-            return complex(_real(v[0], key), _real(v[1], key))
-        if isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real) \
-                and cmath.isfinite(v):
-            return complex(v)
-        return complex(_real(v, key))
-    except ValidationError:
-        raise ValidationError(
-            f"{key!r} must be a finite number or an [re, im] pair, got {v!r}") from None
-
-
-def _items(v, key: str, convert) -> list:
-    if not isinstance(v, (list, tuple)):
-        raise ValidationError(f"{key!r} must be a list, got {v!r}")
-    return [convert(x, key) for x in v]
-
+# --- parameter parsing: each kind's parser, from the converters of ``params`` ---
 
 def _base_state(v, key: str) -> "StateSpec":
     """The state a displaced spec displaces: a {kind, params} document."""
@@ -123,19 +83,17 @@ def _parse_gaussian(p: dict) -> dict:
     return parsed
 
 
-def _squeezed_covariance(p: dict) -> CovarianceMatrix:
-    """diag(e^{2r}, e^{−2r})/2; CutoffError where e^{2|r|} overflows a double."""
-    with np.errstate(over="ignore"):
-        gamma = 0.5 * np.diag([np.exp(2 * p["r"]), np.exp(-2 * p["r"])])
-    if not np.isfinite(gamma).all():
-        raise CutoffError(f"e^(2|r|) overflows a double at r = {p['r']}")
-    return CovarianceMatrix(gamma)
-
-
 def _displaced_amplitudes(p: dict) -> Callable[[int], np.ndarray] | None:
     """D(β)ψ of a displaced spec whose base has amplitudes ψ at the same cutoff."""
     base = spec_amplitudes(p["base"])
     return base and (lambda dim: displace_amplitudes(base(dim), p["beta"]))
+
+
+def _pair_pn(psi: np.ndarray, difference: Callable[[int], np.ndarray]) -> PhotonDistribution:
+    """|⟨n|ψ_d⟩|² of the difference mode ψ_d that two copies of ψ leave, on the
+    kernel's max(2, 2·top + 1) levels, top the last nonzero level of ψ."""
+    top = np.flatnonzero(psi).max(initial=0)
+    return PhotonDistribution.from_values(squared_modulus(difference(max(2, 2 * top + 1))))
 
 
 # --- the state-kind table ---
@@ -154,7 +112,8 @@ class Kind:
     # function of dim, or None when these params give a mixed state
     amplitudes: Callable[[dict], Callable[[int], np.ndarray] | None] | None = None
     mixture: Callable[[dict], ClassicalMixture] | None = None
-    # closed-form two-copy difference-mode p_n at cutoff dim, in place of the kernel
+    # closed-form difference-mode p_n of the untruncated pair at cutoff dim: the
+    # "pn" getter reads it in place of the kernel, the "kernel" getter does not
     two_copy_pn: Callable[[dict, int], PhotonDistribution] | None = None
 
 
@@ -165,7 +124,10 @@ KINDS = {
         lambda p: squared_modulus(p["alpha"]),
         covariance=lambda p: CovarianceMatrix(
             0.5 * np.eye(2), np.sqrt(2.0) * np.array([p["alpha"].real, p["alpha"].imag])),
-        amplitudes=lambda p: partial(coherent_amplitudes, p["alpha"])),
+        amplitudes=lambda p: partial(coherent_amplitudes, p["alpha"]),
+        # two identical coherent states leave the difference mode in vacuum
+        two_copy_pn=lambda p, dim: _pair_pn(coherent_amplitudes(p["alpha"], dim),
+                                            partial(coherent_amplitudes, 0))),
     "fock": Kind(
         _fields(n=_integer),
         lambda p, dim, tol: fock(p["n"], dim),
@@ -182,8 +144,11 @@ KINDS = {
         _fields(r=_real),
         lambda p, dim, tol: squeezed_vacuum(p["r"], dim, tol),
         lambda p: float(np.sinh(p["r"]) ** 2),
-        covariance=_squeezed_covariance,
-        amplitudes=lambda p: partial(squeezed_amplitudes, p["r"])),
+        covariance=lambda p: squeezed_covariance(p["r"]),
+        amplitudes=lambda p: partial(squeezed_amplitudes, p["r"]),
+        # S(r)⊗S(r) commutes with the beam splitter: the difference mode is S(r)|0⟩
+        two_copy_pn=lambda p, dim: _pair_pn(squeezed_amplitudes(p["r"], dim),
+                                            partial(squeezed_amplitudes, p["r"]))),
     "rho_2M": Kind(
         _fields(M=partial(_integer, minimum=1)),
         lambda p, dim, tol: rho_2m(p["M"], dim),
@@ -318,10 +283,11 @@ def spec_cutoff(spec: StateSpec, cutoff: int | None = None) -> int:
 def route_inputs(spec: StateSpec, cutoff: int | None = None) -> dict:
     """Cached getters of what every command reads, None where the kind lacks it:
     "cutoff" (``spec_cutoff``), "state", "pn" (the two-copy p_n, held to the
-    build's deficit check), "pure" (the amplitudes, deficit-checked and
-    normalised), "covariance" and "mixture". Only the Fock inputs read the
-    cutoff, so the others run where the default-cutoff probe refuses. The cutoff,
-    state and p_n getters keep their first outcome, a CutoffError too."""
+    build's deficit check), "kernel" (the beam-splitter kernel on the state,
+    "pn" itself where the kind has no closed form), "pure" (the amplitudes,
+    deficit-checked and normalised), "covariance" and "mixture". Only the Fock
+    inputs read the cutoff, so the others run where the default-cutoff probe
+    refuses. The Fock getters keep their first outcome, a CutoffError too."""
     row = KINDS[spec.kind]
     held = {}
 
@@ -351,7 +317,9 @@ def route_inputs(spec: StateSpec, cutoff: int | None = None) -> dict:
             (pure if amplitudes else state)()
         return _pn(spec, dim(), state)
 
-    return {"cutoff": dim, "state": state, "pn": row.build and once("pn", pn),
+    pn = row.build and once("pn", pn)
+    kernel = row.two_copy_pn and once("kernel", lambda: photon_distribution(state(), state()))
+    return {"cutoff": dim, "state": state, "pn": pn, "kernel": kernel or pn,
             "pure": amplitudes and pure,
             "covariance": row.covariance and partial(row.covariance, spec.params),
             "mixture": row.mixture and partial(row.mixture, spec.params)}

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -13,7 +14,7 @@ import pytest
 
 from cli_runner import CliRunner
 from oracles import pure_state_vector
-from qcslab import cli, interferometer, purity_from_pn, qcs_pure_shortcut, states
+from qcslab import cli, interferometer, purity_from_pn, qcs_pure_shortcut, qcs_two_copy, states
 from qcslab.cli import main
 from qcslab.states import StateSpec, build_state, recommended_cutoff, route_inputs, two_copy_pn
 
@@ -247,14 +248,16 @@ cli.run()
 """
 
 
-@pytest.mark.parametrize("command, code", [(["qcs", "--route", "all"], 0), (["compare"], 3)],
-                         ids=["qcs", "compare"])
+@pytest.mark.parametrize("command, code", [(["qcs", "--route", "all"], 0), (["compare"], 3),
+                                           (["--version"], 0), (["--help"], 0)],
+                         ids=["qcs", "compare", "version", "help"])
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_cleanly(thermal05, command, code, unbuffered):
     # the reader's end of the pipe is closed before the child writes: the exit
     # code and stderr are those of a run whose stdout stays open, with no
-    # BrokenPipeError from the JSON's print or from the flush at exit (which
-    # a block-buffered stdout, the default on a pipe, still holds)
+    # BrokenPipeError from the JSON's print, from argparse's help or version
+    # text or from the flush at exit (which a block-buffered stdout, the
+    # default on a pipe, still holds)
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
                       os.environ.get("PYTHONPATH")])))
@@ -560,17 +563,30 @@ def test_pure_route_calls_no_eigh(runner, tmp_path, monkeypatch):
 
 
 def test_two_copy_route_exact_at_tight_cutoff(runner, tmp_path):
-    # coherent(0.7) fills cutoff 12: the two-copy route gives the C² of the
+    # coherent(0.7) fills cutoff 12: the kernel route gives the C² of the
     # truncated state, as the direct route does
     path = write_spec(tmp_path, "coh.json",
                       {"schema": 1, "kind": "coherent", "params": {"alpha": 0.7}})
     values = {}
-    for route in ("two-copy", "direct"):
+    for route in ("kernel", "direct"):
         result = runner.invoke(main, ["qcs", "--state", path, "--cutoff", "12",
                                       "--route", route])
         assert result.exit_code == 0, result.output
         values[route] = json.loads(result.output)["results"][route]["c_squared"]
-    assert abs(values["two-copy"] - values["direct"]) <= 1e-12 * values["direct"]
+    assert abs(values["kernel"] - values["direct"]) <= 1e-12 * values["direct"]
+
+
+def test_two_copy_route_on_a_coherent_pair_is_exactly_one(runner, tmp_path):
+    # the untruncated pair leaves the difference mode in vacuum: p_n = δ_{n0} on
+    # the kernel's 2·11 + 1 levels, at a cutoff that cuts 2.5e-13 of the state
+    path = write_spec(tmp_path, "coh.json",
+                      {"schema": 1, "kind": "coherent", "params": {"alpha": 0.7}})
+    result = runner.invoke(main, ["pn-dist", "--state", path, "--cutoff", "12", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["p_n"] == [1.0] + [0.0] * 22
+    result = runner.invoke(main, ["qcs", "--state", path, "--cutoff", "12"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["results"]["two-copy"]["c_squared"] == 1.0
 
 
 @pytest.mark.parametrize("params, cutoff, c2", [
@@ -585,15 +601,14 @@ def test_direct_route_at_tight_cutoff(runner, tmp_path, params, cutoff, c2):
     assert abs(json.loads(result.output)["results"]["direct"]["c_squared"] - c2) < 1e-12
 
 
-@pytest.mark.parametrize("command", [
-    ["compare"], ["qcs", "--route", "all"], ["purity"], ["pn-dist", "--format", "json"],
-    ["sample", "--shots", "2000", "--resamples", "20"],
-])
-def test_state_built_once_per_command(runner, tmp_path, monkeypatch, command):
-    # every command reads one route_inputs: the two-copy and Wigner-Laplacian
-    # routes and purity's alternating sum share one p_n (the two-copy kernel's
-    # output diagonal, whoever calls it) and one state
-    calls, pn_builds = [], []
+ONCE_COMMANDS = [["compare"], ["qcs", "--route", "all"], ["purity"],
+                 ["pn-dist", "--format", "json"], ["sample", "--shots", "2000", "--resamples", "20"]]
+
+
+def builds_and_kernel_calls(runner, tmp_path, monkeypatch, command, doc) -> tuple[int, int]:
+    """State builds and kernel calls (the kernel's output diagonal, whoever
+    calls it) of one command on ``doc`` at cutoff 28."""
+    calls, kernel_calls = [], []
     output_diagonal = interferometer._output_diagonal
 
     def counting_build_state(spec, **kwargs):
@@ -601,17 +616,35 @@ def test_state_built_once_per_command(runner, tmp_path, monkeypatch, command):
         return build_state(spec, **kwargs)
 
     def counting_output_diagonal(*args):
-        pn_builds.append(args)
+        kernel_calls.append(args)
         return output_diagonal(*args)
 
     monkeypatch.setattr("qcslab.states.build_state", counting_build_state)
     monkeypatch.setattr(interferometer, "_output_diagonal", counting_output_diagonal)
-    path = write_spec(tmp_path, "coh.json",
-                      {"schema": 1, "kind": "coherent", "params": {"alpha": [0.3, -0.26]}})
+    path = write_spec(tmp_path, "s.json", {"schema": 1, **doc})
     result = runner.invoke(main, command + ["--state", path, "--cutoff", "28"])
     assert result.exit_code == 0, result.output
-    assert len(calls) == 1
-    assert len(pn_builds) == 1
+    return len(calls), len(kernel_calls)
+
+
+@pytest.mark.parametrize("command", ONCE_COMMANDS)
+def test_state_built_once_per_command(runner, tmp_path, monkeypatch, command):
+    # every command reads one route_inputs. A coherent pair's p_n is the closed
+    # form δ_{n0}, held to the deficit check through the amplitudes: only the
+    # commands that read the state build it, and only the kernel route runs
+    # the kernel
+    expected = {"compare": (1, 1), "qcs": (1, 1), "purity": (1, 0), "pn-dist": (0, 0),
+                "sample": (0, 0)}[command[0]]
+    doc = {"kind": "coherent", "params": {"alpha": [0.3, -0.26]}}
+    assert builds_and_kernel_calls(runner, tmp_path, monkeypatch, command, doc) == expected
+
+
+@pytest.mark.parametrize("command", ONCE_COMMANDS, ids=[command[0] for command in ONCE_COMMANDS])
+def test_mixture_state_built_once_per_command(runner, tmp_path, monkeypatch, command):
+    # a kind without a closed form: the two-copy, kernel and Wigner-Laplacian
+    # routes and purity's alternating sum share one kernel call on one state
+    doc = {"kind": "mixture", "params": {"weights": [0.4, 0.6], "amplitudes": [0.5, [-0.3, 0.2]]}}
+    assert builds_and_kernel_calls(runner, tmp_path, monkeypatch, command, doc) == (1, 1)
 
 
 @pytest.mark.parametrize("flags, config", [
@@ -703,12 +736,28 @@ def test_displaced_pn_dist_is_its_base(runner, tmp_path, fock1):
     assert abs(docs[0]["p_n"][0] - 0.5) < 1e-15 and abs(docs[0]["p_n"][2] - 0.5) < 1e-15
 
 
-@pytest.mark.parametrize("command", [["pn-dist", "--format", "json"],
-                                     ["sample", "--shots", "2000", "--resamples", "20"]],
-                         ids=["pn-dist", "sample"])
-def test_displaced_pure_base_p_n_builds_no_state(runner, tmp_path, monkeypatch, command):
-    # the p_n is the base's closed form and the deficit check reads D(β)ψ, so
-    # no displaced state is built (the base's own state is the kernel's input)
+@pytest.mark.parametrize("doc, command, c2", [
+    ({"kind": "coherent", "params": {"alpha": 30.0}, "cutoff": 1200},
+     ["qcs", "--route", "two-copy"], 1.0),
+    ({"kind": "squeezed_vacuum", "params": {"r": 2.0}}, ["pn-dist", "--format", "json"],
+     math.cosh(4.0)),
+], ids=["coherent-30-cutoff-1200", "squeezed-2-pn-dist"])
+def test_closed_form_p_n_is_fast_where_the_kernel_is_slow(runner, tmp_path, doc, command, c2):
+    # the kernel took 136 s on the first (top 1,199) and 3.2 s on the second
+    # (538 levels), on two cores; the closed forms are O(dim)
+    path = write_spec(tmp_path, "s.json", {"schema": 1, **doc})
+    start = time.perf_counter()
+    result = runner.invoke(main, [*command, "--state", path])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 0, result.output
+    out = json.loads(result.output)
+    got = (out["results"]["two-copy"]["c_squared"] if "results" in out else
+           qcs_two_copy(interferometer.PhotonDistribution(np.array(out["p_n"]))).c_squared)
+    assert abs(got - c2) <= 1e-6 * c2
+
+
+def displaced_p_n_builds(runner, tmp_path, monkeypatch, command, kind, params) -> list:
+    """The specs a command builds on the base (kind, params) displaced by 0.5 + 0.3i."""
     calls = []
 
     def counting_build_state(spec, **kwargs):
@@ -716,11 +765,31 @@ def test_displaced_pure_base_p_n_builds_no_state(runner, tmp_path, monkeypatch, 
         return build_state(spec, **kwargs)
 
     monkeypatch.setattr("qcslab.states.build_state", counting_build_state)
-    path = write_spec(tmp_path, "dcoh.json", {"schema": 1, "kind": "displaced", "params": {
-        "base": {"kind": "coherent", "params": {"alpha": [0.4, -0.2]}}, "beta": [0.5, 0.3]}})
+    path = write_spec(tmp_path, "disp.json", {"schema": 1, "kind": "displaced", "params": {
+        "base": {"kind": kind, "params": params}, "beta": [0.5, 0.3]}})
     result = runner.invoke(main, [*command, "--state", path])
     assert result.exit_code == 0, result.output
-    assert calls == [StateSpec("coherent", {"alpha": [0.4, -0.2]})]
+    return calls
+
+
+@pytest.mark.parametrize("command", [["pn-dist", "--format", "json"],
+                                     ["sample", "--shots", "2000", "--resamples", "20"]],
+                         ids=["pn-dist", "sample"])
+def test_displaced_pure_base_p_n_builds_no_state(runner, tmp_path, monkeypatch, command):
+    # the p_n is the coherent base's closed form and the deficit check reads
+    # D(β)ψ, so no state is built
+    assert displaced_p_n_builds(runner, tmp_path, monkeypatch, command, "coherent",
+                                {"alpha": [0.4, -0.2]}) == []
+
+
+@pytest.mark.parametrize("command", [["pn-dist", "--format", "json"],
+                                     ["sample", "--shots", "2000", "--resamples", "20"]],
+                         ids=["pn-dist", "sample"])
+def test_displaced_fock_base_p_n_builds_only_its_base(runner, tmp_path, monkeypatch, command):
+    # a Fock base has no closed form: its own state is the kernel's input, and
+    # no displaced state is built
+    assert displaced_p_n_builds(runner, tmp_path, monkeypatch, command, "fock",
+                                {"n": 1}) == [StateSpec("fock", {"n": 1})]
 
 
 def test_displaced_mixed_base_p_n_builds_its_base_once(runner, tmp_path, monkeypatch):
@@ -1063,3 +1132,21 @@ def test_one_command_parser_prints_the_full_parsers_text(runner, monkeypatch, ar
     result = runner.invoke(main, args)
     assert (result.exit_code, result.output) == (full.exit_code, full.output)
     assert built == [args[0] if args and args[0] in cli.COMMANDS else None]
+
+
+@pytest.mark.parametrize("args, subparsers", [(["--version"], 0), (["--version", "qcs"], 0),
+                                              (["--help"], 7), (["qcs", "--help"], 1)],
+                         ids=["version", "version-then-command", "help", "qcs-help"])
+def test_subparsers_built_per_invocation(runner, monkeypatch, args, subparsers):
+    # --version reads no subparser, --help lists every command, and a known
+    # command builds its own only
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kwargs: built.append(name) or add_parser(
+                            self, name, **kwargs))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert len(built) == subparsers
+    if args == ["--help"]:
+        assert all(name in result.output for name in cli.COMMANDS)
