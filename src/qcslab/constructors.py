@@ -43,8 +43,9 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
 
 def check_tail_mass(vec: np.ndarray, deficit_tol: float = DEFAULT_DEFICIT_TOL) -> None:
     """CutoffError when the amplitudes ``vec`` leave more than deficit_tol of
-    the norm, 1 − ‖v‖², past the cutoff."""
-    deficit = 1.0 - float(np.vdot(vec, vec).real)
+    the norm, 1 − ‖v‖², past the cutoff. ‖v‖² is summed as the cutoff probe
+    sums |v_n|²: a BLAS dot here added about 0.1 MB to a CLI process's peak RSS."""
+    deficit = 1.0 - float(np.sum((vec * vec.conj()).real))
     if deficit > deficit_tol:
         raise CutoffError(
             f"state tail mass {deficit:.3e} exceeds deficit tolerance {deficit_tol:.1e}"
@@ -66,12 +67,28 @@ def coherent(alpha: complex, cutoff: int,
     return _pure(coherent_amplitudes(alpha, cutoff), deficit_tol=deficit_tol)
 
 
-def fock(n: int, cutoff: int) -> DensityOperator:
-    if not 0 <= n < cutoff:
-        raise CutoffError(f"Fock level {n} does not fit cutoff {cutoff}")
-    vec = np.zeros(cutoff, dtype=complex)
+def fock_amplitudes(n: int, dim: int) -> np.ndarray:
+    """Fock amplitudes of |n⟩; CutoffError when level n does not fit dim."""
+    if not 0 <= n < dim:
+        raise CutoffError(f"Fock level {n} does not fit cutoff {dim}")
+    vec = np.zeros(dim, dtype=complex)
     vec[n] = 1.0
-    return _pure(vec, deficit_tol=0.0)
+    return vec
+
+
+def fock(n: int, cutoff: int) -> DensityOperator:
+    return _pure(fock_amplitudes(n, cutoff), deficit_tol=0.0)
+
+
+def fock_pair_pn(n: int) -> np.ndarray:
+    """Difference-mode p_n of two copies of |n⟩, the multiphoton Hong–Ou–Mandel
+    law p_{2j} = a_j a_{n−j} with a_j = C(2j, j)/4ʲ and every odd level empty,
+    on the kernel's max(2, 2n + 1) levels. a_j comes from a_{j+1} = a_j (2j+1)/(2j+2):
+    every term is positive, so nothing cancels."""
+    a = np.cumprod([1.0] + [(2 * j + 1) / (2 * j + 2) for j in range(n)])
+    probs = np.zeros(max(2, 2 * n + 1))
+    probs[:2 * n + 1:2] = a * a[::-1]
+    return probs
 
 
 def thermal_parameters(q: float | None = None,
@@ -170,6 +187,22 @@ def classical_mixture(mix: ClassicalMixture, cutoff: int,
         vec = coherent_amplitudes(alpha, cutoff)
         mat += w * np.outer(vec, vec.conj())
     return DensityOperator.from_matrix(mat, (cutoff,), deficit_tol=deficit_tol)
+
+
+def mixture_pair_pn(mix: ClassicalMixture, dim: int) -> np.ndarray:
+    """Difference-mode p_n of two copies of Σ w_i |α_i⟩⟨α_i|. Each pair |α_i⟩|α_k⟩
+    leaves the difference mode in a coherent state of mean photon number
+    λ_ik = |α_i − α_k|²/2, so p_n = Σ_ik w_i w_k e^{−λ_ik} λ_ikⁿ/n! (δ_{n0} where
+    λ_ik = 0), on the kernel's max(2, 2·top + 1) levels, top the highest nonzero
+    level of a weighted member's amplitudes at cutoff dim: the built state's."""
+    weights = np.array(mix.weights)
+    top = max(np.flatnonzero(coherent_amplitudes(alpha, dim)).max(initial=0)
+              for w, alpha in zip(mix.weights, mix.amplitudes) if w > 0)
+    n = np.arange(max(2, 2 * top + 1))
+    lam = np.array([[0.5 * squared_modulus(a - b) for b in mix.amplitudes]
+                    for a in mix.amplitudes])[..., None]
+    poisson = np.exp(-lam + log_power(lam, n) - log_factorial(n))
+    return np.einsum("i,k,ikn->n", weights, weights, poisson)
 
 
 def displace(rho: DensityOperator, beta: complex,

@@ -22,7 +22,8 @@ import numpy as np
 
 from .constructors import (ClassicalMixture, CovarianceMatrix, check_tail_mass,
                            classical_mixture, coherent, coherent_amplitudes, displace,
-                           displace_amplitudes, fock, phase_rotate, rho_2m, rho_even_m,
+                           displace_amplitudes, fock, fock_amplitudes, fock_pair_pn,
+                           mixture_pair_pn, phase_rotate, rho_2m, rho_even_m,
                            squeezed_amplitudes, squeezed_covariance, squeezed_vacuum, thermal,
                            thermal_parameters)
 from .errors import CutoffError, ValidationError
@@ -132,7 +133,9 @@ KINDS = {
         _fields(n=_integer),
         lambda p, dim, tol: fock(p["n"], dim),
         lambda p: float(p["n"]),
-        top_level=lambda p: p["n"], amplitudes=lambda p: lambda dim: np.eye(1, dim, p["n"])[0]),
+        top_level=lambda p: p["n"], amplitudes=lambda p: partial(fock_amplitudes, p["n"]),
+        # two copies of |n⟩: the multiphoton Hong–Ou–Mandel law
+        two_copy_pn=lambda p, dim: PhotonDistribution.from_values(fock_pair_pn(p["n"]))),
     "thermal": Kind(
         _parse_thermal,
         lambda p, dim, tol: thermal(**p, cutoff=dim, deficit_tol=tol),
@@ -163,7 +166,10 @@ KINDS = {
         _parse_mixture,
         lambda p, dim, tol: classical_mixture(_mixture(p), dim, tol),
         lambda p: float(sum(w * squared_modulus(a) for w, a in zip(p["weights"], p["amplitudes"]))),
-        mixture=_mixture),
+        mixture=_mixture,
+        # each pair of members leaves the difference mode coherent: a Poisson sum
+        two_copy_pn=lambda p, dim: PhotonDistribution.from_values(
+            mixture_pair_pn(_mixture(p), dim))),
     "displaced": Kind(
         _fields(base=_base_state, beta=_complex),
         lambda p, dim, tol: displace(build_state(p["base"], cutoff=dim, deficit_tol=tol),
@@ -314,7 +320,10 @@ def route_inputs(spec: StateSpec, cutoff: int | None = None) -> dict:
 
     def pn():  # a closed form's deficit check reads the built state, else ψ, else a build
         if row.two_copy_pn and not isinstance(held.get("state"), DensityOperator):
-            (pure if amplitudes else state)()
+            if amplitudes:
+                check_tail_mass(amplitudes(dim()))  # the check alone, not pure()'s normalised ψ
+            else:
+                state()
         return _pn(spec, dim(), state)
 
     pn = row.build and once("pn", pn)
@@ -372,7 +381,10 @@ def recommended_cutoff(spec: StateSpec) -> int:
     probe_dim = min(max(4 * base, 64), PROBE_MAX_DIM)
     while True:
         if amplitudes:
-            amps = amplitudes(probe_dim)
+            try:
+                amps = amplitudes(probe_dim)
+            except CutoffError:  # a Fock base past the probe: all of the trace is past it
+                amps = np.zeros(probe_dim)
             probs = (amps * amps.conj()).real
             deficit = max(1.0 - float(np.sum(probs)), 0.0)
         else:

@@ -141,6 +141,26 @@ def test_infeasible_cutoff_exits_4(runner, tmp_path):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("command", [["qcs", "--route", "pure"], ["qcs", "--route", "two-copy"],
+                                     ["pn-dist", "--format", "json"], ["sample", "--shots", "2000"]],
+                         ids=["pure", "two-copy", "pn-dist", "sample"])
+def test_fock_level_past_the_cutoff_exits_4_with_one_message(runner, tmp_path, command):
+    # the deficit check reads the amplitudes, which refuse as the build does
+    path = write_spec(tmp_path, "fock5.json", {"schema": 1, "kind": "fock", "params": {"n": 5}})
+    result = runner.invoke(main, [*command, "--state", path, "--cutoff", "4"])
+    assert result.exit_code == 4, result.output
+    assert "Fock level 5 does not fit cutoff 4" in result.output
+
+
+def test_fock_base_past_the_default_cutoff_probe_asks_for_a_cutoff(runner, tmp_path):
+    # |1100⟩ does not fit the probe's 1,024 levels: the refusal is the probe's
+    path = write_spec(tmp_path, "d.json", {"schema": 1, "kind": "displaced", "params": {
+        "base": {"kind": "fock", "params": {"n": 1100}}, "beta": 0.5}})
+    result = runner.invoke(main, ["qcs", "--state", path, "--route", "pure"])
+    assert result.exit_code == 4, result.output
+    assert result.output.endswith("the 1024 levels the cutoff probe builds; pass --cutoff\n")
+
+
 def test_purity_routes_agree(runner, thermal05):
     result = runner.invoke(main, ["purity", "--state", thermal05])
     assert result.exit_code == 0
@@ -361,7 +381,7 @@ def test_figure2_without_out_exits_2(runner, tmp_path, monkeypatch):
 
 
 def test_high_fock_level_two_copy(runner, tmp_path):
-    # top Fock level 60: C² = 2n + 1 and purity 1 on the combinatorial path
+    # top Fock level 60: C² = 2n + 1 and purity 1 from the Hong–Ou–Mandel law
     path = write_spec(tmp_path, "fock60.json",
                       {"schema": 1, "kind": "fock", "params": {"n": 60}})
     result = runner.invoke(main, ["qcs", "--state", path])
@@ -641,9 +661,19 @@ def test_state_built_once_per_command(runner, tmp_path, monkeypatch, command):
 
 @pytest.mark.parametrize("command", ONCE_COMMANDS, ids=[command[0] for command in ONCE_COMMANDS])
 def test_mixture_state_built_once_per_command(runner, tmp_path, monkeypatch, command):
+    # a mixture's p_n is its Poisson sum, held to the deficit check of the one
+    # state every command builds (a mixture has no amplitudes); only the kernel
+    # route runs the kernel
+    expected = (1, 1) if command[0] in ("compare", "qcs") else (1, 0)
+    doc = {"kind": "mixture", "params": {"weights": [0.4, 0.6], "amplitudes": [0.5, [-0.3, 0.2]]}}
+    assert builds_and_kernel_calls(runner, tmp_path, monkeypatch, command, doc) == expected
+
+
+@pytest.mark.parametrize("command", ONCE_COMMANDS, ids=[command[0] for command in ONCE_COMMANDS])
+def test_kernel_only_state_built_once_per_command(runner, tmp_path, monkeypatch, command):
     # a kind without a closed form: the two-copy, kernel and Wigner-Laplacian
     # routes and purity's alternating sum share one kernel call on one state
-    doc = {"kind": "mixture", "params": {"weights": [0.4, 0.6], "amplitudes": [0.5, [-0.3, 0.2]]}}
+    doc = {"kind": "rho_even_M", "params": {"M": 3}}
     assert builds_and_kernel_calls(runner, tmp_path, monkeypatch, command, doc) == (1, 1)
 
 
@@ -786,10 +816,9 @@ def test_displaced_pure_base_p_n_builds_no_state(runner, tmp_path, monkeypatch, 
                                      ["sample", "--shots", "2000", "--resamples", "20"]],
                          ids=["pn-dist", "sample"])
 def test_displaced_fock_base_p_n_builds_only_its_base(runner, tmp_path, monkeypatch, command):
-    # a Fock base has no closed form: its own state is the kernel's input, and
-    # no displaced state is built
-    assert displaced_p_n_builds(runner, tmp_path, monkeypatch, command, "fock",
-                                {"n": 1}) == [StateSpec("fock", {"n": 1})]
+    # the base's p_n is the Hong–Ou–Mandel law and the deficit check reads
+    # D(β)|1⟩, so neither the base nor the displaced state is built
+    assert displaced_p_n_builds(runner, tmp_path, monkeypatch, command, "fock", {"n": 1}) == []
 
 
 def test_displaced_mixed_base_p_n_builds_its_base_once(runner, tmp_path, monkeypatch):
